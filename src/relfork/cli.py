@@ -8,8 +8,9 @@ Subcommands:
   finitely supported relations plus scan windows).
 * ``eval``: evaluate one formula; exact over a finite model, compared
   on a window over a pairing function.
-* ``fix``: enumerate the controlled fixpoints of a built pairing on a
-  scan window and compare them with the layout's candidates.
+* ``fix``: enumerate the fixpoints of a built pairing's control on a
+  scan window and compare them with the layout's candidates; a
+  mismatch exits 1.
 * ``build``: build a pairing function and print its layout report,
   together with a digest of the canonical configuration.
 * ``export``: write a finite model to JSON.
@@ -94,17 +95,26 @@ def _resolve_star(args) -> Tuple[forkmodel.PairingFunction, Dict, str]:
     return pf, config, digest
 
 
-def _target_name(args) -> str:
-    if getattr(args, "model", None):
-        return f"model:{args.model}"
-    config = _star_config(args)
+def _star_name(config: Dict) -> str:
     control = config.get("control")
     suffix = f" control={control}" if control is not None else ""
     return f"star:{config.get('kind')} S={config.get('S')}{suffix}"
 
 
 # ---------------------------------------------------------------------------
-# Bindings and formula evaluation
+# Argument checks and bindings
+
+
+def _check_counts(args) -> None:
+    """Reject windows and counts outside their range before any work starts."""
+    cap = {"eval": forkmodel.WINDOW_CAP, "fix": FIX_WINDOW_CAP}.get(args.command)
+    if cap is not None and args.window > cap:
+        raise UsageError(f"--window {args.window} exceeds cap {cap}")
+    for name in ("window", "trials", "support_bound", "urelement_bound"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must be at least 1, got {value}")
 
 
 def _load_bindings(path: Optional[str]) -> Dict[str, list]:
@@ -118,32 +128,6 @@ def _load_bindings(path: Optional[str]) -> Dict[str, list]:
     for name, pairs in data.items():
         out[name] = [(int(a), int(b)) for a, b in pairs]
     return out
-
-
-def _window_formula(f, backend, env, n: int) -> bool:
-    if isinstance(f, terms.Eq):
-        lhs = forkmodel.window(terms.eval_term(f.left, env, backend), n)
-        rhs = forkmodel.window(terms.eval_term(f.right, env, backend), n)
-        return lhs == rhs
-    if isinstance(f, terms.Leq):
-        lhs = forkmodel.window(terms.eval_term(f.left, env, backend), n)
-        rhs = forkmodel.window(terms.eval_term(f.right, env, backend), n)
-        return lhs.is_subset(rhs)
-    if isinstance(f, terms.Not):
-        return not _window_formula(f.arg, backend, env, n)
-    if isinstance(f, terms.And):
-        return _window_formula(f.left, backend, env, n) and _window_formula(
-            f.right, backend, env, n
-        )
-    if isinstance(f, terms.Or):
-        return _window_formula(f.left, backend, env, n) or _window_formula(
-            f.right, backend, env, n
-        )
-    if isinstance(f, terms.Implies):
-        return (not _window_formula(f.left, backend, env, n)) or _window_formula(
-            f.right, backend, env, n
-        )
-    raise UsageError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +159,7 @@ def _cmd_check(args) -> Tuple[Dict, int]:
                 }
             )
         payload = {
-            "target": _target_name(args),
+            "target": f"model:{args.model}",
             "suite": suite,
             "strategy": str(strategy),
             "seed": args.seed,
@@ -196,7 +180,7 @@ def _cmd_check(args) -> Tuple[Dict, int]:
         include_urelement_axiom=(suite == "cfau"),
     )
     payload = {
-        "target": _target_name(args),
+        "target": _star_name(config),
         "suite": suite,
         "config_sha256": digest,
         "seed": args.seed,
@@ -229,18 +213,21 @@ def _cmd_eval(args) -> Tuple[Dict, int]:
         }
         value = terms.eval_formula(formula, env, model)
         mode = "exact"
+        target = f"model:{args.model}"
     else:
-        pf, _, _ = _resolve_star(args)
-        backend = forkmodel.ForkBackend(pf)
+        pf, config, _ = _resolve_star(args)
         env = {
             name: forkmodel.LazyRelation.from_support(pairs)
             for name, pairs in bindings.items()
         }
-        value = _window_formula(formula, backend, env, args.window)
+        value = terms.eval_formula(
+            formula, env, forkmodel.ForkBackend(pf, window=args.window)
+        )
         mode = f"window[0,{args.window})"
+        target = _star_name(config)
     payload = {
         "formula": terms.pretty_formula(formula),
-        "target": _target_name(args),
+        "target": target,
         "mode": mode,
         "value": value,
     }
@@ -249,35 +236,19 @@ def _cmd_eval(args) -> Tuple[Dict, int]:
 
 def _cmd_fix(args) -> Tuple[Dict, int]:
     pf, config, digest = _resolve_star(args)
-    if args.window > FIX_WINDOW_CAP:
-        raise UsageError(f"--window {args.window} exceeds cap {FIX_WINDOW_CAP}")
-    region = range(args.window)
-    kind = config["kind"]
-    if kind == "basic":
-        fixpoints = forkmodel.fix_members(pf, region)
-    elif kind == "tree":
-        fixpoints = forkmodel.fix_tree_members(
-            constructions.parse_tree(config["control"]), pf, region
-        )
-    elif kind in ("pi", "rho"):
-        fixpoints = forkmodel.fix_proj_members(pf, region, which=kind)
-    elif kind == "seq":
-        fixpoints = forkmodel.fix_seq_members(
-            constructions.parse_seq(config["control"]), pf, region
-        )
-    else:
-        raise UsageError(f"unknown construction kind {kind!r}")
-    candidates = pf.meta.fix_candidates()
-    expected = tuple(u for u in candidates if u < args.window)
+    layout = pf.meta
+    fixpoints = forkmodel.fix_members(pf, range(args.window), layout.control)
+    candidates = layout.s_values
+    matches = fixpoints == tuple(u for u in candidates if u < args.window)
     payload = {
-        "target": _target_name(args),
+        "target": _star_name(config),
         "config_sha256": digest,
         "window": args.window,
         "fixpoints": list(fixpoints),
         "candidates": list(candidates),
-        "matches_candidates": tuple(fixpoints) == expected,
+        "matches_candidates": matches,
     }
-    return payload, 0
+    return payload, 0 if matches else 1
 
 
 def _cmd_build(args) -> Tuple[Dict, int]:
@@ -384,10 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="axiom suite to run",
     )
     p_check.add_argument(
-        "--exhaustive", action="store_true", help="check every assignment (default)"
-    )
-    p_check.add_argument(
-        "--sampled", type=int, metavar="K", help="check K random assignments"
+        "--sampled",
+        type=int,
+        metavar="K",
+        help="check K random assignments (default: every assignment)",
     )
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--support-bound", type=int, default=64, dest="support_bound")
@@ -442,6 +413,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        _check_counts(args)
         payload, code = args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,8 @@ Every builder here partitions the naturals into a finite reserved set
 and an infinite residual, splits the residual into countably many
 disjoint infinite blocks through the Cantor pairing, and then defines
 ``star`` by a finite table of pinned cells plus a default encoder on
-all remaining pairs.
+all remaining pairs.  Every kind but ``basic`` shares that one
+table-driven pairing; ``unstar`` inverts the table.
 
 The default encoder sends (u, v) to an element of block 0 strictly
 above max(u, v), so no pair outside the table can close a fixpoint
@@ -25,16 +26,38 @@ Kinds:
 * ``seq``: fixpoints of the projection chain named by a control
   sequence over {pi, rho}.  Levels own blocks; a reserved-block partner
   sits on the silent side of every chain step.
+
+A control that is a power of a shorter one, such as ``pi.pi`` or
+``bin (bin nil nil) (bin nil nil)`` (``bin nil nil`` substituted into
+its own leaves), has as image a power of the shorter control's image,
+whose periodic points are all fixpoints of the power.  The tree and seq
+tables therefore pin the shortest root of their control; every other
+control keeps its own table.
+
+Each layout carries the control whose fixpoints its table pins, in the
+form ``forkmodel.fix_members`` scans: ``bin nil nil`` for ``basic``,
+the control tree for ``tree``, the one-step sequence ``pi`` or ``rho``
+for the projection kinds and the control sequence for ``seq``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .btree import BT, NIL, Bin, Nil, format_tree, node_count, parse_tree, strict_subtrees
-from .forkmodel import PairingFunction
-from .seqs import PI, RHO, Seq, format_seq, parse_seq, seq_symbols
+from .btree import (
+    BT,
+    NIL,
+    Bin,
+    Nil,
+    format_tree,
+    node_count,
+    parse_tree,
+    strict_subtrees,
+    tree_map,
+)
+from .forkmodel import Control, PairingFunction
+from .seqs import PI, RHO, Elem, Seq, format_seq, parse_seq, seq_symbols
 
 Pair = Tuple[int, int]
 
@@ -66,7 +89,7 @@ def _checked_members(s_members: Iterable[int]) -> Tuple[int, ...]:
 
 
 class ConstructionLayout:
-    """Reserved set, residual block arithmetic, and the pinned table."""
+    """Reserved set, residual block arithmetic, the pinned table and its control."""
 
     def __init__(
         self,
@@ -74,6 +97,7 @@ class ConstructionLayout:
         s_values: Tuple[int, ...],
         reserved: Tuple[int, ...],
         block_names: Tuple[str, ...],
+        control: Optional[Control] = None,
         control_text: Optional[str] = None,
         partners: Optional[Tuple[int, ...]] = None,
     ):
@@ -83,16 +107,10 @@ class ConstructionLayout:
         self.reserved = reserved
         self.reserved_set = frozenset(reserved)
         self.block_names = block_names
+        self.control = control
         self.control_text = control_text
         self.partners = partners
         self.table: Dict[Pair, int] = {}
-
-    @property
-    def description(self) -> str:
-        bits = [self.kind, f"S={list(self.s_values)}"]
-        if self.control_text is not None:
-            bits.append(f"control={self.control_text}")
-        return " ".join(bits)
 
     def residual_element(self, j: int) -> int:
         u = j
@@ -125,12 +143,32 @@ class ConstructionLayout:
             return None
         return cantor_unpair(place[1] - 1)
 
-    def fix_candidates(self) -> Tuple[int, ...]:
-        """Elements the table pins as controlled fixpoints."""
-        return self.s_values
 
+def _table_pairing(layout: ConstructionLayout) -> PairingFunction:
+    """The pinned table on its cells, the default encoder everywhere else.
 
-def _finish(layout: ConstructionLayout, star, unstar) -> PairingFunction:
+    Table values never lie in block 0 and default cells always do, so
+    star is injective; unstar inverts the table and, off its values,
+    decodes a default cell unless the table pins that cell instead.
+    """
+    table = layout.table
+    inverse = {w: pair for pair, w in table.items()}
+
+    def star(u: int, v: int) -> int:
+        pinned = table.get((u, v))
+        if pinned is not None:
+            return pinned
+        return layout.encode_rest(u, v)
+
+    def unstar(w: int) -> Optional[Pair]:
+        pinned = inverse.get(w)
+        if pinned is not None:
+            return pinned
+        pair = layout.decode_rest(w)
+        if pair is None or pair in table:
+            return None
+        return pair
+
     return PairingFunction(star=star, unstar=unstar, meta=layout)
 
 
@@ -145,6 +183,7 @@ def build_star_basic(s_members: Iterable[int]) -> PairingFunction:
         s_values=s_values,
         reserved=s_values,
         block_names=("offdiag", "diag-shift-0"),
+        control=Bin(NIL, NIL),
     )
     s_set = layout.reserved_set
 
@@ -172,11 +211,22 @@ def build_star_basic(s_members: Iterable[int]) -> PairingFunction:
         u = layout.block_element(i - 1, k)
         return (u, u)
 
-    return _finish(layout, star, unstar)
+    return PairingFunction(star=star, unstar=unstar, meta=layout)
 
 
 # ---------------------------------------------------------------------------
 # tree: fixpoints of folding star over a control tree
+
+
+def _tree_root(t: BT) -> BT:
+    """The smallest r whose substitution power r[nil := r[nil := ...]] is t."""
+    for r in sorted(strict_subtrees(t) - {NIL}, key=node_count):
+        power = r
+        while node_count(power) < node_count(t):
+            power = tree_map(r, Bin, power)
+        if power == t:
+            return r
+    return t
 
 
 def build_star_tree(t: BT, s_members: Iterable[int]) -> PairingFunction:
@@ -188,8 +238,9 @@ def build_star_tree(t: BT, s_members: Iterable[int]) -> PairingFunction:
     if not s_values:
         raise ConstructionError("tree construction needs at least one member")
 
+    root = _tree_root(t)
     families: List[BT] = sorted(
-        (c for c in strict_subtrees(t) if not isinstance(c, Nil)),
+        (c for c in strict_subtrees(root) if not isinstance(c, Nil)),
         key=lambda c: (node_count(c), format_tree(c)),
     )
     fam_block = {c: 1 + j for j, c in enumerate(families)}
@@ -198,6 +249,7 @@ def build_star_tree(t: BT, s_members: Iterable[int]) -> PairingFunction:
         s_values=s_values,
         reserved=s_values,
         block_names=("rest",) + tuple(f"scaffold[{format_tree(c)}]" for c in families),
+        control=t,
         control_text=format_tree(t),
     )
 
@@ -209,37 +261,8 @@ def build_star_tree(t: BT, s_members: Iterable[int]) -> PairingFunction:
     for w in s_values:
         for c in families:
             layout.table[(h(c.left, w), h(c.right, w))] = h(c, w)
-        layout.table[(h(t.left, w), h(t.right, w))] = w
-
-    table = layout.table
-    s_set = layout.reserved_set
-    n_members = len(s_values)
-
-    def star(u: int, v: int) -> int:
-        pinned = table.get((u, v))
-        if pinned is not None:
-            return pinned
-        return layout.encode_rest(u, v)
-
-    def unstar(w: int) -> Optional[Pair]:
-        if w in s_set:
-            candidate = (h(t.left, w), h(t.right, w))
-        else:
-            place = layout.block_of(w)
-            i, k = place
-            if i == 0:
-                candidate = layout.decode_rest(w)
-            elif i - 1 < len(families) and k < n_members:
-                c = families[i - 1]
-                member = s_values[k]
-                candidate = (h(c.left, member), h(c.right, member))
-            else:
-                candidate = None
-        if candidate is not None and star(*candidate) == w:
-            return candidate
-        return None
-
-    return _finish(layout, star, unstar)
+        layout.table[(h(root.left, w), h(root.right, w))] = w
+    return _table_pairing(layout)
 
 
 # ---------------------------------------------------------------------------
@@ -257,41 +280,19 @@ def build_star_proj(s_members: Iterable[int], which: str = PI) -> PairingFunctio
         if candidate not in s_set:
             partners.append(candidate)
         candidate += 1
-    partner_of = dict(zip(s_values, partners))
 
     layout = ConstructionLayout(
         kind=which,
         s_values=s_values,
         reserved=tuple(sorted(s_set | set(partners))),
         block_names=("rest",),
+        control=Elem(which),
         partners=tuple(partners),
     )
-    for w in s_values:
-        p = partner_of[w]
+    for w, p in zip(s_values, partners):
         key = (w, p) if which == PI else (p, w)
         layout.table[key] = w
-
-    table = layout.table
-
-    def star(u: int, v: int) -> int:
-        pinned = table.get((u, v))
-        if pinned is not None:
-            return pinned
-        return layout.encode_rest(u, v)
-
-    def unstar(w: int) -> Optional[Pair]:
-        if w in s_set:
-            p = partner_of[w]
-            candidate = (w, p) if which == PI else (p, w)
-        elif w in layout.reserved_set:
-            return None
-        else:
-            candidate = layout.decode_rest(w)
-        if candidate is not None and star(*candidate) == w:
-            return candidate
-        return None
-
-    return _finish(layout, star, unstar)
+    return _table_pairing(layout)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +301,12 @@ def build_star_proj(s_members: Iterable[int], which: str = PI) -> PairingFunctio
 
 def build_star_seq(s: Seq, s_members: Iterable[int]) -> PairingFunction:
     symbols = seq_symbols(s)
-    length = len(symbols)
-    if length > MAX_CONTROL_NODES:
+    if len(symbols) > MAX_CONTROL_NODES:
         raise ConstructionError(f"control sequence exceeds {MAX_CONTROL_NODES} steps")
+    # The chain follows the shortest period of the sequence (see above).
+    length = next(
+        p for p in range(1, len(symbols) + 1) if symbols[:p] * (len(symbols) // p) == symbols
+    )
     s_values = _checked_members(s_members)
     if not s_values:
         raise ConstructionError("sequence construction needs at least one member")
@@ -313,6 +317,7 @@ def build_star_seq(s: Seq, s_members: Iterable[int]) -> PairingFunction:
         s_values=s_values,
         reserved=s_values,
         block_names=("rest",) + level_names + ("partners",),
+        control=s,
         control_text=format_seq(s),
     )
     s_rank = layout.s_rank
@@ -323,46 +328,13 @@ def build_star_seq(s: Seq, s_members: Iterable[int]) -> PairingFunction:
             return w
         return layout.block_element(j, s_rank[w])
 
-    def partner(w: int) -> int:
-        return layout.block_element(length, s_rank[w])
-
     for w in s_values:
+        partner = layout.block_element(length, s_rank[w])
         for i in range(1, length + 1):
             key = chain_value(i, w)
-            out = chain_value(i - 1, w)
-            pair = (key, partner(w)) if symbols[i - 1] == PI else (partner(w), key)
-            layout.table[pair] = out
-
-    table = layout.table
-    s_set = layout.reserved_set
-    n_members = len(s_values)
-
-    def star(u: int, v: int) -> int:
-        pinned = table.get((u, v))
-        if pinned is not None:
-            return pinned
-        return layout.encode_rest(u, v)
-
-    def entry_pair(i: int, w: int) -> Pair:
-        key = chain_value(i, w)
-        return (key, partner(w)) if symbols[i - 1] == PI else (partner(w), key)
-
-    def unstar(w: int) -> Optional[Pair]:
-        if w in s_set:
-            candidate = entry_pair(1, w)
-        else:
-            i, k = layout.block_of(w)
-            if i == 0:
-                candidate = layout.decode_rest(w)
-            elif i < length and k < n_members:
-                candidate = entry_pair(i + 1, s_values[k])
-            else:
-                candidate = None
-        if candidate is not None and star(*candidate) == w:
-            return candidate
-        return None
-
-    return _finish(layout, star, unstar)
+            pair = (key, partner) if symbols[i - 1] == PI else (partner, key)
+            layout.table[pair] = chain_value(i - 1, w)
+    return _table_pairing(layout)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +397,7 @@ def layout_report(pf: PairingFunction, grid: int = 12) -> Dict:
         "members": list(layout.s_values),
         "control": layout.control_text,
         "reserved": list(layout.reserved),
-        "fix_candidates": list(layout.fix_candidates()),
+        "fix_candidates": list(layout.s_values),
         "blocks": blocks,
         "table": table,
         "star_grid": [[pf.star(u, v) for v in range(grid)] for u in range(grid)],

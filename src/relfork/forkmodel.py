@@ -11,12 +11,14 @@ the result stays enumerable; a composition whose left operand offers
 neither a support nor witnesses and whose right operand has no support
 is rejected as undecidable.
 
-``underline_tree(t)`` is the relation folding fork over the shape of a
-binary tree starting from the identity; its membership test reduces to
-one functional image ``tree_map(t, star, u)``.  ``underline_seq(s)``
-chains projection steps through ``unstar``.  Fixpoint queries for a
-control tree, a control sequence, or a single projection scan a finite
-region with these reductions.
+A control is a binary tree or a projection sequence, and its image is
+a partial function on the naturals: a tree t sends u to
+``tree_map(t, star, u)`` (folding fork over the shape of t starting
+from the identity), a sequence chains its projection steps through
+``unstar``.  ``underline(control)`` is the relation of that image, and
+``fix_members`` scans a finite region for the image's fixpoints.  Plain
+fixpoints star(u, u) = u are those of ``bin nil nil``, and projection
+fixpoints those of the one-step sequences ``pi`` and ``rho``.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .btree import BT, Bin, Nil, tree_map
+from .btree import BT, NIL, Bin, Nil, tree_map
 from .relcore import FiniteRelation
-from .seqs import PI, RHO, Seq, seq_symbols
+from .seqs import PI, Elem, Seq, seq_symbols
 
 Pair = Tuple[int, int]
+Control = BT | Seq
 
 WINDOW_CAP = 4096
 
@@ -58,9 +61,6 @@ class PairingFunction:
     star: Callable[[int, int], int]
     unstar: Callable[[int], Optional[Pair]]
     meta: object = None
-
-    def describe(self) -> str:
-        return getattr(self.meta, "description", "pairing function")
 
 
 @dataclass(frozen=True)
@@ -143,34 +143,27 @@ def complement_rel(r: LazyRelation) -> LazyRelation:
     return LazyRelation(contains=lambda a, b: not r.contains(a, b))
 
 
+def _compose_pairs(r: FrozenSet[Pair], s: FrozenSet[Pair]) -> FrozenSet[Pair]:
+    by_left: Dict[int, Set[int]] = {}
+    for x, b in s:
+        by_left.setdefault(x, set()).add(b)
+    return frozenset((a, b) for a, x in r for b in by_left.get(x, ()))
+
+
+def _converse_pairs(r: FrozenSet[Pair]) -> FrozenSet[Pair]:
+    return frozenset((b, a) for a, b in r)
+
+
 def converse_rel(r: LazyRelation) -> LazyRelation:
-    support = None
-    witnesses = None
     if r.support_hint is not None:
-        support = frozenset((b, a) for a, b in r.support_hint)
-        by_left: Dict[int, Tuple[int, ...]] = {}
-        for a, b in sorted(support):
-            by_left[a] = by_left.get(a, ()) + (b,)
-        witnesses = lambda a: by_left.get(a, ())
-    return LazyRelation(
-        contains=lambda a, b: r.contains(b, a),
-        support_hint=support,
-        witnesses=witnesses,
-    )
+        return LazyRelation.from_support(_converse_pairs(r.support_hint))
+    return LazyRelation(contains=lambda a, b: r.contains(b, a))
 
 
 def compose_rel(r: LazyRelation, s: LazyRelation) -> LazyRelation:
     """Relational composition; needs one enumerable side to stay decidable."""
     if r.support_hint is not None and s.support_hint is not None:
-        by_left: Dict[int, Set[int]] = {}
-        for x, b in s.support_hint:
-            by_left.setdefault(x, set()).add(b)
-        pairs = {
-            (a, b)
-            for a, x in r.support_hint
-            for b in by_left.get(x, ())
-        }
-        return LazyRelation.from_support(pairs)
+        return LazyRelation.from_support(_compose_pairs(r.support_hint, s.support_hint))
     if r.witnesses is not None:
         rw = r.witnesses
         contains = lambda a, b: any(s.contains(x, b) for x in rw(a))
@@ -263,23 +256,6 @@ def urelement_relations(pf: PairingFunction) -> Tuple[LazyRelation, LazyRelation
     return id_u, u1u
 
 
-def underline_tree(t: BT, pf: PairingFunction) -> LazyRelation:
-    """Fold fork over the shape of t starting from the identity relation.
-
-    Membership reduces to the functional image through star: (u, v) is
-    in the relation iff v = tree_map(t, star, u).
-    """
-    star = pf.star
-
-    def image(u: int) -> int:
-        return tree_map(t, star, u)
-
-    return LazyRelation(
-        contains=lambda u, v: image(u) == v,
-        witnesses=lambda u: (image(u),),
-    )
-
-
 def _chase(symbols: Sequence[str], unstar, u: int) -> Optional[int]:
     for symbol in symbols:
         decoded = unstar(u)
@@ -289,55 +265,56 @@ def _chase(symbols: Sequence[str], unstar, u: int) -> Optional[int]:
     return u
 
 
-def underline_seq(s: Seq, pf: PairingFunction) -> LazyRelation:
-    """Chain of projection steps named by s, resolved through unstar."""
-    symbols = seq_symbols(s)
+def _image(control: Control, pf: PairingFunction) -> Callable[[int], Optional[int]]:
+    """The partial function of a control over pf; None where a chase ends."""
+    if isinstance(control, (Nil, Bin)):
+        star = pf.star
+        return lambda u: tree_map(control, star, u)
+    symbols = seq_symbols(control)
     unstar = pf.unstar
+    return lambda u: _chase(symbols, unstar, u)
 
-    def image(u: int) -> Optional[int]:
-        return _chase(symbols, unstar, u)
+
+def underline(control: Control, pf: PairingFunction) -> LazyRelation:
+    """The relation (u, image(u)) of a control; nil gives the identity."""
+    image = _image(control, pf)
 
     def witnesses(u: int):
         v = image(u)
         return () if v is None else (v,)
 
-    return LazyRelation(
-        contains=lambda u, v: image(u) == v,
-        witnesses=witnesses,
-    )
+    return LazyRelation(contains=lambda u, v: image(u) == v, witnesses=witnesses)
 
 
-def fix_members(pf: PairingFunction, region: Iterable[int]) -> Tuple[int, ...]:
-    """Plain fixpoints star(u, u) = u inside the region."""
-    star = pf.star
-    return tuple(u for u in region if star(u, u) == u)
+underline_tree = underline_seq = underline
+
+
+def fix_members(
+    pf: PairingFunction, region: Iterable[int], control: Control = Bin(NIL, NIL)
+) -> Tuple[int, ...]:
+    """Fixpoints image(u) = u of a non-nil control inside the region.
+
+    The default control ``bin nil nil`` gives the plain fixpoints
+    star(u, u) = u.
+    """
+    if isinstance(control, Nil):
+        raise NilControlError()
+    image = _image(control, pf)
+    return tuple(u for u in region if image(u) == u)
 
 
 def fix_tree_members(t: BT, pf: PairingFunction, region: Iterable[int]) -> Tuple[int, ...]:
-    if isinstance(t, Nil):
-        raise NilControlError()
-    star = pf.star
-    return tuple(u for u in region if tree_map(t, star, u) == u)
+    return fix_members(pf, region, t)
 
 
 def fix_proj_members(
     pf: PairingFunction, region: Iterable[int], which: str = PI
 ) -> Tuple[int, ...]:
-    """Projection fixpoints: some v pairs with u on the named side."""
-    unstar = pf.unstar
-    index = 0 if which == PI else 1
-    out = []
-    for u in region:
-        decoded = unstar(u)
-        if decoded is not None and decoded[index] == u:
-            out.append(u)
-    return tuple(out)
+    return fix_members(pf, region, Elem(which))
 
 
 def fix_seq_members(s: Seq, pf: PairingFunction, region: Iterable[int]) -> Tuple[int, ...]:
-    symbols = seq_symbols(s)
-    unstar = pf.unstar
-    return tuple(u for u in region if _chase(symbols, unstar, u) == u)
+    return fix_members(pf, region, s)
 
 
 def si_member(a: LazyRelation, bound_rel: LazyRelation) -> bool:
@@ -426,17 +403,6 @@ def transport(rel: LazyRelation, perm: Dict[int, int]) -> LazyRelation:
 
 # ---------------------------------------------------------------------------
 # Direct checks of the fork axioms over a pairing function
-
-
-def _compose_pairs(r: FrozenSet[Pair], s: FrozenSet[Pair]) -> FrozenSet[Pair]:
-    by_left: Dict[int, Set[int]] = {}
-    for x, b in s:
-        by_left.setdefault(x, set()).add(b)
-    return frozenset((a, b) for a, x in r for b in by_left.get(x, ()))
-
-
-def _converse_pairs(r: FrozenSet[Pair]) -> FrozenSet[Pair]:
-    return frozenset((b, a) for a, b in r)
 
 
 @dataclass
@@ -573,12 +539,17 @@ def cfa_axiom_check(
 
 
 class ForkBackend:
-    """Evaluation backend over a pairing function for the term language."""
+    """Evaluation backend over a pairing function for the term language.
 
-    def __init__(self, pf: PairingFunction):
+    Equality and containment of lazy relations are undecidable; with a
+    window n they compare the restrictions of both sides to [0, n).
+    """
+
+    def __init__(self, pf: PairingFunction, window: Optional[int] = None):
         self.pf = pf
+        self.window_size = window
         self._pi, self._rho = projections(pf)
-        self._id_u, self._u1u = urelement_relations(pf)
+        self._id_u = urelement_relations(pf)[0]
 
     def const(self, kind: str) -> LazyRelation:
         if kind == "zero":
@@ -613,12 +584,18 @@ class ForkBackend:
     def fork(self, r, s):
         return fork(r, s, self.pf)
 
+    def _windows(self, r, s, relation: str) -> Tuple[FiniteRelation, FiniteRelation]:
+        n = self.window_size
+        if n is None:
+            raise ValueError(
+                f"{relation} of lazy relations is undecidable; compare windows instead"
+            )
+        return window(r, n), window(s, n)
+
     def equal(self, r, s) -> bool:
-        raise ValueError(
-            "equality of lazy relations is undecidable; compare windows instead"
-        )
+        lhs, rhs = self._windows(r, s, "equality")
+        return lhs == rhs
 
     def below(self, r, s) -> bool:
-        raise ValueError(
-            "containment of lazy relations is undecidable; compare windows instead"
-        )
+        lhs, rhs = self._windows(r, s, "containment")
+        return lhs.is_subset(rhs)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 MAX_BASE = 16
 MAX_CARRIER = 1 << 16
@@ -160,28 +160,6 @@ class FiniteRelation:
         return f"FiniteRelation({self.base_size}, {sorted(self.pairs())})"
 
 
-def bool_op(
-    kind: str,
-    r: FiniteRelation,
-    s: Optional[FiniteRelation] = None,
-    unit: Optional[FiniteRelation] = None,
-) -> FiniteRelation:
-    """Boolean operation dispatch: union, meet or complement."""
-    if kind == "union":
-        if s is None:
-            raise RelationError("union needs a second operand")
-        return r.union(s)
-    if kind == "meet":
-        if s is None:
-            raise RelationError("meet needs a second operand")
-        return r.meet(s)
-    if kind == "complement":
-        if unit is None:
-            raise RelationError("complement needs the unit")
-        return r.complement_in(unit)
-    raise RelationError(f"unknown boolean operation {kind!r}")
-
-
 class AlgebraModel:
     """A finite proper relation algebra given by its carrier of relations."""
 
@@ -202,7 +180,6 @@ class AlgebraModel:
         unit: FiniteRelation,
         identity: FiniteRelation,
         is_full: bool = False,
-        validate: bool = True,
     ):
         if base_size > MAX_BASE:
             raise RelationError(f"base size {base_size} exceeds cap {MAX_BASE}")
@@ -217,8 +194,7 @@ class AlgebraModel:
         self.empty = FiniteRelation.empty(base_size)
         self.is_full = is_full
         self._carrier_set = frozenset(rel.rows for rel in self.carrier)
-        if validate:
-            self._validate()
+        self._validate()
 
     def __contains__(self, rel: FiniteRelation) -> bool:
         return rel.base_size == self.base_size and rel.rows in self._carrier_set

@@ -1,9 +1,11 @@
 """Command line interface: exit codes, output shape, stdout stability."""
 
+import dataclasses
 import json
 
 import pytest
 
+from relfork import constructions
 from relfork.cli import main
 
 UNIT2 = [[0, 0], [0, 1], [1, 0], [1, 1]]
@@ -240,6 +242,25 @@ class TestFix:
         )
         assert code == 2 and "exceeds cap" in err
 
+    def test_mismatch_exits_one(self, capsys, monkeypatch):
+        build = constructions.build_from_config
+
+        def with_extra_fixpoint(config):
+            pf = build(config)
+            star = pf.star
+            return dataclasses.replace(
+                pf, star=lambda u, v: 9 if u == v == 9 else star(u, v)
+            )
+
+        monkeypatch.setattr(constructions, "build_from_config", with_extra_fixpoint)
+        code, out, _ = run(
+            capsys, "--format", "json", "fix", "--star", "basic", "--S", "2,5",
+            "--window", "400",
+        )
+        assert code == 1
+        assert '"matches_candidates": false' in out
+        assert json.loads(out)["fixpoints"] == [2, 5, 9]
+
     def test_config_file_target(self, capsys, tmp_path):
         config = tmp_path / "star.json"
         config.write_text(json.dumps({"kind": "seq", "S": [0, 1], "control": "rho.pi"}))
@@ -303,6 +324,33 @@ class TestExport:
         assert payload["base_size"] == 1 and payload["full"] is True
 
 
+BASIC_TARGET = ["--star", "basic", "--S", "1"]
+
+
+class TestCountChecks:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", *BASIC_TARGET, "--formula", "1 = 1", "--window", "5000"],
+            ["eval", *BASIC_TARGET, "--formula", "1 = 1", "--window", "0"],
+            ["fix", *BASIC_TARGET, "--window", "-5"],
+            ["fix", *BASIC_TARGET, "--window", "2000000"],
+            ["check", *BASIC_TARGET, "--suite", "cfa", "--trials", "-1"],
+            ["check", *BASIC_TARGET, "--suite", "cfa", "--support-bound", "0"],
+            ["check", *BASIC_TARGET, "--suite", "cfau", "--urelement-bound", "0"],
+        ],
+    )
+    def test_rejected_before_the_pairing_is_built(self, capsys, monkeypatch, argv):
+        def unreachable(config):
+            raise AssertionError("pairing built before the count checks")
+
+        monkeypatch.setattr(constructions, "build_from_config", unreachable)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+        assert out == ""
+
+
 class TestArgumentErrors:
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -312,6 +360,11 @@ class TestArgumentErrors:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
+        assert exc.value.code == 2
+
+    def test_exhaustive_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--model", "full:1", "--suite", "cr_tarski", "--exhaustive"])
         assert exc.value.code == 2
 
     def test_unknown_star_kind(self, capsys):

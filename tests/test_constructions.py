@@ -1,7 +1,7 @@
 """Star constructions: block layout arithmetic and pinned fixpoint sets."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from relfork import (
     Bin,
@@ -261,6 +261,54 @@ class TestSeqStar:
         long_seq = seq_from_symbols([PI] * 65)
         with pytest.raises(ConstructionError):
             build_star_seq(long_seq, [0])
+
+
+CONTROL_TREES = st.builds(
+    Bin,
+    *[st.recursive(st.just(NIL), lambda kids: st.builds(Bin, kids, kids), max_leaves=4)] * 2,
+)
+CONTROL_SEQS = st.lists(st.sampled_from([PI, RHO]), min_size=1, max_size=5).map(
+    seq_from_symbols
+)
+BUILDERS = {
+    "basic": lambda s_members, data: build_star_basic(s_members),
+    "tree": lambda s_members, data: build_star_tree(data.draw(CONTROL_TREES), s_members),
+    "pi": lambda s_members, data: build_star_proj(s_members, which=PI),
+    "rho": lambda s_members, data: build_star_proj(s_members, which=RHO),
+    "seq": lambda s_members, data: build_star_seq(data.draw(CONTROL_SEQS), s_members),
+}
+
+
+class TestEveryKind:
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s_members=st.lists(st.integers(0, 39), min_size=1, max_size=12, unique=True),
+        data=st.data(),
+    )
+    def test_injective_pairing_pinning_exactly_s(self, kind, s_members, data):
+        pf = BUILDERS[kind](s_members, data)
+        assert_injective_on_grid(pf.star, 25)
+        assert_unstar_inverts(pf, 25)
+        for w in range(1500):
+            decoded = pf.unstar(w)
+            assert decoded is None or pf.star(*decoded) == w
+        region = range(max(s_members) + 1)
+        assert fix_members(pf, region, pf.meta.control) == tuple(sorted(s_members))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "tree", "S": [0, 1, 2, 3, 4], "control": "bin (bin nil nil) (bin nil nil)"},
+            {"kind": "seq", "S": [2, 9], "control": "pi.pi"},
+            {"kind": "seq", "S": [2, 9], "control": "rho.pi.rho.pi"},
+        ],
+    )
+    def test_power_controls_pin_exactly_s(self, config):
+        # The image of a power is a power of its root's image, so a table
+        # built for the power itself makes the root's periodic points fixed.
+        pf = build_from_config(config)
+        assert fix_members(pf, range(1000), pf.meta.control) == tuple(config["S"])
 
 
 class TestBuildFromConfig:
