@@ -16,13 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, FrozenSet, Tuple, TypeVar, Union
 
+from .errors import PositionedError, RelforkError
 
-class TreeSyntaxError(ValueError):
+
+class TreeSyntaxError(PositionedError):
     """Raised on malformed tree text; carries the offending position."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
 
 
 @dataclass(frozen=True)
@@ -121,9 +119,9 @@ def variants(t: BT) -> FrozenSet[BTC]:
     2**(number of nil leaves) elements.  Guarded by a node-count cap.
     """
     if not is_tree(t):
-        raise ValueError("variants expects a tree without holes")
+        raise RelforkError("variants expects a tree without holes")
     if node_count(t) > VARIANT_NODE_CAP:
-        raise ValueError(
+        raise RelforkError(
             f"tree too large for variant enumeration: {node_count(t)} nodes "
             f"(cap {VARIANT_NODE_CAP})"
         )

@@ -29,13 +29,12 @@ import time
 from typing import Dict, Optional, Tuple
 
 from . import constructions, forkmodel, relcore, terms
-from .btree import TreeSyntaxError
-from .seqs import SeqSyntaxError
+from .errors import RelforkError
 
 FIX_WINDOW_CAP = 1 << 20
 
 
-class UsageError(ValueError):
+class UsageError(RelforkError):
     pass
 
 
@@ -62,13 +61,21 @@ def _resolve_model(spec: str) -> relcore.AlgebraModel:
     return relcore.load_model(spec)
 
 
+def _read_json_object(path: str, what: str) -> Dict:
+    """The JSON object in the named file; UsageError on any other content."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise UsageError(f"invalid {what} file {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise UsageError(f"{what} file must hold a JSON object")
+    return data
+
+
 def _star_config(args) -> Dict:
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
-        if not isinstance(config, dict):
-            raise UsageError("config file must hold a JSON object")
-        return config
+        return _read_json_object(args.config, "config")
     if not getattr(args, "star", None):
         raise UsageError("need --star KIND (or --config FILE)")
     config: Dict = {"kind": args.star, "S": list(_parse_members(args.members))}
@@ -102,7 +109,7 @@ def _star_name(config: Dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Argument checks and bindings
+# Argument checks
 
 
 def _check_counts(args) -> None:
@@ -115,19 +122,6 @@ def _check_counts(args) -> None:
         if value is not None and value < 1:
             flag = "--" + name.replace("_", "-")
             raise UsageError(f"{flag} must be at least 1, got {value}")
-
-
-def _load_bindings(path: Optional[str]) -> Dict[str, list]:
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise UsageError("bindings file must hold a JSON object of pair lists")
-    out = {}
-    for name, pairs in data.items():
-        out[name] = [(int(a), int(b)) for a, b in pairs]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +198,8 @@ def _cmd_check(args) -> Tuple[Dict, int]:
 
 def _cmd_eval(args) -> Tuple[Dict, int]:
     formula = terms.parse_formula(args.formula)
-    bindings = _load_bindings(args.bind)
+    data = _read_json_object(args.bind, "bindings") if args.bind else {}
+    bindings = {name: relcore.pairs_from_json(pairs) for name, pairs in data.items()}
     if args.model:
         model = _resolve_model(args.model)
         env = {
@@ -261,13 +256,10 @@ def _cmd_build(args) -> Tuple[Dict, int]:
 
 def _cmd_export(args) -> Tuple[Dict, int]:
     model = _resolve_model(args.model)
-    payload = relcore.model_to_dict(model)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        relcore.save_model(model, args.out)
         return {"written": args.out, "base_size": model.base_size}, 0
-    return payload, 0
+    return relcore.model_to_dict(model), 0
 
 
 # ---------------------------------------------------------------------------
@@ -392,22 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_USAGE_ERRORS = (
-    UsageError,
-    constructions.ConstructionError,
-    relcore.RelationError,
-    terms.ParseError,
-    terms.EvalError,
-    forkmodel.UndecidableCompositionError,
-    forkmodel.NoFiniteSupportError,
-    forkmodel.NilControlError,
-    TreeSyntaxError,
-    SeqSyntaxError,
-    FileNotFoundError,
-    json.JSONDecodeError,
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -415,7 +391,7 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         payload, code = args.func(args)
-    except _USAGE_ERRORS as exc:
+    except (RelforkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(payload, args.format)

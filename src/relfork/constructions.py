@@ -51,11 +51,13 @@ from .btree import (
     Bin,
     Nil,
     format_tree,
+    is_tree,
     node_count,
     parse_tree,
     strict_subtrees,
     tree_map,
 )
+from .errors import RelforkError
 from .forkmodel import Control, PairingFunction
 from .seqs import PI, RHO, Elem, Seq, format_seq, parse_seq, seq_symbols
 
@@ -65,7 +67,7 @@ MAX_MEMBERS = 512
 MAX_CONTROL_NODES = 64
 
 
-class ConstructionError(ValueError):
+class ConstructionError(RelforkError):
     pass
 
 
@@ -80,7 +82,10 @@ def cantor_unpair(m: int) -> Pair:
 
 
 def _checked_members(s_members: Iterable[int]) -> Tuple[int, ...]:
-    values = sorted(set(int(u) for u in s_members))
+    try:
+        values = sorted(set(int(u) for u in s_members))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConstructionError(f"members must be a list of integers: {exc}") from None
     if values and values[0] < 0:
         raise ConstructionError("members must be non-negative")
     if len(values) > MAX_MEMBERS:
@@ -230,6 +235,8 @@ def _tree_root(t: BT) -> BT:
 
 
 def build_star_tree(t: BT, s_members: Iterable[int]) -> PairingFunction:
+    if not is_tree(t):
+        raise ConstructionError("control tree must not contain holes")
     if isinstance(t, Nil):
         raise ConstructionError("control tree must not be nil")
     if node_count(t) > MAX_CONTROL_NODES:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .btree import BT, NIL, Bin, Nil, tree_map
+from .errors import RelforkError
 from .relcore import FiniteRelation
 from .seqs import PI, Elem, Seq, seq_symbols
 
@@ -37,7 +38,7 @@ Control = BT | Seq
 WINDOW_CAP = 4096
 
 
-class UndecidableCompositionError(ValueError):
+class UndecidableCompositionError(RelforkError):
     def __init__(self):
         super().__init__(
             "undecidable-composition: neither operand offers a finite support "
@@ -45,11 +46,11 @@ class UndecidableCompositionError(ValueError):
         )
 
 
-class NoFiniteSupportError(ValueError):
+class NoFiniteSupportError(RelforkError):
     pass
 
 
-class NilControlError(ValueError):
+class NilControlError(RelforkError):
     def __init__(self):
         super().__init__("control tree must not be nil")
 
@@ -327,7 +328,7 @@ def si_member(a: LazyRelation, bound_rel: LazyRelation) -> bool:
 def window(rel: LazyRelation, n: int, cap: int = WINDOW_CAP) -> FiniteRelation:
     """Restriction of rel to [0, n) as a finite relation."""
     if n > cap:
-        raise ValueError(f"window size {n} exceeds cap {cap}")
+        raise RelforkError(f"window size {n} exceeds cap {cap}")
     if rel.support_hint is not None:
         return FiniteRelation.from_pairs(
             n, [(a, b) for a, b in rel.support_hint if a < n and b < n]
@@ -350,7 +351,7 @@ def window(rel: LazyRelation, n: int, cap: int = WINDOW_CAP) -> FiniteRelation:
 
 def _check_permutation(perm: Dict[int, int]) -> Dict[int, int]:
     if set(perm.keys()) != set(perm.values()):
-        raise ValueError("permutation must be a bijection on its finite support")
+        raise RelforkError("permutation must be a bijection on its finite support")
     return {v: k for k, v in perm.items()}
 
 
@@ -587,7 +588,7 @@ class ForkBackend:
     def _windows(self, r, s, relation: str) -> Tuple[FiniteRelation, FiniteRelation]:
         n = self.window_size
         if n is None:
-            raise ValueError(
+            raise RelforkError(
                 f"{relation} of lazy relations is undecidable; compare windows instead"
             )
         return window(r, n), window(s, n)

@@ -18,13 +18,15 @@ import json
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from .errors import RelforkError
+
 MAX_BASE = 16
 MAX_CARRIER = 1 << 16
 MAX_FULL_PRA_BASE = 4
 CLOSURE_CHECK_LIMIT = 1024
 
 
-class RelationError(ValueError):
+class RelationError(RelforkError):
     """Base-size mismatches, cap violations and malformed inputs."""
 
 
@@ -410,27 +412,41 @@ def model_to_dict(model: AlgebraModel) -> dict:
     }
 
 
+def pairs_from_json(data) -> List[Pair]:
+    """The int pairs of a JSON list of [a, b] pairs of naturals."""
+    if not isinstance(data, (list, tuple)):
+        raise RelationError(f"expected a list of [a, b] pairs, got {data!r}")
+    for item in data:
+        if not isinstance(item, (list, tuple)) or len(item) != 2 or not all(
+            type(x) is int and x >= 0 for x in item
+        ):
+            raise RelationError(f"expected an [a, b] pair of naturals, got {item!r}")
+    return [(a, b) for a, b in data]
+
+
 def model_from_dict(data: dict) -> AlgebraModel:
     try:
         base_size = int(data["base_size"])
         full = bool(data.get("full", False))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise RelationError(f"malformed model data: {exc}") from exc
     if full and "carrier" not in data:
         return full_pra(base_size)
+    if not 0 <= base_size <= MAX_BASE:
+        raise RelationError(f"base size {base_size} outside [0, {MAX_BASE}]")
     try:
+        if not isinstance(data["carrier"], (list, tuple)):
+            raise RelationError("carrier must be a list of pair lists")
         carrier = [
-            FiniteRelation.from_pairs(base_size, [tuple(p) for p in rel])
+            FiniteRelation.from_pairs(base_size, pairs_from_json(rel))
             for rel in data["carrier"]
         ]
-        unit = FiniteRelation.from_pairs(base_size, [tuple(p) for p in data["unit"]])
+        unit = FiniteRelation.from_pairs(base_size, pairs_from_json(data["unit"]))
         identity_field = data.get("identity", "auto")
         if identity_field == "auto":
             identity = FiniteRelation.identity(base_size)
         else:
-            identity = FiniteRelation.from_pairs(
-                base_size, [tuple(p) for p in identity_field]
-            )
+            identity = FiniteRelation.from_pairs(base_size, pairs_from_json(identity_field))
     except (KeyError, TypeError) as exc:
         raise RelationError(f"malformed model data: {exc}") from exc
     return AlgebraModel(base_size, carrier, unit=unit, identity=identity, is_full=full)
@@ -446,6 +462,6 @@ def load_model(path: str) -> AlgebraModel:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise RelationError(f"invalid model file {path}: {exc}") from exc
     return model_from_dict(data)

@@ -15,20 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple, Union
 
+from .errors import PositionedError, RelforkError
+
 PI = "pi"
 RHO = "rho"
 _SYMBOLS = (PI, RHO)
 
 
-class SeqSyntaxError(ValueError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
+class SeqSyntaxError(PositionedError):
+    """Raised on malformed sequence text; carries the offending position."""
 
 
 def _check_symbol(star: str) -> None:
     if star not in _SYMBOLS:
-        raise ValueError(f"projection symbol must be 'pi' or 'rho', got {star!r}")
+        raise RelforkError(f"projection symbol must be 'pi' or 'rho', got {star!r}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def seq_symbols(s: Seq) -> Tuple[str, ...]:
 def seq_from_symbols(symbols) -> Seq:
     symbols = tuple(symbols)
     if not symbols:
-        raise ValueError("a sequence needs at least one symbol")
+        raise RelforkError("a sequence needs at least one symbol")
     s: Seq = Elem(symbols[-1])
     for star in reversed(symbols[:-1]):
         s = Cons(star, s)

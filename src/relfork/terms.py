@@ -22,16 +22,15 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .errors import PositionedError, RelforkError
 from .relcore import AlgebraModel, FiniteRelation
 
 
-class ParseError(ValueError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
+class ParseError(PositionedError):
+    """Raised on malformed term or formula text; carries the offending position."""
 
 
-class EvalError(ValueError):
+class EvalError(RelforkError):
     pass
 
 
@@ -661,8 +660,6 @@ def check_formula(
         if count < 1:
             raise EvalError(f"sampled count must be at least 1, got {count}")
         rng = random.Random(seed)
-        if not carrier:
-            raise EvalError("cannot sample from an empty carrier")
         for checked in range(1, count + 1):
             env = {name: carrier[rng.randrange(len(carrier))] for name in names}
             if not run(env):
@@ -730,7 +727,7 @@ def axiom_suite(name: str) -> List[object]:
     try:
         texts = AXIOM_TEXTS[name]
     except KeyError:
-        raise ValueError(
+        raise EvalError(
             f"unknown suite {name!r}; expected one of {sorted(AXIOM_TEXTS)}"
         ) from None
     return [parse_formula(text) for text in texts]

@@ -371,3 +371,41 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(["fix", "--star", "spiral"])
         assert exc.value.code == 2
+
+
+
+EVAL_X = ["eval", "--model", "full:2", "--formula", "x <= 1", "--bind"]
+CHECK_MODEL = ["check", "--suite", "cr_tarski", "--model"]
+MODEL_FILE = {"base_size": 2, "carrier": [[], IDENT2, DIV2, UNIT2], "unit": UNIT2}
+TREE_STAR = ["build", "--star", "tree", "--S", "0", "--t"]
+
+# name: (content of in.json or None, argv); a_dir is a directory.
+MALFORMED = {
+    "bind-short-pair": ({"x": [[0]]}, [*EVAL_X, "in.json"]),
+    "bind-not-a-list": ({"x": 5}, [*EVAL_X, "in.json"]),
+    "bind-string-entry": ({"x": [["a", 1]]}, [*EVAL_X, "in.json"]),
+    "model-string-carrier": ({**MODEL_FILE, "carrier": "abc"}, [*CHECK_MODEL, "in.json"]),
+    "model-short-pair": ({**MODEL_FILE, "unit": [[0, 0], [0]]}, [*CHECK_MODEL, "in.json"]),
+    "config-string-members": ({"kind": "basic", "S": "abc"}, ["build", "--config", "in.json"]),
+    "config-int-members": ({"kind": "basic", "S": 5}, ["build", "--config", "in.json"]),
+    "config-null-member": ({"kind": "basic", "S": [None]}, ["build", "--config", "in.json"]),
+    "tree-with-hole": (None, [*TREE_STAR, "bin _ nil"]),
+    "tree-is-hole": (None, [*TREE_STAR, "_"]),
+    "config-directory": (None, ["build", "--config", "a_dir"]),
+    "model-directory": (None, [*CHECK_MODEL, "a_dir"]),
+    "bind-directory": (None, [*EVAL_X, "a_dir"]),
+    "export-to-directory": (None, ["export", "--model", "full:1", "--out", "a_dir"]),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("content, argv", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_exits_two_without_traceback(self, capsys, tmp_path, monkeypatch, content, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a_dir").mkdir()
+        if content is not None:
+            (tmp_path / "in.json").write_text(json.dumps(content))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+        assert out == ""
