@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, FrozenSet, Tuple, TypeVar, Union
 
-from .errors import PositionedError, RelforkError
+from .errors import MAX_NESTING, PositionedError, RelforkError
 
 
 class TreeSyntaxError(PositionedError):
@@ -152,7 +152,12 @@ def format_tree(t: BTC) -> str:
 
 
 def parse_tree(text: str) -> BTC:
-    """Parse tree text: ``nil``, ``_``, ``bin <t> <t>`` or ``(<t>)``."""
+    """Parse tree text: ``nil``, ``_``, ``bin <t> <t>`` or ``(<t>)``.
+
+    Neither ``bin`` nodes nor parentheses may nest deeper than
+    ``MAX_NESTING``.  They are bounded apart, not summed, because
+    ``format_tree`` parenthesises every ``bin`` child.
+    """
     tokens = _tokenize_tree(text)
     pos = 0
 
@@ -165,21 +170,23 @@ def parse_tree(text: str) -> BTC:
         pos += 1
         return tok
 
-    def parse_node() -> BTC:
+    def parse_node(bins: int, parens: int) -> BTC:
         tok = peek()
         if tok is None:
             raise TreeSyntaxError("unexpected end of input", len(text))
+        if max(bins, parens) > MAX_NESTING:
+            raise TreeSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok[2])
         kind, value, at = advance()
         if kind == "nil":
             return NIL
         if kind == "hole":
             return HOLE
         if kind == "bin":
-            left = parse_node()
-            right = parse_node()
+            left = parse_node(bins + 1, parens)
+            right = parse_node(bins + 1, parens)
             return Bin(left, right)
         if kind == "lparen":
-            node = parse_node()
+            node = parse_node(bins, parens + 1)
             tok = peek()
             if tok is None or tok[0] != "rparen":
                 raise TreeSyntaxError("expected ')'", tok[2] if tok else len(text))
@@ -187,7 +194,7 @@ def parse_tree(text: str) -> BTC:
             return node
         raise TreeSyntaxError(f"unexpected token {value!r}", at)
 
-    node = parse_node()
+    node = parse_node(0, 0)
     if pos != len(tokens):
         raise TreeSyntaxError(f"trailing input {tokens[pos][1]!r}", tokens[pos][2])
     return node

@@ -16,3 +16,8 @@ class PositionedError(RelforkError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
+
+
+# How deep parsed text may nest (parentheses, operators, tree nodes); deeper
+# text is refused with a PositionedError rather than overflowing the stack.
+MAX_NESTING = 200

@@ -220,28 +220,21 @@ def fork(r: LazyRelation, s: LazyRelation, pf: PairingFunction) -> LazyRelation:
 
 def projections(pf: PairingFunction) -> Tuple[LazyRelation, LazyRelation]:
     """First and second projection relations induced by star."""
-    unstar = pf.unstar
+    return _projection(pf.unstar, 0), _projection(pf.unstar, 1)
 
-    def pi_contains(u: int, x: int) -> bool:
+
+def _projection(unstar: Callable[[int], Optional[Pair]], coordinate: int) -> LazyRelation:
+    """The relation from u to the given coordinate of unstar(u)."""
+
+    def contains(u: int, x: int) -> bool:
         decoded = unstar(u)
-        return decoded is not None and decoded[0] == x
+        return decoded is not None and decoded[coordinate] == x
 
-    def rho_contains(u: int, y: int) -> bool:
+    def witnesses(u: int):
         decoded = unstar(u)
-        return decoded is not None and decoded[1] == y
+        return () if decoded is None else (decoded[coordinate],)
 
-    def pi_witnesses(u: int):
-        decoded = unstar(u)
-        return () if decoded is None else (decoded[0],)
-
-    def rho_witnesses(u: int):
-        decoded = unstar(u)
-        return () if decoded is None else (decoded[1],)
-
-    return (
-        LazyRelation(contains=pi_contains, witnesses=pi_witnesses),
-        LazyRelation(contains=rho_contains, witnesses=rho_witnesses),
-    )
+    return LazyRelation(contains=contains, witnesses=witnesses)
 
 
 def urelement_relations(pf: PairingFunction) -> Tuple[LazyRelation, LazyRelation]:
@@ -349,22 +342,18 @@ def window(rel: LazyRelation, n: int, cap: int = WINDOW_CAP) -> FiniteRelation:
 # Conjugation by a finite-support permutation
 
 
-def _check_permutation(perm: Dict[int, int]) -> Dict[int, int]:
+def _permutation_maps(perm: Dict[int, int]) -> Tuple[Callable[[int], int], Callable[[int], int]]:
+    """The permutation and its inverse as maps, the identity off the support."""
     if set(perm.keys()) != set(perm.values()):
         raise RelforkError("permutation must be a bijection on its finite support")
-    return {v: k for k, v in perm.items()}
+    inverse = {v: k for k, v in perm.items()}
+    return (lambda x: perm.get(x, x)), (lambda x: inverse.get(x, x))
 
 
 def conjugate(pf: PairingFunction, perm: Dict[int, int]) -> PairingFunction:
     """The pairing star' = perm . star . (perm^-1 x perm^-1)."""
-    inverse = _check_permutation(perm)
+    fwd, bwd = _permutation_maps(perm)
     star, unstar = pf.star, pf.unstar
-
-    def fwd(x: int) -> int:
-        return perm.get(x, x)
-
-    def bwd(x: int) -> int:
-        return inverse.get(x, x)
 
     def star2(x: int, y: int) -> int:
         return fwd(star(bwd(x), bwd(y)))
@@ -380,14 +369,7 @@ def conjugate(pf: PairingFunction, perm: Dict[int, int]) -> PairingFunction:
 
 def transport(rel: LazyRelation, perm: Dict[int, int]) -> LazyRelation:
     """Image of rel under the permutation on both coordinates."""
-    inverse = _check_permutation(perm)
-
-    def fwd(x: int) -> int:
-        return perm.get(x, x)
-
-    def bwd(x: int) -> int:
-        return inverse.get(x, x)
-
+    fwd, bwd = _permutation_maps(perm)
     support = None
     if rel.support_hint is not None:
         support = frozenset((fwd(a), fwd(b)) for a, b in rel.support_hint)

@@ -1,14 +1,13 @@
 """Relational terms, formulas, parsing, evaluation and axiom suites.
 
-Term grammar (tightest first): prefix ``~`` and postfix ``^`` bind the
-strongest, then ``;`` and ``#`` (left associative, same level), then
-``&``, then ``+``.  Constants are ``0``, ``1``, ``1'``, ``0'``, ``pi``,
-``rho`` and ``1u`` (the partial identity on urelements); variables
-match ``[a-z][a-z0-9_]*``.  ``rsum(a, b)`` abbreviates ``~(~a;~b)`` and
-``0'`` abbreviates ``~1'``; both are expanded while parsing.
-
-Formulas compare terms with ``=`` or ``<=`` and combine comparisons
-with ``!``, ``/\\``, ``\\/`` and ``->``.
+Grammar: an expression is an atom, ``( expr )``, a prefix operator and
+its operand, or operands joined by an infix or postfix operator.  Atoms
+are variables (``[a-z][a-z0-9_]*``), the constants ``0``, ``1``, ``1'``,
+``0'``, ``pi``, ``rho`` and ``1u`` (the partial identity on urelements),
+and ``rsum(a, b)``, which abbreviates ``~(~a;~b)`` as ``0'`` does ``~1'``.
+Each operator's precedence, associativity, sorts and spelling are in the
+table ``_OPERATORS``, which both the parser and the printer read.  Text
+may nest at most ``errors.MAX_NESTING`` levels.
 
 Evaluation works against a finite :class:`~relfork.relcore.AlgebraModel`
 or against any backend object exposing ``const``, ``union``, ``meet``,
@@ -22,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import PositionedError, RelforkError
+from .errors import MAX_NESTING, PositionedError, RelforkError
 from .relcore import AlgebraModel, FiniteRelation
 
 
@@ -134,7 +133,56 @@ class Implies:
 Formula = "Eq | Leq | Not | And | Or | Implies"
 
 _CONST_TOKENS = {"0": "zero", "1": "one", "1'": "id", "pi": "pi", "rho": "rho", "1u": "urid"}
-_FORMULA_TOKEN_KINDS = {"=", "<=", "!", "/\\", "\\/", "->"}
+_CONST_TEXT = {kind: text for text, kind in _CONST_TOKENS.items()}
+
+_TERM, _FORMULA = "term", "formula"
+
+
+@dataclass(frozen=True)
+class _Op:
+    node: type
+    level: int
+    fixity: str  # prefix | postfix | left | right (associativity of a binary operator)
+    spelling: str  # as printed; without spaces it is the token
+    takes: str  # sort of the operands
+    gives: str  # sort of the result
+
+
+# Every operator, loosest first.  An operand binds at the operator's level or
+# tighter, and one level tighter on the side the operator does not associate
+# to.  A comparison takes terms and gives a formula, so comparisons cannot chain.
+_OPERATORS = (
+    _Op(Implies, 1, "right", " -> ", _FORMULA, _FORMULA),
+    _Op(Or, 2, "left", " \\/ ", _FORMULA, _FORMULA),
+    _Op(And, 3, "left", " /\\ ", _FORMULA, _FORMULA),
+    _Op(Not, 4, "prefix", "!", _FORMULA, _FORMULA),
+    _Op(Eq, 5, "left", " = ", _TERM, _FORMULA),
+    _Op(Leq, 5, "left", " <= ", _TERM, _FORMULA),
+    _Op(Union, 6, "left", " + ", _TERM, _TERM),
+    _Op(Meet, 7, "left", " & ", _TERM, _TERM),
+    _Op(Compose, 8, "left", ";", _TERM, _TERM),
+    _Op(Fork, 8, "left", " # ", _TERM, _TERM),
+    _Op(Complement, 9, "prefix", "~", _TERM, _TERM),
+    _Op(Converse, 10, "postfix", "^", _TERM, _TERM),
+)
+_ATOM_LEVEL = 11
+_BY_NODE = {op.node: op for op in _OPERATORS}
+_PREFIX = {op.spelling: op for op in _OPERATORS if op.fixity == "prefix"}
+_INFIX = {op.spelling.strip(): op for op in _OPERATORS if op.fixity != "prefix"}
+_SYMBOLS = {"(", ")", ","} | {op.spelling.strip() for op in _OPERATORS}
+
+
+def _op_of(node) -> Optional[_Op]:
+    """The table row of node's operator, or None for a variable or constant."""
+    op = _BY_NODE.get(type(node))
+    if op is None and not isinstance(node, (Var, Const)):
+        raise TypeError(f"not a term or formula: {node!r}")
+    return op
+
+
+def _sort(node) -> str:
+    op = _op_of(node)
+    return _TERM if op is None else op.gives
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +199,9 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
             i += 1
             continue
         if c in "01":
-            if text[i : i + 2] == f"{c}'":
-                tokens.append(("const", f"{c}'", i))
-                i += 2
-            elif c == "1" and text[i : i + 2] == "1u":
-                tokens.append(("const", "1u", i))
-                i += 2
-            else:
-                tokens.append(("const", c, i))
-                i += 1
+            word = text[i : i + 2] if text[i : i + 2] in ("0'", "1'", "1u") else c
+            tokens.append(("const", word, i))
+            i += len(word)
             continue
         if c.isalpha() and c.islower():
             j = i
@@ -174,21 +216,17 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
                 tokens.append(("var", word, i))
             i = j
             continue
-        two = text[i : i + 2]
-        if two in ("<=", "/\\", "\\/", "->"):
-            tokens.append((two, two, i))
-            i += 2
-            continue
-        if c in "+&~;^#(),=!":
-            tokens.append((c, c, i))
-            i += 1
+        symbol = text[i : i + 2] if text[i : i + 2] in _SYMBOLS else c
+        if symbol in _SYMBOLS:
+            tokens.append((symbol, symbol, i))
+            i += len(symbol)
             continue
         raise ParseError(f"unknown token {c!r}", i)
     return tokens
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: precedence climbing over _OPERATORS, with nesting counted
 
 
 class _Parser:
@@ -200,259 +238,145 @@ class _Parser:
     def peek(self) -> Optional[Tuple[str, str, int]]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def advance(self) -> Tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Tuple[str, str, int]:
+    def expect(self, kind: str) -> None:
         tok = self.peek()
         if tok is None:
             raise ParseError(f"expected {kind!r} but input ended", len(self.text))
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return self.advance()
+        self.pos += 1
 
-    def at_end(self) -> bool:
-        return self.pos == len(self.tokens)
+    @staticmethod
+    def bounded(nesting: int, at: int) -> int:
+        if nesting > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", at)
+        return nesting
 
-    def fail_here(self, message: str) -> ParseError:
-        tok = self.peek()
-        pos = tok[2] if tok else len(self.text)
-        found = f", found {tok[1]!r}" if tok else " but input ended"
-        return ParseError(message + found, pos)
+    @staticmethod
+    def check_sort(node, sort: str, tok: Tuple[str, str, int]) -> None:
+        if _sort(node) != sort:
+            raise ParseError(f"{tok[1]!r} takes {sort}s, found a {_sort(node)}", tok[2])
 
-    # Terms, loosest level first.
+    def expr(self, level: int, depth: int):
+        """Parse operators binding at ``level`` or tighter; return (node, nesting).
 
-    def parse_term(self):
-        term = self.parse_meet()
-        while self.peek() and self.peek()[0] == "+":
-            self.advance()
-            term = Union(term, self.parse_meet())
-        return term
+        ``depth`` counts the levels enclosing this expression.  Its nesting
+        is ``depth`` plus its height, where each operator and each pair of
+        parentheses is one level; past ``MAX_NESTING`` it is refused.
+        """
+        node, nesting = self.operand(depth)
+        while True:
+            tok = self.peek()
+            op = _INFIX.get(tok[0]) if tok else None
+            if op is None or op.level < level:
+                return node, nesting
+            self.pos += 1
+            self.check_sort(node, op.takes, tok)
+            if op.fixity == "postfix":
+                node, nesting = op.node(node), nesting + 1
+            else:
+                right, right_nesting = self.expr(op.level + (op.fixity == "left"), depth + 1)
+                self.check_sort(right, op.takes, tok)
+                node, nesting = op.node(node, right), max(nesting + 1, right_nesting)
+            self.bounded(nesting, tok[2])
 
-    def parse_meet(self):
-        term = self.parse_compose()
-        while self.peek() and self.peek()[0] == "&":
-            self.advance()
-            term = Meet(term, self.parse_compose())
-        return term
-
-    def parse_compose(self):
-        term = self.parse_unary()
-        while self.peek() and self.peek()[0] in (";", "#"):
-            op = self.advance()[0]
-            right = self.parse_unary()
-            term = Compose(term, right) if op == ";" else Fork(term, right)
-        return term
-
-    def parse_unary(self):
-        tok = self.peek()
-        if tok and tok[0] == "~":
-            self.advance()
-            return Complement(self.parse_unary())
-        return self.parse_postfix()
-
-    def parse_postfix(self):
-        term = self.parse_atom()
-        while self.peek() and self.peek()[0] == "^":
-            self.advance()
-            term = Converse(term)
-        return term
-
-    def parse_atom(self):
+    def operand(self, depth: int):
+        """An atom, a parenthesised expression or a prefix operator with its operand."""
         tok = self.peek()
         if tok is None:
-            raise ParseError("expected a term but input ended", len(self.text))
+            raise ParseError("expected a term or formula but input ended", len(self.text))
         kind, value, at = tok
+        self.pos += 1
+        self.bounded(depth, at)
         if kind == "var":
-            self.advance()
-            return Var(value)
+            return Var(value), depth
         if kind == "const":
-            self.advance()
             if value == "0'":
-                return Complement(Const("id"))
-            return Const(_CONST_TOKENS[value])
-        if kind == "rsum":
-            self.advance()
-            self.expect("(")
-            left = self.parse_term()
-            self.expect(",")
-            right = self.parse_term()
-            self.expect(")")
-            return Complement(Compose(Complement(left), Complement(right)))
+                return Complement(Const("id")), self.bounded(depth + 1, at)
+            return Const(_CONST_TOKENS[value]), depth
         if kind == "(":
-            self.advance()
-            term = self.parse_term()
+            node, nesting = self.expr(0, depth + 1)
             self.expect(")")
-            return term
-        raise ParseError(f"expected a term, found {value!r}", at)
-
-    # Formulas.
-
-    def parse_formula(self):
-        formula = self.parse_or()
-        if self.peek() and self.peek()[0] == "->":
-            self.advance()
-            return Implies(formula, self.parse_formula())
-        return formula
-
-    def parse_or(self):
-        formula = self.parse_and()
-        while self.peek() and self.peek()[0] == "\\/":
-            self.advance()
-            formula = Or(formula, self.parse_and())
-        return formula
-
-    def parse_and(self):
-        formula = self.parse_not()
-        while self.peek() and self.peek()[0] == "/\\":
-            self.advance()
-            formula = And(formula, self.parse_not())
-        return formula
-
-    def parse_not(self):
-        tok = self.peek()
-        if tok and tok[0] == "!":
-            self.advance()
-            return Not(self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self):
-        tok = self.peek()
-        if tok and tok[0] == "(":
-            saved = self.pos
-            self.advance()
-            try:
-                inner = self.parse_formula()
-                self.expect(")")
-                return inner
-            except ParseError:
-                self.pos = saved
-        left = self.parse_term()
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("expected '=' or '<=' but input ended", len(self.text))
-        if tok[0] == "=":
-            self.advance()
-            return Eq(left, self.parse_term())
-        if tok[0] == "<=":
-            self.advance()
-            return Leq(left, self.parse_term())
-        raise ParseError(f"expected '=' or '<=', found {tok[1]!r}", tok[2])
-
-
-def parse_term(text: str):
-    parser = _Parser(text)
-    term = parser.parse_term()
-    if not parser.at_end():
-        raise parser.fail_here("trailing input")
-    return term
-
-
-def parse_formula(text: str):
-    parser = _Parser(text)
-    formula = parser.parse_formula()
-    if not parser.at_end():
-        raise parser.fail_here("trailing input")
-    return formula
+            return node, nesting
+        if kind == "rsum":
+            # rsum(a, b) prints as ~(~a;~b): up to five levels around a and b.
+            self.expect("(")
+            left, left_nesting = self.expr(0, depth + 5)
+            self.check_sort(left, _TERM, tok)
+            self.expect(",")
+            right, right_nesting = self.expr(0, depth + 5)
+            self.check_sort(right, _TERM, tok)
+            self.expect(")")
+            rsum = Complement(Compose(Complement(left), Complement(right)))
+            return rsum, max(left_nesting, right_nesting)
+        op = _PREFIX.get(kind)
+        if op is None:
+            raise ParseError(f"expected a term or formula, found {value!r}", at)
+        arg, nesting = self.expr(op.level, depth + 1)
+        self.check_sort(arg, op.takes, tok)
+        return op.node(arg), nesting
 
 
 def parse(text: str):
-    """Parse a formula when a formula operator occurs, else a term."""
-    if any(tok[0] in _FORMULA_TOKEN_KINDS for tok in _tokenize(text)):
-        return parse_formula(text)
-    return parse_term(text)
+    """Parse a term or a formula, whichever the text is."""
+    parser = _Parser(text)
+    node, _ = parser.expr(0, 0)
+    tok = parser.peek()
+    if tok is not None:
+        raise ParseError(f"trailing input, found {tok[1]!r}", tok[2])
+    return node
+
+
+def _parse_sort(text: str, sort: str):
+    node = parse(text)
+    if _sort(node) != sort:
+        raise ParseError(f"expected a {sort}, found a {_sort(node)}", 0)
+    return node
+
+
+def parse_term(text: str):
+    return _parse_sort(text, _TERM)
+
+
+def parse_formula(text: str):
+    return _parse_sort(text, _FORMULA)
 
 
 # ---------------------------------------------------------------------------
-# Pretty printer.  Levels: union 1, meet 2, compose/fork 3, unary 4, atom 5.
-
-_CONST_TEXT = {"zero": "0", "one": "1", "id": "1'", "pi": "pi", "rho": "rho", "urid": "1u"}
-
-
-def _term_level(t) -> int:
-    if isinstance(t, (Var, Const)):
-        return 5
-    if isinstance(t, (Complement, Converse)):
-        return 4
-    if isinstance(t, (Compose, Fork)):
-        return 3
-    if isinstance(t, Meet):
-        return 2
-    if isinstance(t, Union):
-        return 1
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _wrap(t, minimum: int) -> str:
-    text = pretty_term(t)
-    return f"({text})" if _term_level(t) < minimum else text
-
-
-def pretty_term(t) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return _CONST_TEXT[t.kind]
-    if isinstance(t, Union):
-        return f"{_wrap(t.left, 1)} + {_wrap(t.right, 2)}"
-    if isinstance(t, Meet):
-        return f"{_wrap(t.left, 2)} & {_wrap(t.right, 3)}"
-    if isinstance(t, Compose):
-        return f"{_wrap(t.left, 3)};{_wrap(t.right, 4)}"
-    if isinstance(t, Fork):
-        return f"{_wrap(t.left, 3)} # {_wrap(t.right, 4)}"
-    if isinstance(t, Complement):
-        return f"~{_wrap(t.arg, 4)}"
-    if isinstance(t, Converse):
-        arg = t.arg
-        if isinstance(arg, (Var, Const)) or isinstance(arg, Converse):
-            return f"{pretty_term(arg)}^"
-        return f"({pretty_term(arg)})^"
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _formula_level(f) -> int:
-    if isinstance(f, (Eq, Leq)):
-        return 4
-    if isinstance(f, Not):
-        return 3
-    if isinstance(f, And):
-        return 2
-    if isinstance(f, Or):
-        return 1
-    if isinstance(f, Implies):
-        return 0
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _fwrap(f, minimum: int) -> str:
-    text = pretty_formula(f)
-    return f"({text})" if _formula_level(f) < minimum else text
-
-
-def pretty_formula(f) -> str:
-    if isinstance(f, Eq):
-        return f"{pretty_term(f.left)} = {pretty_term(f.right)}"
-    if isinstance(f, Leq):
-        return f"{pretty_term(f.left)} <= {pretty_term(f.right)}"
-    if isinstance(f, Not):
-        return f"!{_fwrap(f.arg, 3)}"
-    if isinstance(f, And):
-        return f"{_fwrap(f.left, 2)} /\\ {_fwrap(f.right, 3)}"
-    if isinstance(f, Or):
-        return f"{_fwrap(f.left, 1)} \\/ {_fwrap(f.right, 2)}"
-    if isinstance(f, Implies):
-        return f"{_fwrap(f.left, 1)} -> {_fwrap(f.right, 0)}"
-    raise TypeError(f"not a formula: {f!r}")
+# Pretty printer
 
 
 def pretty(node) -> str:
-    try:
-        return pretty_term(node)
-    except TypeError:
-        return pretty_formula(node)
+    """Print a term or formula with the parentheses ``_OPERATORS`` requires."""
+    op = _op_of(node)
+    if op is None:
+        return node.name if isinstance(node, Var) else _CONST_TEXT[node.kind]
+    if op.fixity == "prefix":
+        return op.spelling + _operand_text(node.arg, op.level)
+    if op.fixity == "postfix":
+        return _operand_text(node.arg, op.level) + op.spelling
+    left, right = (op.level + 1, op.level) if op.fixity == "right" else (op.level, op.level + 1)
+    return _operand_text(node.left, left) + op.spelling + _operand_text(node.right, right)
+
+
+def _operand_text(node, level: int) -> str:
+    op = _op_of(node)
+    text = pretty(node)
+    return f"({text})" if (_ATOM_LEVEL if op is None else op.level) < level else text
+
+
+def _pretty_sort(node, sort: str) -> str:
+    if _sort(node) != sort:
+        raise TypeError(f"not a {sort}: {node!r}")
+    return pretty(node)
+
+
+def pretty_term(t) -> str:
+    return _pretty_sort(t, _TERM)
+
+
+def pretty_formula(f) -> str:
+    return _pretty_sort(f, _FORMULA)
 
 
 def free_variables(node) -> Tuple[str, ...]:

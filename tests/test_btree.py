@@ -22,6 +22,7 @@ from relfork import (
     tree_map,
     variants,
 )
+from relfork.errors import MAX_NESTING
 
 from helpers import random_context, random_tree
 
@@ -158,6 +159,19 @@ class TestTextSyntax:
         with pytest.raises(TreeSyntaxError) as err:
             parse_tree("bin nil oak")
         assert err.value.pos == 8
+
+    @pytest.mark.parametrize(
+        "text",
+        [lambda n: "bin " * n + "nil " * (n + 1), lambda n: "(" * n + "bin nil nil" + ")" * n],
+        ids=["bins", "parens"],
+    )
+    def test_nesting_bound(self, text):
+        t = parse_tree(text(MAX_NESTING))
+        assert parse_tree(format_tree(t)) == t
+        deeper = text(MAX_NESTING + 1)
+        with pytest.raises(TreeSyntaxError, match="nesting deeper than") as err:
+            parse_tree(deeper)
+        assert 0 < err.value.pos < len(deeper)
 
     @given(contexts())
     def test_round_trip(self, t):

@@ -378,6 +378,7 @@ EVAL_X = ["eval", "--model", "full:2", "--formula", "x <= 1", "--bind"]
 CHECK_MODEL = ["check", "--suite", "cr_tarski", "--model"]
 MODEL_FILE = {"base_size": 2, "carrier": [[], IDENT2, DIV2, UNIT2], "unit": UNIT2}
 TREE_STAR = ["build", "--star", "tree", "--S", "0", "--t"]
+EVAL_FULL1 = ["eval", "--model", "full:1", "--formula"]
 
 # name: (content of in.json or None, argv); a_dir is a directory.
 MALFORMED = {
@@ -395,6 +396,16 @@ MALFORMED = {
     "model-directory": (None, [*CHECK_MODEL, "a_dir"]),
     "bind-directory": (None, [*EVAL_X, "a_dir"]),
     "export-to-directory": (None, ["export", "--model", "full:1", "--out", "a_dir"]),
+    "formula-3000-parens": (None, [*EVAL_FULL1, "(" * 3000 + "x" + ")" * 3000 + " = 0"]),
+    "formula-170-parens": (None, [*EVAL_FULL1, "(" * 170 + "x" + ")" * 170]),
+    "formula-3000-complements": (None, [*EVAL_FULL1, "~" * 3000 + "x"]),
+    "formula-3000-nots": (None, [*EVAL_FULL1, "!" * 3000 + "x = 0"]),
+    "formula-3000-compose-operands": (None, [*EVAL_FULL1, ";".join(["x"] * 3000) + " = 0"]),
+    "formula-3000-converses": (None, [*EVAL_FULL1, "x" + "^" * 3000 + " = 0"]),
+    "formula-3000-conjuncts": (None, [*EVAL_FULL1, " /\\ ".join(["x = 0"] * 3000)]),
+    "formula-3000-implications": (None, [*EVAL_FULL1, " -> ".join(["x = 0"] * 3000)]),
+    "tree-3000-parens": (None, [*TREE_STAR, "(" * 3000 + "nil" + ")" * 3000]),
+    "tree-3000-bins": (None, [*TREE_STAR, "bin " * 3000 + "nil " * 3001]),
 }
 
 

@@ -37,6 +37,7 @@ from relfork import (
     pretty_formula,
     pretty_term,
 )
+from relfork.errors import MAX_NESTING
 
 from helpers import eval_term_pairs, random_formula, random_pairs, random_term
 
@@ -96,6 +97,26 @@ class TestParsing:
         with pytest.raises(ParseError) as exc:
             parse_term("x + $")
         assert exc.value.pos == 4
+
+    # Formulas nesting n levels: n - 1 levels around, or n links of, a comparison.
+    DEEP = {
+        "parens": lambda n: "(" * (n - 1) + "x" + ")" * (n - 1) + " = 0",
+        "compose": lambda n: ";".join(["x"] * n) + " = 0",
+        "complement": lambda n: "~" * (n - 1) + "x = 0",
+        "converse": lambda n: "x" + "^" * (n - 1) + " = 0",
+        "not": lambda n: "!" * (n - 1) + "x = 0",
+        "and": lambda n: " /\\ ".join(["x = 0"] * n),
+        "implies": lambda n: " -> ".join(["x = 0"] * n),
+    }
+
+    @pytest.mark.parametrize("shape", DEEP)
+    def test_nesting_bound(self, shape):
+        f = parse_formula(self.DEEP[shape](MAX_NESTING))
+        assert parse_formula(pretty_formula(f)) == f
+        deeper = self.DEEP[shape](MAX_NESTING + 1)
+        with pytest.raises(ParseError, match="nesting deeper than") as exc:
+            parse_formula(deeper)
+        assert 0 < exc.value.pos < len(deeper)
 
     def test_free_variables(self):
         f = parse_formula("x;y = y;x -> x + z = 1")
