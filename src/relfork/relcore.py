@@ -9,13 +9,15 @@ An :class:`AlgebraModel` packages a carrier of relations together with
 its unit, identity and empty element.  ``full_pra(n)`` builds the full
 algebra over a base of size n (every subset of the unit ``n x n``).
 Products, generated subalgebras, ideal elements and the classification
-into trivial / simple / prime live here as well.
+into trivial / simple / prime live here as well.  A model that is not full
+is checked for closure under the operations only up to
+``CLOSURE_CHECK_LIMIT`` elements; ``AlgebraModel.closure_checked`` says
+whether it was.
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import RelforkError
@@ -31,32 +33,6 @@ class RelationError(RelforkError):
 
 
 Pair = Tuple[int, int]
-
-
-@lru_cache(maxsize=1 << 18)
-def _compose_rows(rows_r: Tuple[int, ...], rows_s: Tuple[int, ...]) -> Tuple[int, ...]:
-    out = []
-    for row in rows_r:
-        acc = 0
-        while row:
-            low = row & -row
-            acc |= rows_s[low.bit_length() - 1]
-            row ^= low
-        out.append(acc)
-    return tuple(out)
-
-
-@lru_cache(maxsize=1 << 16)
-def _converse_rows(rows: Tuple[int, ...]) -> Tuple[int, ...]:
-    n = len(rows)
-    out = [0] * n
-    for a, row in enumerate(rows):
-        bit = 1 << a
-        while row:
-            low = row & -row
-            out[low.bit_length() - 1] |= bit
-            row ^= low
-    return tuple(out)
 
 
 class FiniteRelation:
@@ -139,10 +115,26 @@ class FiniteRelation:
 
     def compose(self, other: "FiniteRelation") -> "FiniteRelation":
         self._check_same_base(other)
-        return FiniteRelation(self.base_size, _compose_rows(self.rows, other.rows))
+        rows_s = other.rows
+        out = []
+        for row in self.rows:
+            acc = 0
+            while row:
+                low = row & -row
+                acc |= rows_s[low.bit_length() - 1]
+                row ^= low
+            out.append(acc)
+        return FiniteRelation(self.base_size, tuple(out))
 
     def converse(self) -> "FiniteRelation":
-        return FiniteRelation(self.base_size, _converse_rows(self.rows))
+        out = [0] * self.base_size
+        for a, row in enumerate(self.rows):
+            bit = 1 << a
+            while row:
+                low = row & -row
+                out[low.bit_length() - 1] |= bit
+                row ^= low
+        return FiniteRelation(self.base_size, tuple(out))
 
     def is_subset(self, other: "FiniteRelation") -> bool:
         self._check_same_base(other)
@@ -172,6 +164,7 @@ class AlgebraModel:
         "identity",
         "empty",
         "is_full",
+        "closure_checked",
         "_carrier_set",
     )
 
@@ -213,8 +206,11 @@ class AlgebraModel:
         if self.is_full:
             if len(self.carrier) != 1 << (self.base_size * self.base_size):
                 raise RelationError("full model must contain every subset of the unit")
+            self.closure_checked = True
             return
-        if len(self.carrier) <= CLOSURE_CHECK_LIMIT:
+        # Above the limit the quadratic closure check is skipped, and said so.
+        self.closure_checked = len(self.carrier) <= CLOSURE_CHECK_LIMIT
+        if self.closure_checked:
             self._check_closure()
 
     def _check_closure(self) -> None:

@@ -9,20 +9,28 @@ Each operator's precedence, associativity, sorts and spelling are in the
 table ``_OPERATORS``, which both the parser and the printer read.  Text
 may nest at most ``errors.MAX_NESTING`` levels.
 
-Evaluation works against a finite :class:`~relfork.relcore.AlgebraModel`
-or against any backend object exposing ``const``, ``union``, ``meet``,
-``complement``, ``compose``, ``converse`` and ``fork``.
+Over a finite :class:`~relfork.relcore.AlgebraModel`, evaluation is
+bitsliced (see ``_Sliced``): a term's value over a batch of assignments
+holds one int per cell, whose bit i says whether the cell is in the value
+under assignment i.  ``check_formula`` runs whole batches, exhaustive or
+seeded, and ``eval_term``/``eval_formula`` run a batch of one.  Any other
+backend object exposing ``const``, ``union``, ``meet``, ``complement``,
+``compose``, ``converse`` and ``fork`` (such as ``ForkBackend``) is
+evaluated through closures built by ``compile_term``/``compile_formula``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import string
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, invert, or_, xor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import MAX_NESTING, PositionedError, RelforkError
-from .relcore import AlgebraModel, FiniteRelation
+from .relcore import AlgebraModel, FiniteRelation, RelationError
 
 
 class ParseError(PositionedError):
@@ -189,6 +197,11 @@ def _sort(node) -> str:
 # Tokenizer
 
 
+# Names are ASCII: [a-z][a-z0-9_]*.
+_NAME_START = frozenset(string.ascii_lowercase)
+_NAME_CHARS = _NAME_START | frozenset(string.digits + "_")
+
+
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     tokens = []
     i = 0
@@ -203,9 +216,9 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
             tokens.append(("const", word, i))
             i += len(word)
             continue
-        if c.isalpha() and c.islower():
-            j = i
-            while j < n and (text[j].islower() or text[j].isdigit() or text[j] == "_"):
+        if c in _NAME_START:
+            j = i + 1
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             word = text[i:j]
             if word in ("pi", "rho"):
@@ -398,58 +411,16 @@ def free_variables(node) -> Tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation against a fork backend
 
 
-class _FiniteOps:
-    """Term operations over a finite algebra model."""
-
-    def __init__(self, model: AlgebraModel):
-        self.model = model
-
-    def const(self, kind: str):
-        if kind == "zero":
-            return self.model.empty
-        if kind == "one":
-            return self.model.unit
-        if kind == "id":
-            return self.model.identity
-        raise NoForkStructureError(f"constant {_CONST_TEXT[kind]!r}")
-
-    def union(self, r, s):
-        return r.union(s)
-
-    def meet(self, r, s):
-        return r.meet(s)
-
-    def complement(self, r):
-        return r.complement_in(self.model.unit)
-
-    def compose(self, r, s):
-        return r.compose(s)
-
-    def converse(self, r):
-        return r.converse()
-
-    def fork(self, r, s):
-        raise NoForkStructureError("fork")
-
-    def equal(self, r, s) -> bool:
-        return r == s
-
-    def below(self, r, s) -> bool:
-        return r.is_subset(s)
-
-
-def _ops_for(model):
-    if isinstance(model, AlgebraModel):
-        return _FiniteOps(model)
+def _backend(ops):
     if all(
-        hasattr(model, name)
+        hasattr(ops, name)
         for name in ("const", "union", "meet", "complement", "compose", "converse", "fork")
     ):
-        return model
-    raise TypeError(f"not an evaluation backend: {model!r}")
+        return ops
+    raise TypeError(f"not an evaluation backend: {ops!r}")
 
 
 def compile_term(t, ops) -> Callable[[Dict[str, object]], object]:
@@ -512,13 +483,169 @@ def compile_formula(f, ops) -> Callable[[Dict[str, object]], bool]:
     raise TypeError(f"not a formula: {f!r}")
 
 
+# ---------------------------------------------------------------------------
+# Bitsliced evaluation over a finite model
+
+# A batch's term values take at most this many bits: width * n * n.
+SLICE_BITS = 1 << 22
+# Sampled trials drawn per batch, which bounds the lists of drawn indices.
+SAMPLE_BATCH = 1 << 12
+
+
+def _cell_text(rel: FiniteRelation) -> str:
+    """The cells of rel as '0'/'1' characters, cell (a, b) at index a * n + b."""
+    n = rel.base_size
+    return "".join(format(row, f"0{n}b")[::-1] for row in rel.rows)
+
+
+def _cells(text: str, full: int) -> List[int]:
+    """A value constant over the batch, from its '0'/'1' cell text."""
+    return [full if bit == "1" else 0 for bit in text]
+
+
+def _compose_cells(v: List[int], w: List[int], n: int) -> List[int]:
+    columns = [w[c::n] for c in range(n)]
+    return [
+        reduce(or_, map(and_, v[a * n : a * n + n], column), 0)
+        for a in range(n)
+        for column in columns
+    ]
+
+
+class _Sliced:
+    """Terms and formulas over a batch of assignments to a finite model.
+
+    A term's value is a list of n * n ints, one per cell (a, b) at index
+    a * n + b; bit i of a cell says whether (a, b) is in the value under
+    assignment i.  A formula's value is one int whose bit i is its truth
+    under assignment i.  Compiled code is called as ``run(env, full)``,
+    where ``env`` maps names to cell lists and ``full`` has one bit per
+    assignment of the batch.
+    """
+
+    def __init__(self, model: AlgebraModel):
+        n = model.base_size
+        self.n = n
+        self.model = model
+        self.consts = {
+            "zero": "0" * (n * n),
+            "one": _cell_text(model.unit),
+            "id": _cell_text(model.identity),
+        }
+        self.transpose = [b * n + a for a in range(n) for b in range(n)]
+        self.width_cap = max(1, SLICE_BITS // max(1, n * n))
+        self._members: Optional[List[str]] = None
+
+    def relation(self, cells: List[int]) -> FiniteRelation:
+        """The relation of a width-1 value."""
+        n = self.n
+        rows = tuple(sum(cells[a * n + b] << b for b in range(n)) for a in range(n))
+        return FiniteRelation(n, rows)
+
+    def column(self, indices: Sequence[int], stretch: int = 1, reps: int = 1, full: int = 1):
+        """A variable taking carrier[indices[d]] on bits [d*stretch, (d+1)*stretch).
+
+        The pattern is tiled ``reps`` times; a single index gives a constant.
+        """
+        if self._members is None:
+            self._members = [_cell_text(rel) for rel in self.model.carrier]
+        if len(indices) == 1:
+            return _cells(self._members[indices[0]], full)
+        text = "".join(map(self._members.__getitem__, reversed(indices)))
+        widen = {ord("0"): "0" * stretch, ord("1"): "1" * stretch}
+        nn = self.n * self.n
+        return [int(text[q::nn].translate(widen) * reps, 2) for q in range(nn)]
+
+    def term(self, t) -> Callable[[Dict[str, List[int]], int], List[int]]:
+        if isinstance(t, Var):
+            name = t.name
+
+            def run_var(env, full):
+                try:
+                    return env[name]
+                except KeyError:
+                    raise UnboundVariableError(name) from None
+
+            return run_var
+        if isinstance(t, Const):
+            text = self.consts.get(t.kind)
+            if text is None:
+                raise NoForkStructureError(f"constant {_CONST_TEXT[t.kind]!r}")
+            return lambda env, full: _cells(text, full)
+        if isinstance(t, Complement):
+            arg, unit = self.term(t.arg), self.consts["one"]
+            return lambda env, full: [
+                full ^ x if u == "1" else 0 for u, x in zip(unit, arg(env, full))
+            ]
+        if isinstance(t, Converse):
+            arg, transpose = self.term(t.arg), self.transpose
+            return lambda env, full: list(map(arg(env, full).__getitem__, transpose))
+        left, right, n = self.term(t.left), self.term(t.right), self.n
+        if isinstance(t, Union):
+            return lambda env, full: list(map(or_, left(env, full), right(env, full)))
+        if isinstance(t, Meet):
+            return lambda env, full: list(map(and_, left(env, full), right(env, full)))
+        if isinstance(t, Compose):
+            return lambda env, full: _compose_cells(left(env, full), right(env, full), n)
+        if isinstance(t, Fork):
+
+            def run_fork(env, full):
+                left(env, full)
+                right(env, full)
+                raise NoForkStructureError("fork")
+
+            return run_fork
+        raise TypeError(f"not a term: {t!r}")
+
+    def formula(self, f) -> Callable[[Dict[str, List[int]], int], int]:
+        if isinstance(f, (Eq, Leq)):
+            left, right = self.term(f.left), self.term(f.right)
+            if isinstance(f, Eq):
+                return lambda env, full: full ^ reduce(
+                    or_, map(xor, left(env, full), right(env, full)), 0
+                )
+            return lambda env, full: full ^ reduce(
+                or_, map(and_, left(env, full), map(invert, right(env, full))), 0
+            )
+        if isinstance(f, Not):
+            arg = self.formula(f.arg)
+            return lambda env, full: full ^ arg(env, full)
+        left, right = self.formula(f.left), self.formula(f.right)
+        # The right operand runs only where the left one leaves the batch
+        # undecided, so a width-1 batch short-circuits as Python does.
+        if isinstance(f, And):
+            return lambda env, full: (m := left(env, full)) and m & right(env, full)
+        if isinstance(f, Or):
+            return lambda env, full: (
+                m if (m := left(env, full)) == full else m | right(env, full)
+            )
+        if isinstance(f, Implies):
+            return lambda env, full: (
+                (full ^ m) | right(env, full) if (m := left(env, full)) else full
+            )
+        raise TypeError(f"not a formula: {f!r}")
+
+    def env(self, env: Dict[str, FiniteRelation]) -> Dict[str, List[int]]:
+        """A width-1 batch of one assignment of relations."""
+        for rel in env.values():
+            if rel.base_size != self.n:
+                raise RelationError(f"base-size mismatch: {rel.base_size} vs {self.n}")
+        return {name: _cells(_cell_text(rel), 1) for name, rel in env.items()}
+
+
 def eval_term(t, env: Dict[str, object], model):
-    """Evaluate a term against a model or fork backend."""
-    return compile_term(t, _ops_for(model))(env)
+    """Evaluate a term against a finite model or a fork backend."""
+    if isinstance(model, AlgebraModel):
+        sliced = _Sliced(model)
+        return sliced.relation(sliced.term(t)(sliced.env(env), 1))
+    return compile_term(t, _backend(model))(env)
 
 
 def eval_formula(f, env: Dict[str, object], model) -> bool:
-    return compile_formula(f, _ops_for(model))(env)
+    if isinstance(model, AlgebraModel):
+        sliced = _Sliced(model)
+        return sliced.formula(f)(sliced.env(env), 1) == 1
+    return compile_formula(f, _backend(model))(env)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +668,46 @@ class CheckReport:
         }
 
 
-DEFAULT_ASSIGNMENT_CAP = 1 << 22
+DEFAULT_ASSIGNMENT_CAP = 1 << 27
+
+
+def check_budget(formulas, model: AlgebraModel, assignment_cap: Optional[int] = None) -> None:
+    """Refuse, before any work, a formula whose assignment space exceeds the cap."""
+    cap = DEFAULT_ASSIGNMENT_CAP if assignment_cap is None else assignment_cap
+    size = len(model.carrier)
+    for formula in formulas:
+        nvars = len(free_variables(formula))
+        if size**nvars > cap:
+            raise EvalError(
+                f"assignment space {size}**{nvars} exceeds cap {cap}; use a sampled strategy"
+            )
+
+
+def _first_failure(mask: int, full: int) -> Optional[int]:
+    failing = full ^ mask
+    return (failing & -failing).bit_length() - 1 if failing else None
+
+
+def _exhaustive_batches(sliced: _Sliced, nvars: int):
+    """Batches covering carrier**nvars in itertools.product order.
+
+    Each batch is a tuple of index sequences, one per variable, and holds
+    their product.  The trailing variables that fit the width span every
+    batch; the leading ones are constant within it.  When not even one
+    variable fits, the last one is split into chunks of the carrier.
+    """
+    size = len(sliced.model.carrier)
+    spanned = 0
+    while spanned < nvars and size ** (spanned + 1) <= sliced.width_cap:
+        spanned += 1
+    if spanned or not nvars:
+        blocks = [(range(size),) * spanned]
+    else:
+        cap = sliced.width_cap
+        blocks = [(range(j, min(j + cap, size)),) for j in range(0, size, cap)]
+    for lead in itertools.product(range(size), repeat=nvars - len(blocks[0])):
+        for block in blocks:
+            yield tuple(range(i, i + 1) for i in lead) + block
 
 
 def check_formula(
@@ -549,48 +715,79 @@ def check_formula(
     model: AlgebraModel,
     strategy="exhaustive",
     seed: int = 0,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
+    assignment_cap: Optional[int] = None,
 ) -> CheckReport:
     """Check a formula over all (or sampled) assignments of carrier elements.
 
     ``strategy`` is ``"exhaustive"`` or ``("sampled", count)``.  Variables
     are enumerated in sorted name order, assignments in the carrier's
-    canonical order, and the first failing assignment is reported.
+    canonical order, and the first failing assignment is reported.  Both
+    strategies evaluate a batch of assignments at once (see ``_Sliced``);
+    the exhaustive one refuses more than ``assignment_cap`` assignments
+    (default ``DEFAULT_ASSIGNMENT_CAP``).
     """
     if isinstance(formula, str):
         formula = parse_formula(formula)
     names = free_variables(formula)
-    ops = _FiniteOps(model)
-    run = compile_formula(formula, ops)
+    sliced = _Sliced(model)
+    run = sliced.formula(formula)
     carrier = model.carrier
+    text = pretty_formula(formula)
 
     if strategy == "exhaustive":
-        total = len(carrier) ** len(names)
-        if total > assignment_cap:
-            raise EvalError(
-                f"assignment space {len(carrier)}**{len(names)} exceeds cap {assignment_cap}; "
-                "use a sampled strategy"
-            )
+        check_budget([formula], model, assignment_cap)
+        columns: Dict[Tuple[int, range], List[int]] = {}
         checked = 0
-        for combo in itertools.product(carrier, repeat=len(names)):
-            env = dict(zip(names, combo))
-            checked += 1
-            if not run(env):
-                return CheckReport(pretty_formula(formula), "exhaustive", False, checked, env)
-        return CheckReport(pretty_formula(formula), "exhaustive", True, checked, None)
+        for ranges in _exhaustive_batches(sliced, len(names)):
+            width = 1
+            for indices in ranges:
+                width *= len(indices)
+            full = (1 << width) - 1
+            env, stretch = {}, width
+            for j, (name, indices) in enumerate(zip(names, ranges)):
+                stretch //= len(indices)
+                if len(indices) == 1:
+                    env[name] = sliced.column(indices, full=full)
+                    continue
+                if (j, indices) not in columns:
+                    reps = width // (stretch * len(indices))
+                    columns[j, indices] = sliced.column(indices, stretch, reps)
+                env[name] = columns[j, indices]
+            failure = _first_failure(run(env, full), full)
+            if failure is not None:
+                digits, rest = [], failure
+                for indices in reversed(ranges):
+                    rest, digit = divmod(rest, len(indices))
+                    digits.append(indices[digit])
+                counterexample = dict(zip(names, (carrier[i] for i in reversed(digits))))
+                return CheckReport(text, "exhaustive", False, checked + failure + 1, counterexample)
+            checked += width
+        return CheckReport(text, "exhaustive", True, checked, None)
 
     if isinstance(strategy, tuple) and len(strategy) == 2 and strategy[0] == "sampled":
         count = int(strategy[1])
         if count < 1:
             raise EvalError(f"sampled count must be at least 1, got {count}")
-        rng = random.Random(seed)
-        for checked in range(1, count + 1):
-            env = {name: carrier[rng.randrange(len(carrier))] for name in names}
-            if not run(env):
-                return CheckReport(
-                    pretty_formula(formula), f"sampled({count})", False, checked, env
-                )
-        return CheckReport(pretty_formula(formula), f"sampled({count})", True, count, None)
+        label = f"sampled({count})"
+        # Draw trial by trial, names in order, as a one-at-a-time checker
+        # would: the same seed then gives the same trials and counterexample.
+        draw = random.Random(seed).randrange
+        size, nvars = len(carrier), len(names)
+        checked = 0
+        while checked < count:
+            width = min(count - checked, SAMPLE_BATCH, sliced.width_cap)
+            full = (1 << width) - 1
+            drawn = [draw(size) for _ in range(width * nvars)]
+            env = {
+                name: sliced.column(drawn[j::nvars], full=full) for j, name in enumerate(names)
+            }
+            failure = _first_failure(run(env, full), full)
+            if failure is not None:
+                trial = drawn[failure * nvars : (failure + 1) * nvars]
+                counterexample = {name: carrier[i] for name, i in zip(names, trial)}
+                return CheckReport(text, label, False, checked + failure + 1, counterexample)
+            checked += width
+        return CheckReport(text, label, True, count, None)
 
     raise EvalError(f"unknown strategy {strategy!r}")
 

@@ -6,6 +6,7 @@ independent of the bitmask and lazy implementations under test.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import FrozenSet, Iterable, Set, Tuple
 
@@ -128,28 +129,76 @@ def random_formula(rng: random.Random, depth: int, names=("x", "y", "z"), fork: 
 # Naive term evaluation over pair sets (independent of FiniteRelation)
 
 
-def eval_term_pairs(t, env, n: int) -> Set[Pair]:
-    full = {(a, b) for a in range(n) for b in range(n)}
+def eval_term_pairs(t, env, n: int, unit=None) -> Set[Pair]:
+    """The pairs of t; ``1`` and complements are relative to unit (default n x n)."""
+    if unit is None:
+        unit = {(a, b) for a in range(n) for b in range(n)}
     if isinstance(t, terms.Var):
         return set(env[t.name])
     if isinstance(t, terms.Const):
         if t.kind == "zero":
             return set()
         if t.kind == "one":
-            return set(full)
+            return set(unit)
         if t.kind == "id":
             return {(a, a) for a in range(n)}
         raise ValueError(f"constant {t.kind} has no plain-model meaning")
-    if isinstance(t, terms.Union):
-        return eval_term_pairs(t.left, env, n) | eval_term_pairs(t.right, env, n)
-    if isinstance(t, terms.Meet):
-        return eval_term_pairs(t.left, env, n) & eval_term_pairs(t.right, env, n)
     if isinstance(t, terms.Complement):
-        return full - eval_term_pairs(t.arg, env, n)
-    if isinstance(t, terms.Compose):
-        return compose_pairs(
-            eval_term_pairs(t.left, env, n), eval_term_pairs(t.right, env, n)
-        )
+        return unit - eval_term_pairs(t.arg, env, n, unit)
     if isinstance(t, terms.Converse):
-        return converse_pairs(eval_term_pairs(t.arg, env, n))
+        return converse_pairs(eval_term_pairs(t.arg, env, n, unit))
+    left = eval_term_pairs(t.left, env, n, unit)
+    right = eval_term_pairs(t.right, env, n, unit)
+    if isinstance(t, terms.Union):
+        return left | right
+    if isinstance(t, terms.Meet):
+        return left & right
+    if isinstance(t, terms.Compose):
+        return compose_pairs(left, right)
     raise TypeError(f"unexpected term {t!r}")
+
+
+def eval_formula_pairs(f, env, n: int, unit=None) -> bool:
+    if isinstance(f, (terms.Eq, terms.Leq)):
+        left = eval_term_pairs(f.left, env, n, unit)
+        right = eval_term_pairs(f.right, env, n, unit)
+        return left == right if isinstance(f, terms.Eq) else left <= right
+    if isinstance(f, terms.Not):
+        return not eval_formula_pairs(f.arg, env, n, unit)
+    left = eval_formula_pairs(f.left, env, n, unit)
+    right = eval_formula_pairs(f.right, env, n, unit)
+    if isinstance(f, terms.And):
+        return left and right
+    if isinstance(f, terms.Or):
+        return left or right
+    if isinstance(f, terms.Implies):
+        return not left or right
+    raise TypeError(f"unexpected formula {f!r}")
+
+
+def check_formula_pairs(formula, model, strategy="exhaustive", seed: int = 0):
+    """Reference for ``terms.check_formula``, one assignment at a time over pair sets.
+
+    Returns (strategy label, valid, checked, counterexample) with the same
+    assignment order: ``itertools.product`` over the carrier, or per trial
+    one seeded draw per variable in name order.
+    """
+    names = terms.free_variables(formula)
+    carrier = model.carrier
+    unit = set(model.unit.pairs())
+    if strategy == "exhaustive":
+        label, assignments = "exhaustive", itertools.product(carrier, repeat=len(names))
+    else:
+        count = strategy[1]
+        rng = random.Random(seed)
+        label = f"sampled({count})"
+        assignments = (
+            tuple(carrier[rng.randrange(len(carrier))] for _ in names) for _ in range(count)
+        )
+    checked = 0
+    for combo in assignments:
+        checked += 1
+        env = {name: set(rel.pairs()) for name, rel in zip(names, combo)}
+        if not eval_formula_pairs(formula, env, model.base_size, unit):
+            return label, False, checked, dict(zip(names, combo))
+    return label, True, checked, None

@@ -11,6 +11,8 @@ import itertools
 import random
 import time
 
+import pytest
+
 from relfork import (
     AXIOM_TEXTS,
     Bin,
@@ -38,10 +40,12 @@ from relfork import (
     fork,
     format_seq,
     format_tree,
+    free_variables,
     full_pra,
     ideal_elements,
     ll_rel,
     parse,
+    parse_formula,
     parse_seq,
     parse_tree,
     power,
@@ -109,6 +113,17 @@ def test_criterion_02_tarski_suite_exhaustive():
         for text in AXIOM_TEXTS["cr_tarski"]:
             report = check_formula(text, model, strategy="exhaustive")
             assert report.valid, f"{text} failed on full_pra({n}): {report.counterexample_text()}"
+
+
+@pytest.mark.parametrize("suite", ["cr_equational", "cr_tarski"])
+def test_criteria_01_02_exhaustive_on_full3(suite):
+    # Every assignment: 512**3 per 3-variable axiom, 4.0e8 for cr_equational
+    # and 8.1e8 for cr_tarski in all.
+    model = full_pra(3)
+    for text in AXIOM_TEXTS[suite]:
+        report = check_formula(text, model, strategy="exhaustive")
+        assert report.valid, f"{text} failed on full_pra(3): {report.counterexample_text()}"
+        assert report.checked == 512 ** len(free_variables(parse_formula(text)))
 
 
 def test_criterion_03_basic_star_pins_s_and_is_bijective():

@@ -2,10 +2,11 @@
 
 import dataclasses
 import json
+import random
 
 import pytest
 
-from relfork import constructions
+from relfork import constructions, relcore, terms
 from relfork.cli import main
 
 UNIT2 = [[0, 0], [0, 1], [1, 0], [1, 1]]
@@ -92,6 +93,75 @@ class TestCheckModel:
     def test_oversized_full_model(self, capsys):
         code, _, err = run(capsys, "check", "--model", "full:9", "--suite", "cr_tarski")
         assert code == 2 and "error:" in err
+
+    def test_suite_budget_checked_before_any_axiom(self, capsys, monkeypatch):
+        # cr_tarski opens with 2-variable axioms, which fit 512**2; its
+        # 3-variable axioms do not, and no axiom may run before that is known.
+        monkeypatch.setattr(terms, "DEFAULT_ASSIGNMENT_CAP", 512**2)
+
+        def reached(*args, **kwargs):
+            raise AssertionError("an axiom was checked before the budget")
+
+        monkeypatch.setattr(terms, "check_formula", reached)
+        code, out, err = run(capsys, "check", "--model", "full:3", "--suite", "cr_tarski")
+        assert code == 2 and out == ""
+        assert "error: assignment space 512**3 exceeds cap 262144" in err
+
+    def test_sampled_run_has_no_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(terms, "DEFAULT_ASSIGNMENT_CAP", 1)
+        code, _, _ = run(
+            capsys, "check", "--model", "full:2", "--suite", "cr_tarski", "--sampled", "5"
+        )
+        assert code == 0
+
+
+def unclosed_model(path, size=1025):
+    """A model file of base 4 whose carrier holds ``size`` relations.
+
+    A closed carrier is a Boolean algebra, whose size is a power of two,
+    so 1,025 relations are never closed.
+    """
+    n = 4
+    identity = sum(1 << (a * n + a) for a in range(n))
+    codes = {0, (1 << n * n) - 1, identity}
+    rng = random.Random(size)
+    while len(codes) < size:
+        codes.add(rng.randrange(1 << n * n))
+    carrier = [
+        [[q // n, q % n] for q in range(n * n) if code >> q & 1] for code in sorted(codes)
+    ]
+    unit = carrier[-1]
+    path.write_text(json.dumps({"base_size": n, "carrier": carrier, "unit": unit}))
+    return str(path)
+
+
+class TestClosureReport:
+    def test_skipped_closure_check_is_reported(self, capsys, tmp_path):
+        path = unclosed_model(tmp_path / "big.json")
+        assert relcore.load_model(path).closure_checked is False
+        for argv in (
+            ["eval", "--model", path, "--formula", "1' <= 1"],
+            ["check", "--model", path, "--suite", "cr_equational", "--sampled", "5"],
+        ):
+            code, out, _ = run(capsys, "--format", "json", *argv)
+            assert code == 0
+            assert json.loads(out)["closure_checked"] is False
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert out.endswith("note: model closure not checked (carrier above the check limit)\n")
+
+    def test_key_absent_when_closure_known(self, capsys, tmp_path):
+        small = tmp_path / "small.json"
+        small.write_text(json.dumps(MODEL_FILE))
+        for model in ("full:2", str(small)):
+            for argv in (
+                ["eval", "--model", model, "--formula", "1' <= 1"],
+                ["check", "--model", model, "--suite", "cr_equational", "--sampled", "5"],
+            ):
+                code, out, _ = run(capsys, "--format", "json", *argv)
+                assert code == 0 and "closure_checked" not in json.loads(out)
+                code, out, _ = run(capsys, *argv)
+                assert code == 0 and "note:" not in out
 
 
 class TestCheckStar:
@@ -204,6 +274,11 @@ class TestEval:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "eval", "--model", "full:1", "--formula", "x +")
         assert code == 2 and "error:" in err
+
+    def test_non_ascii_name_is_a_syntax_error(self, capsys):
+        code, _, err = run(capsys, "eval", "--model", "full:1", "--formula", "ǆ = 0")
+        assert code == 2
+        assert "unknown token 'ǆ' (at position 0)" in err and "unbound" not in err
 
 
 class TestFix:
@@ -404,6 +479,8 @@ MALFORMED = {
     "formula-3000-converses": (None, [*EVAL_FULL1, "x" + "^" * 3000 + " = 0"]),
     "formula-3000-conjuncts": (None, [*EVAL_FULL1, " /\\ ".join(["x = 0"] * 3000)]),
     "formula-3000-implications": (None, [*EVAL_FULL1, " -> ".join(["x = 0"] * 3000)]),
+    "formula-non-ascii-name": (None, [*EVAL_FULL1, "ǆ = 0"]),
+    "formula-non-ascii-digit": (None, [*EVAL_FULL1, "x² = 0"]),
     "tree-3000-parens": (None, [*TREE_STAR, "(" * 3000 + "nil" + ")" * 3000]),
     "tree-3000-bins": (None, [*TREE_STAR, "bin " * 3000 + "nil " * 3001]),
 }

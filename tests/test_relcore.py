@@ -20,6 +20,7 @@ from relfork import (
     power,
     save_model,
 )
+from relfork import relcore
 
 from helpers import complement_pairs, compose_pairs, converse_pairs, random_pairs
 
@@ -131,6 +132,16 @@ class TestModelValidation:
                 unit=unit,
                 identity=identity,
             )
+
+    def test_closure_checked_flag(self, monkeypatch):
+        assert full_pra(2).closure_checked
+        assert generate_subalgebra(2, []).closure_checked
+        assert direct_product(full_pra(1), full_pra(1)).closure_checked
+        # Above the limit a carrier is taken as given, and the model says so.
+        monkeypatch.setattr(relcore, "CLOSURE_CHECK_LIMIT", 2)
+        unit, identity = FiniteRelation.full(2), FiniteRelation.identity(2)
+        model = AlgebraModel(2, [FiniteRelation.empty(2), unit, identity], unit, identity)
+        assert not model.closure_checked
 
 
 class TestIdealsAndClassification:

@@ -27,19 +27,42 @@ from relfork import (
     Var,
     axiom_suite,
     check_formula,
+    direct_product,
     eval_formula,
     eval_term,
     free_variables,
     full_pra,
+    generate_subalgebra,
     parse,
     parse_formula,
     parse_term,
     pretty_formula,
     pretty_term,
 )
+from relfork import terms
 from relfork.errors import MAX_NESTING
 
-from helpers import eval_term_pairs, random_formula, random_pairs, random_term
+from helpers import (
+    check_formula_pairs,
+    eval_term_pairs,
+    random_formula,
+    random_pairs,
+    random_term,
+)
+
+# Proper models beside the full ones: a subalgebra of full_pra(3) and a
+# product whose unit is not the full square; both have 32 elements.
+SUBALGEBRA = generate_subalgebra(3, [FiniteRelation.from_pairs(3, [(0, 0)])])
+PRODUCT = direct_product(full_pra(2), full_pra(1))
+FINITE_MODELS = {
+    **{f"full{n}": full_pra(n) for n in range(4)},
+    "subalgebra": SUBALGEBRA,
+    "product": PRODUCT,
+}
+
+
+def report_tuple(report):
+    return report.strategy, report.valid, report.checked, report.counterexample
 
 
 class TestParsing:
@@ -97,6 +120,12 @@ class TestParsing:
         with pytest.raises(ParseError) as exc:
             parse_term("x + $")
         assert exc.value.pos == 4
+
+    @pytest.mark.parametrize("text, pos", [("é²", 0), ("ǆ = 0", 0), ("x² = 0", 1), ("xé", 1)])
+    def test_names_are_ascii(self, text, pos):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.pos == pos
 
     # Formulas nesting n levels: n - 1 levels around, or n links of, a comparison.
     DEEP = {
@@ -157,6 +186,18 @@ class TestEvaluation:
             }
             got = eval_term(t, env, model)
             assert set(got.pairs()) == eval_term_pairs(t, env_pairs, 2)
+
+    @pytest.mark.parametrize("name", FINITE_MODELS)
+    def test_matches_pair_oracle_on_every_model(self, name):
+        model = FINITE_MODELS[name]
+        unit = set(model.unit.pairs())
+        rng = random.Random(name)
+        for _ in range(100):
+            t = random_term(rng, depth=3, fork=False)
+            env = {v: rng.choice(model.carrier) for v in ("x", "y", "z")}
+            env_pairs = {v: set(rel.pairs()) for v, rel in env.items()}
+            got = eval_term(t, env, model)
+            assert set(got.pairs()) == eval_term_pairs(t, env_pairs, model.base_size, unit)
 
     def test_formula_evaluation(self):
         model = full_pra(2)
@@ -219,6 +260,12 @@ class TestCheckFormula:
     def test_assignment_cap(self):
         with pytest.raises(EvalError):
             check_formula("x + y = y + x", full_pra(2), assignment_cap=10)
+        assert terms.DEFAULT_ASSIGNMENT_CAP == 512**3
+
+    def test_default_cap_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(terms, "DEFAULT_ASSIGNMENT_CAP", 255)
+        with pytest.raises(EvalError, match="16\\*\\*2 exceeds cap 255"):
+            check_formula("x + y = y + x", full_pra(2))
 
     def test_unknown_strategy(self):
         with pytest.raises(EvalError):
@@ -250,3 +297,50 @@ class TestAxiomSuites:
     def test_fork_axioms_rejected_without_fork_structure(self):
         with pytest.raises(NoForkStructureError):
             check_formula(axiom_suite("cfa")[-1], full_pra(1))
+
+
+class TestBitslicedChecker:
+    """The batched checker against the one-assignment-at-a-time pair-set reference."""
+
+    @staticmethod
+    def compare(model, rng, formulas, exhaustive_limit):
+        for _ in range(formulas):
+            f = random_formula(rng, rng.randrange(3), fork=False)
+            nvars = len(free_variables(f))
+            strategies = [("sampled", rng.randrange(1, 300))]
+            if len(model.carrier) ** nvars <= exhaustive_limit:
+                strategies.append("exhaustive")
+            for strategy in strategies:
+                seed = rng.randrange(1000)
+                got = check_formula(f, model, strategy=strategy, seed=seed)
+                want = check_formula_pairs(f, model, strategy=strategy, seed=seed)
+                assert report_tuple(got) == want, (pretty_formula(f), strategy, seed)
+
+    @pytest.mark.parametrize("name", FINITE_MODELS)
+    def test_matches_reference(self, name):
+        self.compare(FINITE_MODELS[name], random.Random(name), 40, 4096)
+
+    def test_matches_reference_on_one_variable_full3(self):
+        model, rng = full_pra(3), random.Random(3)
+        for _ in range(20):
+            f = random_formula(rng, rng.randrange(3), names=("x",), fork=False)
+            assert report_tuple(check_formula(f, model)) == check_formula_pairs(f, model)
+
+    @pytest.mark.parametrize("slice_bits, sample_batch", [(1, 1), (7, 3), (40, 5), (100, 64)])
+    def test_narrow_batches_match_reference(self, monkeypatch, slice_bits, sample_batch):
+        # Narrow widths split the carrier, hold variables constant per batch
+        # and draw samples over several batches.
+        monkeypatch.setattr(terms, "SLICE_BITS", slice_bits)
+        monkeypatch.setattr(terms, "SAMPLE_BATCH", sample_batch)
+        rng = random.Random(slice_bits)
+        for model in (full_pra(1), full_pra(2), PRODUCT):
+            self.compare(model, rng, 12, 4096)
+
+    def test_first_failure_late_in_a_wide_batch(self):
+        # The only failing assignment of x, y over full_pra(2) is the last one.
+        model = full_pra(2)
+        report = check_formula("x = 1 /\\ y = 1 -> x = 0", model)
+        assert report_tuple(report) == check_formula_pairs(
+            parse_formula("x = 1 /\\ y = 1 -> x = 0"), model
+        )
+        assert report.checked == 256
