@@ -43,6 +43,7 @@ for the projection kinds and the control sequence for ``seq``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .btree import (
@@ -94,7 +95,12 @@ def _checked_members(s_members: Iterable[int]) -> Tuple[int, ...]:
 
 
 class ConstructionLayout:
-    """Reserved set, residual block arithmetic, the pinned table and its control."""
+    """Reserved set, residual block arithmetic, the pinned table and its control.
+
+    ``reserved`` must be strictly increasing and non-negative.  The
+    residual arithmetic bisects it, so ``star`` and ``unstar`` cost
+    O(log |reserved|) per call.
+    """
 
     def __init__(
         self,
@@ -109,8 +115,12 @@ class ConstructionLayout:
         self.kind = kind
         self.s_values = s_values
         self.s_rank = {u: i for i, u in enumerate(s_values)}
+        if (reserved and reserved[0] < 0) or any(a >= b for a, b in zip(reserved, reserved[1:])):
+            raise ConstructionError("reserved values must be strictly increasing and non-negative")
         self.reserved = reserved
         self.reserved_set = frozenset(reserved)
+        # reserved[i] - i counts the residual elements below reserved[i].
+        self.gaps = tuple(r - i for i, r in enumerate(reserved))
         self.block_names = block_names
         self.control = control
         self.control_text = control_text
@@ -118,16 +128,12 @@ class ConstructionLayout:
         self.table: Dict[Pair, int] = {}
 
     def residual_element(self, j: int) -> int:
-        u = j
-        for r in self.reserved:
-            if r <= u:
-                u += 1
-        return u
+        return j + bisect_right(self.gaps, j)
 
     def residual_rank(self, u: int) -> int:
         if u in self.reserved_set:
             raise ValueError(f"{u} is reserved")
-        return u - sum(1 for r in self.reserved if r < u)
+        return u - bisect_left(self.reserved, u)
 
     def block_element(self, i: int, k: int) -> int:
         return self.residual_element(cantor_pair(i, k))

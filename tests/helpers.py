@@ -57,6 +57,26 @@ def random_pairs(rng: random.Random, n: int, density: float = 0.4) -> FrozenSet[
 
 
 # ---------------------------------------------------------------------------
+# Linear residual arithmetic, the reference for ConstructionLayout's bisection
+
+
+def residual_element_linear(reserved: Tuple[int, ...], j: int) -> int:
+    """The j-th natural outside the sorted tuple ``reserved``."""
+    u = j
+    for r in reserved:
+        if r <= u:
+            u += 1
+    return u
+
+
+def residual_rank_linear(reserved: Tuple[int, ...], u: int) -> int:
+    """How many naturals below u lie outside ``reserved``."""
+    if u in reserved:
+        raise ValueError(f"{u} is reserved")
+    return u - sum(1 for r in reserved if r < u)
+
+
+# ---------------------------------------------------------------------------
 # Random control structures
 
 

@@ -311,6 +311,26 @@ class TestFix:
             assert code == 0
             assert json.loads(out)["matches_candidates"] is True
 
+    @pytest.mark.parametrize(
+        "target",
+        [
+            ("--star", "basic"),
+            ("--star", "tree", "--t", "bin (bin nil nil) nil"),
+            ("--star", "pi"),
+            ("--star", "rho"),
+            ("--star", "seq", "--s", "pi.rho"),
+        ],
+        ids=lambda target: target[1],
+    )
+    def test_max_members_every_kind(self, capsys, target):
+        members = sorted(random.Random(512).sample(range(8192), 512))
+        code, out, _ = run(
+            capsys, "--format", "json", "fix", *target,
+            "--S", ",".join(map(str, members)), "--window", "4096",
+        )
+        assert code == 0
+        assert json.loads(out)["fixpoints"] == [u for u in members if u < 4096]
+
     def test_window_cap(self, capsys):
         code, _, err = run(
             capsys, "fix", "--star", "basic", "--S", "1", "--window", "2000000"

@@ -1,7 +1,7 @@
 """Star constructions: block layout arithmetic and pinned fixpoint sets."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relfork import (
     Bin,
@@ -27,6 +27,8 @@ from relfork import (
     seq_from_symbols,
 )
 from relfork.constructions import MAX_MEMBERS
+
+from helpers import residual_element_linear, residual_rank_linear
 
 
 def assert_injective_on_grid(star, n: int) -> None:
@@ -107,6 +109,60 @@ class TestLayoutArithmetic:
             build_star_basic([-1, 2])
         with pytest.raises(ConstructionError):
             build_star_basic(range(MAX_MEMBERS + 1))
+
+    @pytest.mark.parametrize("reserved", [(4, 0), (3, 3), (0, 2, 2, 5), (-1, 2)])
+    def test_reserved_must_be_strictly_increasing_and_non_negative(self, reserved):
+        with pytest.raises(ConstructionError, match="strictly increasing"):
+            ConstructionLayout("basic", (), reserved, ("rest",))
+
+
+@st.composite
+def reserved_tuples(draw):
+    """Sorted reserved sets of 0 to 1,024 values, scattered or in consecutive runs."""
+    values = set(draw(st.lists(st.integers(0, 4096), max_size=64)))
+    runs = draw(st.lists(st.tuples(st.integers(0, 4096), st.integers(1, 512)), max_size=4))
+    for start, length in runs:
+        values.update(range(start, start + length))
+    return tuple(sorted(values)[:1024])
+
+
+class TestLayoutMatchesLinearArithmetic:
+    """Bisection against the linear scans it replaced, up to the 2|S| = 1,024 of pi/rho."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        reserved=reserved_tuples(),
+        ranks=st.lists(st.integers(0, 6000), max_size=40),
+        blocks=st.lists(st.tuples(st.integers(0, 100), st.integers(0, 5000)), max_size=20),
+    )
+    @example(reserved=(), ranks=[], blocks=[])
+    @example(reserved=(0,), ranks=[], blocks=[])
+    @example(reserved=tuple(range(1024)), ranks=[], blocks=[])
+    @example(reserved=tuple(range(0, 2048, 2)), ranks=[], blocks=[])
+    def test_agrees_with_linear_scan(self, reserved, ranks, blocks):
+        layout = ConstructionLayout("basic", (), reserved, ("rest",))
+        # Residual ranks where the count of reserved values below steps up.
+        edges = {r - i + d for i, r in enumerate(reserved) for d in (-1, 0, 1)}
+        probes = sorted(x for x in edges | {0, 1, 4100, 10**6} if x >= 0) + ranks
+        for j in probes:
+            u = layout.residual_element(j)
+            assert u == residual_element_linear(reserved, j)
+            assert layout.residual_rank(u) == j
+        for u in probes + list(reserved):
+            if u in layout.reserved_set:
+                with pytest.raises(ValueError):
+                    layout.residual_rank(u)
+                assert layout.block_of(u) is None
+            else:
+                assert layout.residual_rank(u) == residual_rank_linear(reserved, u)
+        for i, k in [(i, k) for i in (0, 1, 7) for k in (0, 1, 50, 3000)] + blocks:
+            assert layout.block_of(layout.block_element(i, k)) == (i, k)
+        coords = sorted(set(reserved[:3] + reserved[-3:] + (0, 1, 2047, 2048, 5000)))
+        for u in coords:
+            for v in coords:
+                w = layout.encode_rest(u, v)
+                assert w > max(u, v)
+                assert layout.decode_rest(w) == (u, v)
 
 
 class TestBasicStar:
