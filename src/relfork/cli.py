@@ -128,12 +128,6 @@ def _check_counts(args) -> None:
 # Subcommands
 
 
-def _note_closure(payload: Dict, model: relcore.AlgebraModel) -> None:
-    """Say in the payload when the model was loaded without a closure check."""
-    if not model.closure_checked:
-        payload["closure_checked"] = False
-
-
 def _cmd_check(args) -> Tuple[Dict, int]:
     suite = args.suite
     strategy = ("sampled", args.sampled) if args.sampled is not None else "exhaustive"
@@ -168,7 +162,6 @@ def _cmd_check(args) -> Tuple[Dict, int]:
             "results": results,
             "all_valid": all_valid,
         }
-        _note_closure(payload, model)
         return payload, 0 if all_valid else 1
 
     if suite not in ("cfa", "cfau"):
@@ -235,8 +228,6 @@ def _cmd_eval(args) -> Tuple[Dict, int]:
         "mode": mode,
         "value": value,
     }
-    if args.model:
-        _note_closure(payload, model)
     return payload, 0 if value else 1
 
 
@@ -315,8 +306,6 @@ def _render_text(payload: Dict) -> str:
         lines.append(f"config sha256: {payload['config_sha256']}")
     else:
         lines.append(json.dumps(payload, indent=2, sort_keys=True))
-    if payload.get("closure_checked") is False:
-        lines.append("note: model closure not checked (carrier above the check limit)")
     return "\n".join(lines)
 
 

@@ -9,23 +9,21 @@ An :class:`AlgebraModel` packages a carrier of relations together with
 its unit, identity and empty element.  ``full_pra(n)`` builds the full
 algebra over a base of size n (every subset of the unit ``n x n``).
 Products, generated subalgebras, ideal elements and the classification
-into trivial / simple / prime live here as well.  A model that is not full
-is checked for closure under the operations only up to
-``CLOSURE_CHECK_LIMIT`` elements; ``AlgebraModel.closure_checked`` says
-whether it was.
+into trivial / simple / prime live here as well.  Every model is checked,
+and subalgebras are generated, through its atoms (``AlgebraModel.atoms``),
+found by partition refinement of the unit's cells.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import RelforkError
 
 MAX_BASE = 16
 MAX_CARRIER = 1 << 16
 MAX_FULL_PRA_BASE = 4
-CLOSURE_CHECK_LIMIT = 1024
 
 
 class RelationError(RelforkError):
@@ -154,6 +152,34 @@ class FiniteRelation:
         return f"FiniteRelation({self.base_size}, {sorted(self.pairs())})"
 
 
+def _code(rel: FiniteRelation) -> int:
+    """The relation's cells as one n*n-bit int; row a holds bits [n*a, n*a + n)."""
+    n = rel.base_size
+    return sum(row << (n * a) for a, row in enumerate(rel.rows))
+
+
+def _relation(n: int, code: int) -> FiniteRelation:
+    """The relation on [0, n) whose cells are the bits of ``code``."""
+    mask = (1 << n) - 1
+    return FiniteRelation(n, tuple((code >> (n * a)) & mask for a in range(n)))
+
+
+def _refine(blocks: List[int], splitters: Iterable[int], limit: int) -> List[int]:
+    """Split every block by every splitter, stopping once there are over limit blocks."""
+    for s in splitters:
+        out = []
+        for b in blocks:
+            inside = b & s
+            if inside and inside != b:
+                out += (inside, b ^ inside)
+            else:
+                out.append(b)
+        blocks = out
+        if len(blocks) > limit:
+            break
+    return blocks
+
+
 class AlgebraModel:
     """A finite proper relation algebra given by its carrier of relations."""
 
@@ -164,7 +190,7 @@ class AlgebraModel:
         "identity",
         "empty",
         "is_full",
-        "closure_checked",
+        "atoms",
         "_carrier_set",
     )
 
@@ -203,30 +229,38 @@ class AlgebraModel:
         for rel in self.carrier:
             if not rel.is_subset(self.unit):
                 raise RelationError("carrier element not contained in the unit")
+        n = self.base_size
         if self.is_full:
-            if len(self.carrier) != 1 << (self.base_size * self.base_size):
+            if len(self.carrier) != 1 << (n * n):
                 raise RelationError("full model must contain every subset of the unit")
-            self.closure_checked = True
-            return
-        # Above the limit the quadratic closure check is skipped, and said so.
-        self.closure_checked = len(self.carrier) <= CLOSURE_CHECK_LIMIT
-        if self.closure_checked:
-            self._check_closure()
+            atoms = [_relation(n, 1 << q) for q in range(n * n)]
+        else:
+            atoms = self._closed_atoms()
+        self.atoms = tuple(sorted(atoms, key=lambda rel: rel.rows))
 
-    def _check_closure(self) -> None:
-        for r in self.carrier:
-            if r.converse() not in self:
-                raise RelationError("carrier not closed under converse")
-            if r.complement_in(self.unit) not in self:
-                raise RelationError("carrier not closed under complement")
-        for r in self.carrier:
-            for s in self.carrier:
-                if r.union(s) not in self:
-                    raise RelationError("carrier not closed under union")
-                if r.meet(s) not in self:
-                    raise RelationError("carrier not closed under meet")
-                if r.compose(s) not in self:
-                    raise RelationError("carrier not closed under composition")
+    def _closed_atoms(self) -> List[FiniteRelation]:
+        """The atoms; RelationError unless the carrier is a subalgebra.
+
+        The carrier is a Boolean algebra under the unit iff its 2^k elements
+        are the unions of the k blocks its elements split the unit into.  A
+        Boolean algebra with operators is closed under them iff its atoms
+        are (Jonsson and Tarski 1951), so O(c.k + k^2) work replaces O(c^2).
+        """
+        size = len(self.carrier)
+        k = size.bit_length() - 1
+        not_boolean = "carrier is not a Boolean algebra under the unit: "
+        if size != 1 << k:
+            raise RelationError(not_boolean + f"its size {size} is not a power of two")
+        cells = _code(self.unit)
+        blocks = _refine([cells] if cells else [], map(_code, self.carrier), k)
+        if len(blocks) > k:
+            raise RelationError(not_boolean + f"its elements split the unit into more than {k} atoms")
+        atoms = [_relation(self.base_size, b) for b in blocks]
+        if any(_code(a.converse()) not in blocks for a in atoms):
+            raise RelationError("carrier not closed under converse")
+        if any(a.compose(b) not in self for a in atoms for b in atoms):
+            raise RelationError("carrier not closed under composition")
+        return atoms
 
     def complement(self, r: FiniteRelation) -> FiniteRelation:
         return r.complement_in(self.unit)
@@ -247,14 +281,9 @@ def full_pra(n: int) -> AlgebraModel:
             f"full_pra base {n} exceeds cap {MAX_FULL_PRA_BASE} "
             f"(carrier would have 2**{n * n} elements)"
         )
-    mask = (1 << n) - 1
-    carrier = []
-    for code in range(1 << (n * n)):
-        rows = tuple((code >> (n * a)) & mask for a in range(n))
-        carrier.append(FiniteRelation(n, rows))
     return AlgebraModel(
         n,
-        carrier,
+        [_relation(n, code) for code in range(1 << (n * n))],
         unit=FiniteRelation.full(n),
         identity=FiniteRelation.identity(n),
         is_full=True,
@@ -346,49 +375,47 @@ def generate_subalgebra(
     generators: Iterable[FiniteRelation],
     carrier_cap: int = MAX_CARRIER,
 ) -> AlgebraModel:
-    """Subalgebra of the full algebra over [0, base_size) generated by H."""
+    """Subalgebra of the full algebra over [0, base_size) generated by H.
+
+    Its atoms are the blocks of the coarsest partition of the unit that
+    the generators and the identity split, and that converses and
+    compositions of its own blocks split no further.  The carrier, every
+    union of the k atoms, is built only once 2^k is known to fit the cap.
+    """
     if base_size > MAX_BASE:
         raise RelationError(f"base size {base_size} exceeds cap {MAX_BASE}")
     unit = FiniteRelation.full(base_size)
     identity = FiniteRelation.identity(base_size)
-    current: Dict[Tuple[int, ...], FiniteRelation] = {}
-
-    def add(rel: FiniteRelation) -> None:
-        if rel.base_size != base_size:
-            raise RelationError("generator has wrong base size")
-        current[rel.rows] = rel
-
-    add(FiniteRelation.empty(base_size))
-    add(unit)
-    add(identity)
+    splitters = [_code(identity)]
     for g in generators:
-        add(g)
-
-    while True:
-        elems = list(current.values())
-        before = len(current)
-        for r in elems:
-            add(r.converse())
-            add(r.complement_in(unit))
-        for r in elems:
-            for s in elems:
-                add(r.union(s))
-                add(r.meet(s))
-                add(r.compose(s))
-        if len(current) > carrier_cap:
-            raise RelationError(
-                f"generated carrier exceeds cap {carrier_cap}"
-            )
-        if len(current) == before:
+        if g.base_size != base_size:
+            raise RelationError("generator has wrong base size")
+        splitters.append(_code(g))
+    cap = min(carrier_cap, MAX_CARRIER)
+    limit = max(cap, 0).bit_length() - 1
+    blocks = _refine([_code(unit)] if base_size else [], splitters, limit)
+    while len(blocks) <= limit:
+        atoms = [_relation(base_size, b) for b in blocks]
+        splitters = [_code(a.converse()) for a in atoms]
+        splitters += [_code(a.compose(b)) for a in atoms for b in atoms]
+        refined = _refine(blocks, splitters, limit)
+        if len(refined) == len(blocks):
             break
+        blocks = refined
+    if len(blocks) > limit:
+        raise RelationError(
+            f"generated carrier of at least 2**{len(blocks)} elements exceeds cap {cap}"
+        )
 
-    carrier = list(current.values())
+    codes = [0]
+    for b in blocks:
+        codes += [code | b for code in codes]
     return AlgebraModel(
         base_size,
-        carrier,
+        [_relation(base_size, code) for code in codes],
         unit=unit,
         identity=identity,
-        is_full=len(carrier) == 1 << (base_size * base_size),
+        is_full=len(blocks) == base_size * base_size,
     )
 
 

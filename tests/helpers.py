@@ -16,6 +16,7 @@ from relfork import (
     Bin,
     Cons,
     Elem,
+    FiniteRelation,
     HOLE,
     NIL,
     PI,
@@ -74,6 +75,61 @@ def residual_rank_linear(reserved: Tuple[int, ...], u: int) -> int:
     if u in reserved:
         raise ValueError(f"{u} is reserved")
     return u - sum(1 for r in reserved if r < u)
+
+
+# ---------------------------------------------------------------------------
+# Pairwise closure, the reference for AlgebraModel's and generate_subalgebra's
+# atom refinement
+
+
+def closure_failure_pairwise(carrier, unit):
+    """The first operation the carrier is not closed under, or None.
+
+    Checks converse and complement of every element, then union, meet and
+    composition of every pair: O(c^2) operations.  ``carrier`` is a
+    sequence of FiniteRelation below ``unit``.
+    """
+    rows = {rel.rows for rel in carrier}
+    for r in carrier:
+        if r.converse().rows not in rows:
+            return "converse"
+        if r.complement_in(unit).rows not in rows:
+            return "complement"
+    for r in carrier:
+        for s in carrier:
+            if r.union(s).rows not in rows:
+                return "union"
+            if r.meet(s).rows not in rows:
+                return "meet"
+            if r.compose(s).rows not in rows:
+                return "composition"
+    return None
+
+
+def generate_subalgebra_rounds(base_size: int, generators, carrier_cap: int):
+    """Rows of the subalgebra generated by H over the full unit, or None above the cap.
+
+    Adds converse, complement, union, meet and composition over every pair
+    of the current elements, round after round, until a round adds nothing.
+    """
+    unit = FiniteRelation.full(base_size)
+    current = {rel.rows: rel for rel in generators}
+    for rel in (FiniteRelation.empty(base_size), unit, FiniteRelation.identity(base_size)):
+        current[rel.rows] = rel
+    while True:
+        elems = list(current.values())
+        before = len(current)
+        for r in elems:
+            for rel in (r.converse(), r.complement_in(unit)):
+                current[rel.rows] = rel
+        for r in elems:
+            for s in elems:
+                for rel in (r.union(s), r.meet(s), r.compose(s)):
+                    current[rel.rows] = rel
+        if len(current) > carrier_cap:
+            return None
+        if len(current) == before:
+            return frozenset(current)
 
 
 # ---------------------------------------------------------------------------

@@ -135,25 +135,58 @@ def unclosed_model(path, size=1025):
     return str(path)
 
 
+# name: (carrier, unit, the stderr words); each carrier holds 0, 1' and the unit.
+UNCLOSED = {
+    "size-not-power-of-two": (
+        [[], IDENT2, UNIT2], UNIT2, "not a Boolean algebra under the unit: its size 3",
+    ),
+    "too-many-blocks": (
+        [[], IDENT2, [[0, 1]], UNIT2], UNIT2,
+        "not a Boolean algebra under the unit: its elements split the unit",
+    ),
+    "converse": (
+        [[], IDENT2, [[0, 1]], [[0, 0], [0, 1], [1, 1]]], [[0, 0], [0, 1], [1, 1]],
+        "not closed under converse",
+    ),
+    "composition": (
+        [
+            a + b + c
+            for a in ([], [[0, 0]])
+            for b in ([], [[1, 1]])
+            for c in ([], [[0, 1], [1, 0]])
+        ],
+        UNIT2,
+        "not closed under composition",
+    ),
+}
+
+
 class TestClosureReport:
-    def test_skipped_closure_check_is_reported(self, capsys, tmp_path):
+    def test_unclosed_large_model_is_an_error(self, capsys, tmp_path):
         path = unclosed_model(tmp_path / "big.json")
-        assert relcore.load_model(path).closure_checked is False
         for argv in (
             ["eval", "--model", path, "--formula", "1' <= 1"],
             ["check", "--model", path, "--suite", "cr_equational", "--sampled", "5"],
         ):
-            code, out, _ = run(capsys, "--format", "json", *argv)
-            assert code == 0
-            assert json.loads(out)["closure_checked"] is False
-            code, out, _ = run(capsys, *argv)
-            assert code == 0
-            assert out.endswith("note: model closure not checked (carrier above the check limit)\n")
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: carrier is not a Boolean algebra")
+
+    @pytest.mark.parametrize("name", sorted(UNCLOSED))
+    def test_error_names_the_failure(self, capsys, tmp_path, name):
+        carrier, unit, words = UNCLOSED[name]
+        path = tmp_path / "unclosed.json"
+        path.write_text(json.dumps({"base_size": 2, "carrier": carrier, "unit": unit}))
+        code, out, err = run(capsys, "check", "--model", str(path), "--suite", "cr_tarski")
+        assert code == 2 and out == ""
+        assert err.startswith("error: carrier ") and words in err
 
     def test_key_absent_when_closure_known(self, capsys, tmp_path):
         small = tmp_path / "small.json"
         small.write_text(json.dumps(MODEL_FILE))
-        for model in ("full:2", str(small)):
+        big = tmp_path / "big.json"
+        relcore.save_model(relcore.power(relcore.full_pra(2), 3), str(big))
+        for model in ("full:2", str(small), str(big)):
             for argv in (
                 ["eval", "--model", model, "--formula", "1' <= 1"],
                 ["check", "--model", model, "--suite", "cr_equational", "--sampled", "5"],

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relfork import (
     AlgebraModel,
@@ -22,7 +22,14 @@ from relfork import (
 )
 from relfork import relcore
 
-from helpers import complement_pairs, compose_pairs, converse_pairs, random_pairs
+from helpers import (
+    closure_failure_pairwise,
+    complement_pairs,
+    compose_pairs,
+    converse_pairs,
+    generate_subalgebra_rounds,
+    random_pairs,
+)
 
 
 def pair_sets(n: int):
@@ -133,15 +140,130 @@ class TestModelValidation:
                 identity=identity,
             )
 
-    def test_closure_checked_flag(self, monkeypatch):
-        assert full_pra(2).closure_checked
-        assert generate_subalgebra(2, []).closure_checked
-        assert direct_product(full_pra(1), full_pra(1)).closure_checked
-        # Above the limit a carrier is taken as given, and the model says so.
-        monkeypatch.setattr(relcore, "CLOSURE_CHECK_LIMIT", 2)
-        unit, identity = FiniteRelation.full(2), FiniteRelation.identity(2)
-        model = AlgebraModel(2, [FiniteRelation.empty(2), unit, identity], unit, identity)
-        assert not model.closure_checked
+    def test_atoms(self):
+        for n in range(4):
+            atoms = full_pra(n).atoms
+            assert len(atoms) == n * n and all(atom.count() == 1 for atom in atoms)
+        product = direct_product(full_pra(2), full_pra(2))
+        assert len(product.carrier) == 256 and len(product.atoms) == 8
+        assert {atom.count() for atom in product.atoms} == {1}
+
+
+def relations(n: int):
+    return pair_sets(n).map(lambda pairs: FiniteRelation.from_pairs(n, pairs))
+
+
+PRODUCTS = (
+    direct_product(full_pra(1), full_pra(1)),
+    direct_product(full_pra(1), full_pra(2)),
+    direct_product(full_pra(2), full_pra(1)),
+    power(full_pra(1), 3),
+    direct_product(generate_subalgebra(2, [FiniteRelation.identity(2)]), full_pra(1)),
+)
+
+
+@st.composite
+def partition_algebras(draw, n: int):
+    """All unions of a random partition of a unit holding 1', with 1' a union of blocks.
+
+    When ``paired``, the unit is symmetric and (b, a) lies in the block
+    paired with that of (a, b), so converse maps blocks to blocks.
+    """
+    paired = draw(st.booleans())
+    blocks = {}
+    for a in range(n):
+        blocks.setdefault(("diagonal", draw(st.integers(0, n - 1))), []).append((a, a))
+    for a, b in sorted(draw(pair_sets(n))):
+        if a < b or (a > b and not paired):
+            label = draw(st.integers(0, 3))
+            blocks.setdefault(label, []).append((a, b))
+            if paired:
+                blocks.setdefault(label ^ 1, []).append((b, a))
+    carrier = [set()]
+    for block in blocks.values():
+        carrier += [rel | set(block) for rel in carrier]
+    unit = FiniteRelation.from_pairs(n, carrier[-1])
+    return [FiniteRelation.from_pairs(n, rel) for rel in carrier], unit
+
+
+@st.composite
+def closure_cases(draw, source):
+    """(base, carrier, unit, identity, change) over bases 1 to 3.
+
+    The carrier comes from ``source``, with one element that is not 0, 1
+    or 1' dropped, one foreign element below the unit added, or both.
+    """
+    if source == "partition":
+        n = draw(st.integers(1, 3))
+        carrier, unit = draw(partition_algebras(n))
+    else:
+        if source == "product":
+            model = draw(st.sampled_from(PRODUCTS))
+        elif source == "full":
+            model = full_pra(draw(st.integers(1, 3)))
+        else:
+            n = draw(st.integers(1, 3))
+            model = generate_subalgebra(n, draw(st.lists(relations(n), max_size=2)))
+        n, carrier, unit = model.base_size, model.carrier, model.unit
+    identity = FiniteRelation.identity(n)
+    carrier = list(carrier)
+    change = draw(st.sampled_from(("intact", "drop", "add", "swap")))
+    if change in ("drop", "swap"):
+        droppable = [rel for rel in carrier if rel not in (unit, identity) and rel.count()]
+        if droppable:
+            carrier.remove(draw(st.sampled_from(droppable)))
+    if change in ("add", "swap"):
+        extra = FiniteRelation.from_pairs(n, draw(pair_sets(n))).meet(unit)
+        if extra not in carrier:
+            carrier.append(extra)
+    return n, carrier, unit, identity, change
+
+
+def closure_failure(n, carrier, unit, identity):
+    """The error AlgebraModel raises on the carrier, or None."""
+    try:
+        AlgebraModel(n, carrier, unit, identity)
+    except RelationError as exc:
+        return str(exc)
+    return None
+
+
+class TestAtomsAgainstPairwiseOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(("full", "product", "generated")).flatmap(closure_cases))
+    def test_closure_verdict_matches(self, case):
+        n, carrier, unit, identity, _ = case
+        expected = closure_failure_pairwise(carrier, unit)
+        failure = closure_failure(n, carrier, unit, identity)
+        assert (failure is None) == (expected is None), (expected, failure)
+
+    @settings(max_examples=150, deadline=None)
+    @given(closure_cases("partition"))
+    def test_closure_verdict_matches_on_partition_algebras(self, case):
+        n, carrier, unit, identity, change = case
+        expected = closure_failure_pairwise(carrier, unit)
+        failure = closure_failure(n, carrier, unit, identity)
+        assert (failure is None) == (expected is None), (expected, failure)
+        if change == "intact" and expected is not None:
+            # An intact carrier is a Boolean algebra, so only ; and ^ can fail.
+            assert f"not closed under {expected}" in failure
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(relations(n), max_size=3))),
+        st.sampled_from((4, 64, 600, relcore.MAX_CARRIER)),
+    )
+    # Here compositions alone stop at atoms whose converses are not atoms.
+    @example((4, [FiniteRelation.from_pairs(4, [(1, 2), (3, 0)])]), relcore.MAX_CARRIER)
+    def test_generated_carrier_matches(self, case, cap):
+        n, generators = case
+        expected = generate_subalgebra_rounds(n, generators, cap)
+        if expected is None:
+            with pytest.raises(RelationError, match="exceeds cap"):
+                generate_subalgebra(n, generators, carrier_cap=cap)
+        else:
+            model = generate_subalgebra(n, generators, carrier_cap=cap)
+            assert {rel.rows for rel in model.carrier} == expected
 
 
 class TestIdealsAndClassification:
@@ -191,6 +313,21 @@ class TestGeneratedSubalgebra:
     def test_carrier_cap(self):
         with pytest.raises(RelationError):
             generate_subalgebra(3, [FiniteRelation.from_pairs(3, [(0, 1)])], carrier_cap=8)
+
+    def test_cap_checked_before_any_union(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("a carrier was built before the cap was checked")
+
+        monkeypatch.setattr(relcore, "AlgebraModel", built)
+        monkeypatch.setattr(FiniteRelation, "union", built)
+        generators = [FiniteRelation.from_pairs(4, [(a, a + 1)]) for a in range(3)]
+        with pytest.raises(RelationError, match="exceeds cap 64"):
+            generate_subalgebra(4, generators, carrier_cap=64)
+
+    def test_full_base_four_from_one_cell_generators(self):
+        generators = [FiniteRelation.from_pairs(4, [(a, a + 1)]) for a in range(3)]
+        m = generate_subalgebra(4, generators)
+        assert m.is_full and len(m.carrier) == 1 << 16 and len(m.atoms) == 16
 
 
 class TestSerialization:
