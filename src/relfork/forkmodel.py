@@ -5,11 +5,24 @@ naturals together with its partial inverse ``unstar`` (``None`` exactly
 on urelements, the values outside the range of ``star``).
 
 Relations over this base are lazy: a membership predicate, optionally
-an exact finite support, and optionally a complete successor enumerator
-(``witnesses``).  Operations propagate support and witnesses whenever
-the result stays enumerable; a composition whose left operand offers
-neither a support nor witnesses and whose right operand has no support
-is rejected as undecidable.
+an exact finite support, optionally a complete successor enumerator
+(``witnesses``) and optionally a window ``recipe`` that builds the
+restriction to [0, n) from the operands' windows.  Operations propagate
+support and witnesses whenever the result stays enumerable; a
+composition whose left operand offers neither a support nor witnesses
+and whose right operand has no support is rejected as undecidable.
+
+``window(rel, n)`` takes the first path the relation offers: its
+support, its witnesses (n enumerations), its recipe, and only then n²
+``contains`` calls.  The combinators attach recipes, and so does
+``UNIVERSAL``, so every term of the term language is windowed without
+the n² scan; that scan remains only for bare ``from_predicate``
+relations.  Complement, meet, union and converse are pointwise in their
+operands' windows.  Column b of a fork's window meets column c of r's
+and column d of s's when unstar(b) = (c, d) lies in the window, as it
+does on every default cell of a built pairing; other columns take n
+``contains`` calls.  Row a of a composition whose left operand has
+witnesses ORs the right operand's window rows at a's witnesses.
 
 A control is a binary tree or a projection sequence, and its image is
 a partial function on the naturals: a tree t sends u to
@@ -25,7 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .btree import BT, NIL, Bin, Nil, tree_map
 from .errors import RelforkError
@@ -70,20 +83,20 @@ class LazyRelation:
 
     ``support_hint`` is the exact extension when finite.  ``witnesses``
     enumerates all successors of a left element; when present it is
-    sound and complete for ``contains``.
+    sound and complete for ``contains``.  ``recipe`` maps n to the exact
+    restriction to [0, n), built from other windows.  ``window`` tries
+    them in that order before it falls back to ``contains``.
     """
 
     contains: Callable[[int, int], bool]
     support_hint: Optional[FrozenSet[Pair]] = None
     witnesses: Optional[Callable[[int], Iterable[int]]] = None
+    recipe: Optional[Callable[[int], FiniteRelation]] = None
 
     @classmethod
     def from_support(cls, pairs: Iterable[Pair]) -> "LazyRelation":
         support = frozenset((int(a), int(b)) for a, b in pairs)
-        by_left: Dict[int, Tuple[int, ...]] = {}
-        for a, b in sorted(support):
-            by_left.setdefault(a, ())
-            by_left[a] += (b,)
+        by_left = _successors(support)
         return cls(
             contains=lambda a, b: (a, b) in support,
             support_hint=support,
@@ -99,8 +112,21 @@ class LazyRelation:
         return cls(contains=predicate, witnesses=witnesses)
 
 
+def _successors(pairs: Iterable[Pair]) -> Dict[int, Tuple[int, ...]]:
+    """The sorted successors of every left element, keyed in ascending order."""
+    by_left: Dict[int, List[int]] = {}
+    for a, b in sorted(pairs):
+        by_left.setdefault(a, []).append(b)
+    return {a: tuple(bs) for a, bs in by_left.items()}
+
+
+def _bits(n: int, test: Callable[[int], bool]) -> int:
+    """The bitmask of the i in [0, n) that pass the test: n calls."""
+    return sum(1 << i for i in range(n) if test(i))
+
+
 EMPTY = LazyRelation.from_support(())
-UNIVERSAL = LazyRelation.from_predicate(lambda a, b: True)
+UNIVERSAL = LazyRelation(contains=lambda a, b: True, recipe=FiniteRelation.full)
 IDENTITY = LazyRelation.from_predicate(lambda a, b: a == b, witnesses=lambda a: (a,))
 
 
@@ -116,6 +142,7 @@ def union_rel(r: LazyRelation, s: LazyRelation) -> LazyRelation:
         contains=lambda a, b: r.contains(a, b) or s.contains(a, b),
         support_hint=support,
         witnesses=witnesses,
+        recipe=lambda n: window(r, n).union(window(s, n)),
     )
 
 
@@ -136,18 +163,20 @@ def meet_rel(r: LazyRelation, s: LazyRelation) -> LazyRelation:
         contains=lambda a, b: r.contains(a, b) and s.contains(a, b),
         support_hint=support,
         witnesses=witnesses,
+        recipe=lambda n: window(r, n).meet(window(s, n)),
     )
 
 
 def complement_rel(r: LazyRelation) -> LazyRelation:
     """Complement relative to the universal relation; always co-infinite."""
-    return LazyRelation(contains=lambda a, b: not r.contains(a, b))
+    return LazyRelation(
+        contains=lambda a, b: not r.contains(a, b),
+        recipe=lambda n: window(r, n).complement_in(FiniteRelation.full(n)),
+    )
 
 
 def _compose_pairs(r: FrozenSet[Pair], s: FrozenSet[Pair]) -> FrozenSet[Pair]:
-    by_left: Dict[int, Set[int]] = {}
-    for x, b in s:
-        by_left.setdefault(x, set()).add(b)
+    by_left = _successors(s)
     return frozenset((a, b) for a, x in r for b in by_left.get(x, ()))
 
 
@@ -158,7 +187,9 @@ def _converse_pairs(r: FrozenSet[Pair]) -> FrozenSet[Pair]:
 def converse_rel(r: LazyRelation) -> LazyRelation:
     if r.support_hint is not None:
         return LazyRelation.from_support(_converse_pairs(r.support_hint))
-    return LazyRelation(contains=lambda a, b: r.contains(b, a))
+    return LazyRelation(
+        contains=lambda a, b: r.contains(b, a), recipe=lambda n: window(r, n).converse()
+    )
 
 
 def compose_rel(r: LazyRelation, s: LazyRelation) -> LazyRelation:
@@ -174,14 +205,26 @@ def compose_rel(r: LazyRelation, s: LazyRelation) -> LazyRelation:
             witnesses = lambda a: tuple(
                 dict.fromkeys(b for x in rw(a) for b in sw(x))
             )
-        return LazyRelation(contains=contains, witnesses=witnesses)
+
+        def recipe(n: int) -> FiniteRelation:
+            right = window(s, n).rows
+            rows = []
+            for a in range(n):
+                row = 0
+                for x in rw(a):
+                    row |= right[x] if x < n else _bits(n, lambda b: s.contains(x, b))
+                rows.append(row)
+            return FiniteRelation(n, tuple(rows))
+
+        return LazyRelation(contains=contains, witnesses=witnesses, recipe=recipe)
     if s.support_hint is not None:
-        s_pairs = s.support_hint
-        contains = lambda a, b: any(
-            x_b[1] == b and r.contains(a, x_b[0]) for x_b in s_pairs
-        )
+        s_successors = _successors(s.support_hint)
+        s_predecessors = _successors(_converse_pairs(s.support_hint))
+        contains = lambda a, b: any(r.contains(a, x) for x in s_predecessors.get(b, ()))
         witnesses = lambda a: tuple(
-            dict.fromkeys(b for x, b in sorted(s_pairs) if r.contains(a, x))
+            dict.fromkeys(
+                b for x, bs in s_successors.items() if r.contains(a, x) for b in bs
+            )
         )
         return LazyRelation(contains=contains, witnesses=witnesses)
     raise UndecidableCompositionError()
@@ -201,9 +244,7 @@ def fork(r: LazyRelation, s: LazyRelation, pf: PairingFunction) -> LazyRelation:
 
     support = None
     if r.support_hint is not None and s.support_hint is not None:
-        by_left: Dict[int, Set[int]] = {}
-        for a, y in s.support_hint:
-            by_left.setdefault(a, set()).add(y)
+        by_left = _successors(s.support_hint)
         support = frozenset(
             (a, star(x, y))
             for a, x in r.support_hint
@@ -215,7 +256,27 @@ def fork(r: LazyRelation, s: LazyRelation, pf: PairingFunction) -> LazyRelation:
         witnesses = lambda a: tuple(
             dict.fromkeys(star(x, y) for x in rw(a) for y in sw(a))
         )
-    return LazyRelation(contains=contains, support_hint=support, witnesses=witnesses)
+
+    def recipe(n: int) -> FiniteRelation:
+        # Transposed, so that column b of the fork is one row of ints.
+        r_cols = window(r, n).converse().rows
+        s_cols = window(s, n).converse().rows
+        cols = []
+        for b in range(n):
+            decoded = unstar(b)
+            if decoded is None:
+                cols.append(0)
+                continue
+            x, y = decoded
+            if x < n and y < n:
+                cols.append(r_cols[x] & s_cols[y])
+            else:
+                cols.append(_bits(n, lambda a: r.contains(a, x) and s.contains(a, y)))
+        return FiniteRelation(n, tuple(cols)).converse()
+
+    return LazyRelation(
+        contains=contains, support_hint=support, witnesses=witnesses, recipe=recipe
+    )
 
 
 def projections(pf: PairingFunction) -> Tuple[LazyRelation, LazyRelation]:
@@ -319,23 +380,32 @@ def si_member(a: LazyRelation, bound_rel: LazyRelation) -> bool:
 
 
 def window(rel: LazyRelation, n: int, cap: int = WINDOW_CAP) -> FiniteRelation:
-    """Restriction of rel to [0, n) as a finite relation."""
+    """Restriction of rel to [0, n) as a finite relation.
+
+    Takes the support, else the witnesses, else the recipe, else n²
+    ``contains`` calls.
+    """
     if n > cap:
         raise RelforkError(f"window size {n} exceeds cap {cap}")
+    if n < 0:
+        raise RelforkError(f"window size must be nonnegative, got {n}")
     if rel.support_hint is not None:
         return FiniteRelation.from_pairs(
             n, [(a, b) for a, b in rel.support_hint if a < n and b < n]
         )
     if rel.witnesses is not None:
-        pairs = []
+        rows = []
         for a in range(n):
+            row = 0
             for b in rel.witnesses(a):
                 if 0 <= b < n:
-                    pairs.append((a, b))
-        return FiniteRelation.from_pairs(n, pairs)
-    return FiniteRelation.from_pairs(
-        n, [(a, b) for a in range(n) for b in range(n) if rel.contains(a, b)]
-    )
+                    row |= 1 << b
+            rows.append(row)
+        return FiniteRelation(n, tuple(rows))
+    if rel.recipe is not None:
+        return rel.recipe(n)
+    contains = rel.contains
+    return FiniteRelation(n, tuple(_bits(n, lambda b: contains(a, b)) for a in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +529,7 @@ def cfa_axiom_check(
                     failures1.append(((a, b), "projection pattern disagrees with fork"))
 
         lhs = _compose_pairs(
-            fork(r, s, pf).support_hint, _converse_pairs(fork(t, u, pf).support_hint)
+            forked.support_hint, _converse_pairs(fork(t, u, pf).support_hint)
         )
         rhs = _compose_pairs(r.support_hint, _converse_pairs(t.support_hint)) & _compose_pairs(
             s.support_hint, _converse_pairs(u.support_hint)

@@ -3,7 +3,9 @@
 A relation on base ``[0, n)`` is stored as a tuple of n row bitmasks, so
 membership is one shift and the Boolean operations run word-parallel.
 Composition ORs the rows of the right operand selected by the bits of
-each left row.
+each left row.  Converse walks the pairs of a sparse relation and reads
+the columns of a dense one off a single bit string, so it costs
+O(min(pairs, n²)) steps.
 
 An :class:`AlgebraModel` packages a carrier of relations together with
 its unit, identity and empty element.  ``full_pra(n)`` builds the full
@@ -125,14 +127,20 @@ class FiniteRelation:
         return FiniteRelation(self.base_size, tuple(out))
 
     def converse(self) -> "FiniteRelation":
-        out = [0] * self.base_size
+        n = self.base_size
+        if self.count() * 32 > n * n:
+            # Dense: lay the rows out as one bit string, last row first, so the
+            # stride-n slices are the columns, most significant bit first.
+            cells = "".join(format(row, f"0{n}b") for row in reversed(self.rows))
+            return FiniteRelation(n, tuple(int(cells[i::n], 2) for i in range(n - 1, -1, -1)))
+        out = [0] * n
         for a, row in enumerate(self.rows):
             bit = 1 << a
             while row:
                 low = row & -row
                 out[low.bit_length() - 1] |= bit
                 row ^= low
-        return FiniteRelation(self.base_size, tuple(out))
+        return FiniteRelation(n, tuple(out))
 
     def is_subset(self, other: "FiniteRelation") -> bool:
         self._check_same_base(other)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from relfork import (
     ForkBackend,
@@ -16,6 +17,7 @@ from relfork import (
     PI,
     RHO,
     build_star_basic,
+    build_from_config,
     build_star_proj,
     cantor_pair,
     cantor_unpair,
@@ -33,6 +35,7 @@ from relfork import (
     meet_rel,
     parse_seq,
     parse_term,
+    pretty_term,
     projections,
     seq_symbols,
     si_member,
@@ -44,9 +47,10 @@ from relfork import (
     urelement_relations,
     window,
 )
+from relfork import terms
 from relfork.forkmodel import EMPTY, IDENTITY, UNIVERSAL, random_supported_relation
 
-from helpers import compose_pairs, converse_pairs, fork_pairs, random_pairs
+from helpers import compose_pairs, converse_pairs, fork_pairs, random_pairs, window_by_contains
 
 # The basic star is a bijection (no urelements); the projection-controlled
 # star leaves its reserved partner elements outside the range of star.
@@ -180,6 +184,119 @@ class TestWindow:
         with pytest.raises(ValueError):
             window(IDENTITY, 5000)
         assert window(IDENTITY, 5000, cap=5000).count() == 5000
+
+
+# One pairing of every kind.  The two power controls have their tables built
+# from the shorter root; the tree and the rho.pi chain pin cells whose
+# coordinates lie above small windows (star(2, 0) = 0 and star(6, 3) = 3 on
+# the tree, star(9, 6) = 5 on the chain), so the fork recipe's fallback
+# columns run as well as its default ones.
+RECIPE_PAIRINGS = {
+    "basic": {"kind": "basic", "S": [1, 2]},
+    "tree": {"kind": "tree", "S": [0, 3], "control": "bin (bin nil nil) nil"},
+    "tree-power": {"kind": "tree", "S": [1, 4], "control": "bin (bin nil nil) (bin nil nil)"},
+    "pi": {"kind": "pi", "S": [3, 4]},
+    "rho": {"kind": "rho", "S": [2, 5]},
+    "seq": {"kind": "seq", "S": [0, 5], "control": "rho.pi"},
+    "seq-power": {"kind": "seq", "S": [2], "control": "pi.pi"},
+}
+BUILT = {name: build_from_config(config) for name, config in RECIPE_PAIRINGS.items()}
+
+fork_terms = st.recursive(
+    st.sampled_from([terms.Var("x"), terms.Var("y")])
+    | st.sampled_from(["zero", "one", "id", "pi", "rho", "urid"]).map(terms.Const),
+    lambda sub: st.one_of(
+        sub.map(terms.Complement),
+        sub.map(terms.Converse),
+        st.builds(terms.Union, sub, sub),
+        st.builds(terms.Meet, sub, sub),
+        st.builds(terms.Compose, sub, sub),
+        st.builds(terms.Fork, sub, sub),
+    ),
+    max_leaves=6,
+)
+
+
+def enumerable(t) -> str:
+    """"support", "witnesses" or "none" by the documented propagation rules.
+
+    Raises UndecidableCompositionError where compose_rel must refuse.
+    """
+    if isinstance(t, terms.Var):
+        return "support"
+    if isinstance(t, terms.Const):
+        return {"zero": "support", "one": "none"}.get(t.kind, "witnesses")
+    if isinstance(t, terms.Complement):
+        enumerable(t.arg)
+        return "none"
+    if isinstance(t, terms.Converse):
+        return "support" if enumerable(t.arg) == "support" else "none"
+    left, right = enumerable(t.left), enumerable(t.right)
+    if isinstance(t, terms.Meet):
+        return min(left, right, key=("support", "witnesses", "none").index)
+    if left == right == "support":
+        return "support"
+    if isinstance(t, (terms.Union, terms.Fork)):
+        return "witnesses" if "none" not in (left, right) else "none"
+    if left != "none":
+        return "witnesses" if right != "none" else "none"
+    if right == "support":
+        return "witnesses"
+    raise UndecidableCompositionError()
+
+
+class TestWindowRecipes:
+    """Every window path against n^2 membership tests, on every kind."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(sorted(BUILT)),
+        fork_terms,
+        st.integers(0, 12),
+        st.frozensets(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=10),
+        st.frozensets(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=10),
+    )
+    @example("basic", parse_term("~(pi # rho)"), 12, frozenset(), frozenset())
+    @example("tree", parse_term("1u;1"), 12, frozenset(), frozenset())
+    @example("tree", parse_term("~(pi;1)"), 12, frozenset(), frozenset())
+    @example("basic", parse_term("(~(pi # rho))^"), 12, frozenset(), frozenset())
+    @example("tree", parse_term("1 # ~x"), 5, frozenset(), frozenset({(0, 1)}))
+    @example("seq", parse_term("1 # 1"), 7, frozenset(), frozenset())
+    @example("tree", parse_term("1' # 1"), 5, frozenset(), frozenset())
+    @example("tree", parse_term("pi;1"), 5, frozenset(), frozenset())
+    def test_window_matches_contains_oracle(self, kind, term, n, x, y):
+        env = {"x": LazyRelation.from_support(x), "y": LazyRelation.from_support(y)}
+        backend = ForkBackend(BUILT[kind])
+        try:
+            enumerable(term)
+        except UndecidableCompositionError:
+            with pytest.raises(UndecidableCompositionError):
+                eval_term(term, env, backend)
+            return
+        rel = eval_term(term, env, backend)
+        assert window(rel, n) == window_by_contains(rel, n), pretty_term(term)
+
+    @pytest.mark.parametrize(
+        "text", ["~(pi # rho)", "1u;1", "~(pi;1)", "(~(pi # rho))^", "~pi # rho", "1 # 1"]
+    )
+    def test_recipes_avoid_the_quadratic_scan(self, text):
+        calls = []
+
+        def unstar(u):
+            calls.append(u)
+            return BASIC.unstar(u)
+
+        counted = PairingFunction(star=BASIC.star, unstar=unstar)
+        rel = eval_term(parse_term(text), {}, ForkBackend(counted))
+        n = 64
+        expected = window_by_contains(rel, n)
+        calls.clear()
+        assert window(rel, n) == expected
+        assert len(calls) <= 4 * n
+
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError):
+            window(complement_rel(EMPTY), -1)
 
 
 class TestProjectionRelations:

@@ -77,6 +77,13 @@ class TestFiniteRelation:
         assert set(r.complement_in(unit).pairs()) == complement_pairs(pr, n)
         assert r.is_subset(s) == (pr <= ps)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 2**32 - 1), st.sampled_from([0.005, 0.03, 0.5]))
+    def test_converse_sparse_and_dense(self, n, seed, density):
+        # Below 1/32 of the cells converse walks the pairs, above it the bit string.
+        pr = random_pairs(random.Random(seed), n, density)
+        assert set(FiniteRelation.from_pairs(n, pr).converse().pairs()) == converse_pairs(pr)
+
     def test_compose_example(self):
         r = FiniteRelation.from_pairs(4, [(0, 1), (1, 2)])
         s = FiniteRelation.from_pairs(4, [(1, 3), (2, 0)])
