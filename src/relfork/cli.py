@@ -117,11 +117,11 @@ def _check_counts(args) -> None:
     cap = {"eval": forkmodel.WINDOW_CAP, "fix": FIX_WINDOW_CAP}.get(args.command)
     if cap is not None and args.window > cap:
         raise UsageError(f"--window {args.window} exceeds cap {cap}")
-    for name in ("window", "trials", "support_bound", "urelement_bound"):
+    for name in ("window", "trials", "support_bound", "urelement_bound", "sampled"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
-            flag = "--" + name.replace("_", "-")
-            raise UsageError(f"{flag} must be at least 1, got {value}")
+            what = "sampled count" if name == "sampled" else "--" + name.replace("_", "-")
+            raise UsageError(f"{what} must be at least 1, got {value}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,16 @@ Each operator's precedence, associativity, sorts and spelling are in the
 table ``_OPERATORS``, which both the parser and the printer read.  Text
 may nest at most ``errors.MAX_NESTING`` levels.
 
-Over a finite :class:`~relfork.relcore.AlgebraModel`, evaluation is
+One walk, ``compile_term``/``compile_formula``, turns a term or formula
+into closures over a model's operations: ``const``, ``union``, ``meet``,
+``complement``, ``compose``, ``converse``, ``fork``, ``equal`` and
+``below``.  Over a finite :class:`~relfork.relcore.AlgebraModel` they are
 bitsliced (see ``_Sliced``): a term's value over a batch of assignments
 holds one int per cell, whose bit i says whether the cell is in the value
-under assignment i.  ``check_formula`` runs whole batches, exhaustive or
-seeded, and ``eval_term``/``eval_formula`` run a batch of one.  Any other
-backend object exposing ``const``, ``union``, ``meet``, ``complement``,
-``compose``, ``converse`` and ``fork`` (such as ``ForkBackend``) is
-evaluated through closures built by ``compile_term``/``compile_formula``.
+under assignment i, and a formula's value is one int with a bit per
+assignment.  ``check_formula`` runs whole batches, exhaustive or seeded,
+and ``eval_term``/``eval_formula`` run a batch of one.  Over a pairing
+function the operations are ``ForkBackend``'s, always a batch of one.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from operator import and_, invert, or_, xor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import MAX_NESTING, PositionedError, RelforkError
-from .relcore import AlgebraModel, FiniteRelation, RelationError
+from .relcore import AlgebraModel, FiniteRelation, RelationError, _code, _relation
 
 
 class ParseError(PositionedError):
@@ -392,38 +394,33 @@ def pretty_formula(f) -> str:
     return _pretty_sort(f, _FORMULA)
 
 
+def _nodes(node):
+    """node and every node below it, in pre-order."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        op = _op_of(node)
+        if op is None:
+            continue
+        unary = op.fixity in ("prefix", "postfix")
+        stack.extend((node.arg,) if unary else (node.right, node.left))
+
+
 def free_variables(node) -> Tuple[str, ...]:
-    names: set = set()
-
-    def walk(x) -> None:
-        if isinstance(x, Var):
-            names.add(x.name)
-        elif isinstance(x, (Const,)):
-            return
-        elif isinstance(x, (Complement, Converse, Not)):
-            walk(x.arg)
-        else:
-            walk(x.left)
-            walk(x.right)
-
-    walk(node)
-    return tuple(sorted(names))
+    return tuple(sorted({x.name for x in _nodes(node) if isinstance(x, Var)}))
 
 
 # ---------------------------------------------------------------------------
-# Evaluation against a fork backend
-
-
-def _backend(ops):
-    if all(
-        hasattr(ops, name)
-        for name in ("const", "union", "meet", "complement", "compose", "converse", "fork")
-    ):
-        return ops
-    raise TypeError(f"not an evaluation backend: {ops!r}")
+# Evaluation: one walk, over the operations of either kind of model
 
 
 def compile_term(t, ops) -> Callable[[Dict[str, object]], object]:
+    """Closure env -> value of t, computed by the operations ``ops``.
+
+    ``ops`` is ``_Sliced`` for a finite model or ``ForkBackend``.  A
+    constant the model lacks is refused here, before any evaluation.
+    """
     if isinstance(t, Var):
         name = t.name
 
@@ -435,56 +432,45 @@ def compile_term(t, ops) -> Callable[[Dict[str, object]], object]:
 
         return run_var
     if isinstance(t, Const):
-        value = ops.const(t.kind)
-        return lambda env: value
-    if isinstance(t, Complement):
+        kind, const = t.kind, ops.const
+        const(kind)  # raises for a constant the model lacks
+        return lambda env: const(kind)
+    if isinstance(t, (Complement, Converse)):
         arg = compile_term(t.arg, ops)
-        op = ops.complement
-        return lambda env: op(arg(env))
-    if isinstance(t, Converse):
-        arg = compile_term(t.arg, ops)
-        op = ops.converse
+        op = ops.complement if isinstance(t, Complement) else ops.converse
         return lambda env: op(arg(env))
     binops = {Union: ops.union, Meet: ops.meet, Compose: ops.compose, Fork: ops.fork}
-    for node_type, op in binops.items():
-        if isinstance(t, node_type):
-            left = compile_term(t.left, ops)
-            right = compile_term(t.right, ops)
-            return lambda env, op=op, left=left, right=right: op(left(env), right(env))
-    raise TypeError(f"not a term: {t!r}")
+    op = binops.get(type(t))
+    if op is None:
+        raise TypeError(f"not a term: {t!r}")
+    left, right = compile_term(t.left, ops), compile_term(t.right, ops)
+    return lambda env: op(left(env), right(env))
 
 
-def compile_formula(f, ops) -> Callable[[Dict[str, object]], bool]:
-    if isinstance(f, Eq):
-        left = compile_term(f.left, ops)
-        right = compile_term(f.right, ops)
-        eq = ops.equal
-        return lambda env: eq(left(env), right(env))
-    if isinstance(f, Leq):
-        left = compile_term(f.left, ops)
-        right = compile_term(f.right, ops)
-        below = ops.below
-        return lambda env: below(left(env), right(env))
+def compile_formula(f, ops) -> Callable[[Dict[str, object]], int]:
+    """Closure env -> truth of f: bit i is its truth under assignment i of
+    the batch whose mask is ``ops.full`` (1 for a batch of one)."""
+    if isinstance(f, (Eq, Leq)):
+        left, right = compile_term(f.left, ops), compile_term(f.right, ops)
+        test = ops.equal if isinstance(f, Eq) else ops.below
+        return lambda env: test(left(env), right(env))
     if isinstance(f, Not):
         arg = compile_formula(f.arg, ops)
-        return lambda env: not arg(env)
+        return lambda env: ops.full ^ arg(env)
+    if not isinstance(f, (And, Or, Implies)):
+        raise TypeError(f"not a formula: {f!r}")
+    left, right = compile_formula(f.left, ops), compile_formula(f.right, ops)
+    # The right operand runs only where the left one leaves the batch
+    # undecided, so a batch of one short-circuits as Python does.
     if isinstance(f, And):
-        left = compile_formula(f.left, ops)
-        right = compile_formula(f.right, ops)
-        return lambda env: left(env) and right(env)
+        return lambda env: (m := left(env)) and m & right(env)
     if isinstance(f, Or):
-        left = compile_formula(f.left, ops)
-        right = compile_formula(f.right, ops)
-        return lambda env: left(env) or right(env)
-    if isinstance(f, Implies):
-        left = compile_formula(f.left, ops)
-        right = compile_formula(f.right, ops)
-        return lambda env: (not left(env)) or right(env)
-    raise TypeError(f"not a formula: {f!r}")
+        return lambda env: m if (m := left(env)) == ops.full else m | right(env)
+    return lambda env: (ops.full ^ m) | right(env) if (m := left(env)) else ops.full
 
 
 # ---------------------------------------------------------------------------
-# Bitsliced evaluation over a finite model
+# Bitsliced operations over a finite model
 
 # A batch's term values take at most this many bits: width * n * n.
 SLICE_BITS = 1 << 22
@@ -493,9 +479,9 @@ SAMPLE_BATCH = 1 << 12
 
 
 def _cell_text(rel: FiniteRelation) -> str:
-    """The cells of rel as '0'/'1' characters, cell (a, b) at index a * n + b."""
-    n = rel.base_size
-    return "".join(format(row, f"0{n}b")[::-1] for row in rel.rows)
+    """The cells of rel as '0'/'1' characters, in the order of relcore's cell code."""
+    # The leading 1 keeps the width of an empty code.
+    return bin(_code(rel) | 1 << rel.base_size**2)[3:][::-1]
 
 
 def _cells(text: str, full: int) -> List[int]:
@@ -503,30 +489,21 @@ def _cells(text: str, full: int) -> List[int]:
     return [full if bit == "1" else 0 for bit in text]
 
 
-def _compose_cells(v: List[int], w: List[int], n: int) -> List[int]:
-    columns = [w[c::n] for c in range(n)]
-    return [
-        reduce(or_, map(and_, v[a * n : a * n + n], column), 0)
-        for a in range(n)
-        for column in columns
-    ]
-
-
 class _Sliced:
-    """Terms and formulas over a batch of assignments to a finite model.
+    """The operations of a finite model over a batch of assignments.
 
-    A term's value is a list of n * n ints, one per cell (a, b) at index
-    a * n + b; bit i of a cell says whether (a, b) is in the value under
-    assignment i.  A formula's value is one int whose bit i is its truth
-    under assignment i.  Compiled code is called as ``run(env, full)``,
-    where ``env`` maps names to cell lists and ``full`` has one bit per
-    assignment of the batch.
+    A term's value is a list of n * n ints, one per cell in the order of
+    relcore's cell code; bit i of a cell says whether it is in the value
+    under assignment i.  ``equal`` and ``below`` give one int whose bit i
+    is the comparison under assignment i.  ``full`` has one bit per
+    assignment of the current batch and is set before each batch runs.
     """
 
     def __init__(self, model: AlgebraModel):
         n = model.base_size
         self.n = n
         self.model = model
+        self.full = 1
         self.consts = {
             "zero": "0" * (n * n),
             "one": _cell_text(model.unit),
@@ -536,94 +513,63 @@ class _Sliced:
         self.width_cap = max(1, SLICE_BITS // max(1, n * n))
         self._members: Optional[List[str]] = None
 
+    def const(self, kind: str) -> List[int]:
+        text = self.consts.get(kind)
+        if text is None:
+            raise NoForkStructureError(f"constant {_CONST_TEXT[kind]!r}")
+        return _cells(text, self.full)
+
+    @staticmethod
+    def union(v: List[int], w: List[int]) -> List[int]:
+        return list(map(or_, v, w))
+
+    @staticmethod
+    def meet(v: List[int], w: List[int]) -> List[int]:
+        return list(map(and_, v, w))
+
+    def complement(self, v: List[int]) -> List[int]:
+        full = self.full
+        return [full ^ x if u == "1" else 0 for u, x in zip(self.consts["one"], v)]
+
+    def compose(self, v: List[int], w: List[int]) -> List[int]:
+        n = self.n
+        columns = [w[c::n] for c in range(n)]
+        return [
+            reduce(or_, map(and_, v[a * n : a * n + n], column), 0)
+            for a in range(n)
+            for column in columns
+        ]
+
+    def converse(self, v: List[int]) -> List[int]:
+        return list(map(v.__getitem__, self.transpose))
+
+    def fork(self, v: List[int], w: List[int]):
+        raise NoForkStructureError("fork")
+
+    def equal(self, v: List[int], w: List[int]) -> int:
+        return self.full ^ reduce(or_, map(xor, v, w), 0)
+
+    def below(self, v: List[int], w: List[int]) -> int:
+        return self.full ^ reduce(or_, map(and_, v, map(invert, w)), 0)
+
     def relation(self, cells: List[int]) -> FiniteRelation:
         """The relation of a width-1 value."""
-        n = self.n
-        rows = tuple(sum(cells[a * n + b] << b for b in range(n)) for a in range(n))
-        return FiniteRelation(n, rows)
+        return _relation(self.n, sum(bit << q for q, bit in enumerate(cells)))
 
-    def column(self, indices: Sequence[int], stretch: int = 1, reps: int = 1, full: int = 1):
+    def column(self, indices: Sequence[int], stretch: int = 1, reps: int = 1):
         """A variable taking carrier[indices[d]] on bits [d*stretch, (d+1)*stretch).
 
-        The pattern is tiled ``reps`` times; a single index gives a constant.
+        The pattern is tiled ``reps`` times; a single index gives a
+        constant over the current batch.
         """
         if self._members is None:
             self._members = [_cell_text(rel) for rel in self.model.carrier]
         if len(indices) == 1:
-            return _cells(self._members[indices[0]], full)
+            return _cells(self._members[indices[0]], self.full)
         text = "".join(map(self._members.__getitem__, reversed(indices)))
         widen = {ord("0"): "0" * stretch, ord("1"): "1" * stretch}
         nn = self.n * self.n
         return [int(text[q::nn].translate(widen) * reps, 2) for q in range(nn)]
-
-    def term(self, t) -> Callable[[Dict[str, List[int]], int], List[int]]:
-        if isinstance(t, Var):
-            name = t.name
-
-            def run_var(env, full):
-                try:
-                    return env[name]
-                except KeyError:
-                    raise UnboundVariableError(name) from None
-
-            return run_var
-        if isinstance(t, Const):
-            text = self.consts.get(t.kind)
-            if text is None:
-                raise NoForkStructureError(f"constant {_CONST_TEXT[t.kind]!r}")
-            return lambda env, full: _cells(text, full)
-        if isinstance(t, Complement):
-            arg, unit = self.term(t.arg), self.consts["one"]
-            return lambda env, full: [
-                full ^ x if u == "1" else 0 for u, x in zip(unit, arg(env, full))
-            ]
-        if isinstance(t, Converse):
-            arg, transpose = self.term(t.arg), self.transpose
-            return lambda env, full: list(map(arg(env, full).__getitem__, transpose))
-        left, right, n = self.term(t.left), self.term(t.right), self.n
-        if isinstance(t, Union):
-            return lambda env, full: list(map(or_, left(env, full), right(env, full)))
-        if isinstance(t, Meet):
-            return lambda env, full: list(map(and_, left(env, full), right(env, full)))
-        if isinstance(t, Compose):
-            return lambda env, full: _compose_cells(left(env, full), right(env, full), n)
-        if isinstance(t, Fork):
-
-            def run_fork(env, full):
-                left(env, full)
-                right(env, full)
-                raise NoForkStructureError("fork")
-
-            return run_fork
-        raise TypeError(f"not a term: {t!r}")
-
-    def formula(self, f) -> Callable[[Dict[str, List[int]], int], int]:
-        if isinstance(f, (Eq, Leq)):
-            left, right = self.term(f.left), self.term(f.right)
-            if isinstance(f, Eq):
-                return lambda env, full: full ^ reduce(
-                    or_, map(xor, left(env, full), right(env, full)), 0
-                )
-            return lambda env, full: full ^ reduce(
-                or_, map(and_, left(env, full), map(invert, right(env, full))), 0
-            )
-        if isinstance(f, Not):
-            arg = self.formula(f.arg)
-            return lambda env, full: full ^ arg(env, full)
-        left, right = self.formula(f.left), self.formula(f.right)
-        # The right operand runs only where the left one leaves the batch
-        # undecided, so a width-1 batch short-circuits as Python does.
-        if isinstance(f, And):
-            return lambda env, full: (m := left(env, full)) and m & right(env, full)
-        if isinstance(f, Or):
-            return lambda env, full: (
-                m if (m := left(env, full)) == full else m | right(env, full)
-            )
-        if isinstance(f, Implies):
-            return lambda env, full: (
-                (full ^ m) | right(env, full) if (m := left(env, full)) else full
-            )
-        raise TypeError(f"not a formula: {f!r}")
 
     def env(self, env: Dict[str, FiniteRelation]) -> Dict[str, List[int]]:
         """A width-1 batch of one assignment of relations."""
@@ -637,15 +583,15 @@ def eval_term(t, env: Dict[str, object], model):
     """Evaluate a term against a finite model or a fork backend."""
     if isinstance(model, AlgebraModel):
         sliced = _Sliced(model)
-        return sliced.relation(sliced.term(t)(sliced.env(env), 1))
-    return compile_term(t, _backend(model))(env)
+        return sliced.relation(compile_term(t, sliced)(sliced.env(env)))
+    return compile_term(t, model)(env)
 
 
 def eval_formula(f, env: Dict[str, object], model) -> bool:
     if isinstance(model, AlgebraModel):
         sliced = _Sliced(model)
-        return sliced.formula(f)(sliced.env(env), 1) == 1
-    return compile_formula(f, _backend(model))(env)
+        return compile_formula(f, sliced)(sliced.env(env)) == 1
+    return compile_formula(f, model)(env) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +676,7 @@ def check_formula(
         formula = parse_formula(formula)
     names = free_variables(formula)
     sliced = _Sliced(model)
-    run = sliced.formula(formula)
+    run = compile_formula(formula, sliced)
     carrier = model.carrier
     text = pretty_formula(formula)
 
@@ -742,18 +688,18 @@ def check_formula(
             width = 1
             for indices in ranges:
                 width *= len(indices)
-            full = (1 << width) - 1
+            full = sliced.full = (1 << width) - 1
             env, stretch = {}, width
             for j, (name, indices) in enumerate(zip(names, ranges)):
                 stretch //= len(indices)
                 if len(indices) == 1:
-                    env[name] = sliced.column(indices, full=full)
+                    env[name] = sliced.column(indices)
                     continue
                 if (j, indices) not in columns:
                     reps = width // (stretch * len(indices))
                     columns[j, indices] = sliced.column(indices, stretch, reps)
                 env[name] = columns[j, indices]
-            failure = _first_failure(run(env, full), full)
+            failure = _first_failure(run(env), full)
             if failure is not None:
                 digits, rest = [], failure
                 for indices in reversed(ranges):
@@ -776,12 +722,12 @@ def check_formula(
         checked = 0
         while checked < count:
             width = min(count - checked, SAMPLE_BATCH, sliced.width_cap)
-            full = (1 << width) - 1
+            full = sliced.full = (1 << width) - 1
             drawn = [draw(size) for _ in range(width * nvars)]
             env = {
-                name: sliced.column(drawn[j::nvars], full=full) for j, name in enumerate(names)
+                name: sliced.column(drawn[j::nvars]) for j, name in enumerate(names)
             }
-            failure = _first_failure(run(env, full), full)
+            failure = _first_failure(run(env), full)
             if failure is not None:
                 trial = drawn[failure * nvars : (failure + 1) * nvars]
                 counterexample = {name: carrier[i] for name, i in zip(names, trial)}

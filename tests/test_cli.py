@@ -297,6 +297,26 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--model", "full:1", "--formula", "pi = pi")
         assert code == 2 and "no-fork-structure" in err
 
+    @pytest.mark.parametrize(
+        "formula, want",
+        [
+            ("x = x \\/ pi = pi", 2),
+            ("x # pi = 0", 2),
+            ("1' = 1' \\/ x # y = 0", 0),
+            ("!(1' = 1') -> x # y = 0", 0),
+        ],
+    )
+    def test_fork_structure_refused_only_where_evaluated(self, capsys, formula, want):
+        # A fork constant is refused before evaluation even where an unbound
+        # variable or a decided disjunct comes first; a fork operator only
+        # where it runs.
+        code, out, err = run(capsys, "eval", "--model", "full:1", "--formula", formula)
+        assert code == want
+        if want == 2:
+            assert "error: no-fork-structure" in err and out == ""
+        else:
+            assert out.strip().endswith("true")
+
     def test_undecidable_composition(self, capsys):
         code, _, err = run(
             capsys, "eval", "--star", "basic", "--S", "1",
@@ -478,6 +498,17 @@ class TestCountChecks:
         assert "error:" in err and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("model", ["full:4", "missing.json"])
+    def test_sampled_count_rejected_before_the_model_loads(self, capsys, monkeypatch, model):
+        def unreachable(spec):
+            raise AssertionError("model loaded before the count checks")
+
+        monkeypatch.setattr(relcore, "full_pra", unreachable)
+        monkeypatch.setattr(relcore, "load_model", unreachable)
+        code, out, err = run(capsys, *CHECK_MODEL, model, "--sampled", "0")
+        assert code == 2 and out == ""
+        assert "error: sampled count must be at least 1, got 0" in err
+
 
 class TestArgumentErrors:
     def test_unknown_suite(self, capsys):
@@ -532,6 +563,8 @@ MALFORMED = {
     "formula-3000-converses": (None, [*EVAL_FULL1, "x" + "^" * 3000 + " = 0"]),
     "formula-3000-conjuncts": (None, [*EVAL_FULL1, " /\\ ".join(["x = 0"] * 3000)]),
     "formula-3000-implications": (None, [*EVAL_FULL1, " -> ".join(["x = 0"] * 3000)]),
+    "check-missing-model-sampled-0": (None, [*CHECK_MODEL, "missing.json", "--sampled", "0"]),
+    "check-full4-sampled-0": (None, [*CHECK_MODEL, "full:4", "--sampled", "0"]),
     "formula-non-ascii-name": (None, [*EVAL_FULL1, "ǆ = 0"]),
     "formula-non-ascii-digit": (None, [*EVAL_FULL1, "x² = 0"]),
     "tree-3000-parens": (None, [*TREE_STAR, "(" * 3000 + "nil" + ")" * 3000]),

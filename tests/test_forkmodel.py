@@ -493,6 +493,21 @@ class TestCfaAxiomCheck:
         report = cfa_axiom_check(broken, support_bound=16, trials=20, seed=3)
         assert not report.all_passed
 
+    def test_pattern_beyond_the_star_built_support_fails(self):
+        # unstar decodes every odd w to (0, 0), but star(0, 0) = 0: the
+        # projection pattern holds at (a, w) where the fork's support,
+        # built through star, has no pair.  Only the probes can see it.
+        broken = PairingFunction(
+            star=lambda x, y: 2 * cantor_pair(x, y),
+            unstar=lambda w: (0, 0) if w % 2 else cantor_unpair(w // 2),
+        )
+        report = cfa_axiom_check(broken, support_bound=4, trials=50, urelement_bound=50)
+        cfa1 = {r.name: r for r in report.results}["cfa1"]
+        assert not cfa1.passed
+        (a, w), message = cfa1.witness
+        assert message == "projection pattern disagrees with fork"
+        assert w % 2 == 1
+
     def test_random_supported_relation_bounds(self):
         rng = random.Random(0)
         for _ in range(20):

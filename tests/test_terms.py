@@ -15,7 +15,9 @@ from relfork import (
     EvalError,
     FiniteRelation,
     Fork,
+    ForkBackend,
     Implies,
+    LazyRelation,
     Leq,
     Meet,
     NoForkStructureError,
@@ -23,9 +25,11 @@ from relfork import (
     Or,
     ParseError,
     UnboundVariableError,
+    UndecidableCompositionError,
     Union,
     Var,
     axiom_suite,
+    build_star_basic,
     check_formula,
     direct_product,
     eval_formula,
@@ -217,6 +221,28 @@ class TestEvaluation:
             eval_term(parse_term("pi"), {}, model)
         with pytest.raises(NoForkStructureError):
             eval_term(parse_term("x # y"), {"x": model.unit, "y": model.unit}, model)
+
+    @pytest.mark.parametrize("text", ["x = x \\/ pi = pi", "x # pi = 0"])
+    def test_fork_constant_refused_before_evaluation(self, text):
+        # x is unbound in eval and the left disjunct would decide check, yet
+        # the constant is refused first, before any evaluation.
+        with pytest.raises(NoForkStructureError):
+            eval_formula(parse_formula(text), {}, full_pra(1))
+        with pytest.raises(NoForkStructureError):
+            check_formula(text, full_pra(1))
+
+    @pytest.mark.parametrize("text", ["1' = 1' \\/ x # y = 0", "!(1' = 1') -> x # y = 0"])
+    def test_decided_formula_skips_fork_on_finite_model(self, text):
+        assert eval_formula(parse_formula(text), {}, full_pra(1)) is True
+
+    @pytest.mark.parametrize("text", ["1' = 1' \\/ x;y = 0", "!(1' = 1') -> x;y = 0"])
+    def test_decided_formula_skips_composition_over_fork_backend(self, text):
+        predicate = LazyRelation(contains=lambda a, b: a <= b)
+        env = {"x": predicate, "y": predicate}
+        backend = ForkBackend(build_star_basic([1, 2]), window=16)
+        assert eval_formula(parse_formula(text), env, backend) is True
+        with pytest.raises(UndecidableCompositionError):
+            eval_formula(parse_formula("x;y = 0"), env, backend)
 
 
 class TestCheckFormula:
