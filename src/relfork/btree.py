@@ -13,32 +13,32 @@ families used by the tree-controlled construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, FrozenSet, Tuple, TypeVar, Union
 
 from .errors import MAX_NESTING, PositionedError, RelforkError
+from .node import Node
 
 
 class TreeSyntaxError(PositionedError):
     """Raised on malformed tree text; carries the offending position."""
 
 
-@dataclass(frozen=True)
-class Nil:
+class Nil(Node):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "nil"
 
 
-@dataclass(frozen=True)
-class Hole:
+class Hole(Node):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "_"
 
 
-@dataclass(frozen=True)
-class Bin:
-    left: "BTC"
-    right: "BTC"
+class Bin(Node):
+    __slots__ = ("left", "right")
 
     def __repr__(self) -> str:
         return f"(bin {self.left!r} {self.right!r})"

@@ -17,19 +17,26 @@ Subcommands:
 
 All randomness is seeded; stdout for a fixed seed is byte-stable.  The
 elapsed wall time goes to stderr so it never disturbs captured output.
+
+Every run is a fresh process, so each command imports only what it uses:
+the pairing modules (``forkmodel``, ``constructions``) and ``hashlib``
+load on the branches that build or read a pairing, never for a finite
+model.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from . import constructions, forkmodel, relcore, terms
+from . import relcore, terms
 from .errors import RelforkError
+
+if TYPE_CHECKING:
+    from . import forkmodel
 
 FIX_WINDOW_CAP = 1 << 20
 
@@ -51,14 +58,19 @@ def _parse_members(text: Optional[str]) -> Tuple[int, ...]:
         raise UsageError(f"bad member list {text!r}: {exc}") from None
 
 
+def _full_base(spec: str) -> Optional[int]:
+    """N for the spec ``full:N``, None for a model file path."""
+    if not spec.startswith("full:"):
+        return None
+    try:
+        return int(spec.split(":", 1)[1])
+    except ValueError:
+        raise UsageError(f"bad model spec {spec!r}; expected full:N or a path") from None
+
+
 def _resolve_model(spec: str) -> relcore.AlgebraModel:
-    if spec.startswith("full:"):
-        try:
-            n = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"bad model spec {spec!r}; expected full:N or a path") from None
-        return relcore.full_pra(n)
-    return relcore.load_model(spec)
+    n = _full_base(spec)
+    return relcore.load_model(spec) if n is None else relcore.full_pra(n)
 
 
 def _read_json_object(path: str, what: str) -> Dict:
@@ -95,6 +107,10 @@ def _canonical_config(config: Dict) -> str:
 
 
 def _resolve_star(args) -> Tuple[forkmodel.PairingFunction, Dict, str]:
+    import hashlib
+
+    from . import constructions
+
     config = _star_config(args)
     pf = constructions.build_from_config(config)
     canonical = _canonical_config(config)
@@ -114,7 +130,9 @@ def _star_name(config: Dict) -> str:
 
 def _check_counts(args) -> None:
     """Reject windows and counts outside their range before any work starts."""
-    cap = {"eval": forkmodel.WINDOW_CAP, "fix": FIX_WINDOW_CAP}.get(args.command)
+    cap = FIX_WINDOW_CAP if args.command == "fix" else None
+    if args.command == "eval":
+        from .forkmodel import WINDOW_CAP as cap
     if cap is not None and args.window > cap:
         raise UsageError(f"--window {args.window} exceeds cap {cap}")
     for name in ("window", "trials", "support_bound", "urelement_bound", "sampled"):
@@ -136,11 +154,17 @@ def _cmd_check(args) -> Tuple[Dict, int]:
             raise UsageError(
                 f"suite {suite!r} needs a pairing function target; use --star"
             )
-        model = _resolve_model(args.model)
         texts = terms.AXIOM_TEXTS[suite]
         formulas = [terms.parse_formula(text) for text in texts]
+        # A full:N carrier's size follows from N, so an oversized space is
+        # refused before the model is built; a model file must be read first.
+        n = _full_base(args.model)
+        model = relcore.load_model(args.model) if n is None else None
+        size = relcore.full_carrier_size(n) if model is None else len(model.carrier)
         if strategy == "exhaustive":
-            terms.check_budget(formulas, model)
+            terms.check_budget(formulas, size)
+        if model is None:
+            model = relcore.full_pra(n)
         results = []
         all_valid = True
         for text, formula in zip(texts, formulas):
@@ -166,6 +190,8 @@ def _cmd_check(args) -> Tuple[Dict, int]:
 
     if suite not in ("cfa", "cfau"):
         raise UsageError(f"suite {suite!r} needs a finite model target; use --model")
+    from . import forkmodel
+
     pf, config, digest = _resolve_star(args)
     report = forkmodel.cfa_axiom_check(
         pf,
@@ -212,6 +238,8 @@ def _cmd_eval(args) -> Tuple[Dict, int]:
         mode = "exact"
         target = f"model:{args.model}"
     else:
+        from . import forkmodel
+
         pf, config, _ = _resolve_star(args)
         env = {
             name: forkmodel.LazyRelation.from_support(pairs)
@@ -232,6 +260,8 @@ def _cmd_eval(args) -> Tuple[Dict, int]:
 
 
 def _cmd_fix(args) -> Tuple[Dict, int]:
+    from . import forkmodel
+
     pf, config, digest = _resolve_star(args)
     layout = pf.meta
     fixpoints = forkmodel.fix_members(pf, range(args.window), layout.control)
@@ -249,6 +279,8 @@ def _cmd_fix(args) -> Tuple[Dict, int]:
 
 
 def _cmd_build(args) -> Tuple[Dict, int]:
+    from . import constructions
+
     pf, config, digest = _resolve_star(args)
     payload = constructions.layout_report(pf)
     payload["config"] = config

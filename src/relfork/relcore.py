@@ -280,8 +280,8 @@ class AlgebraModel:
         )
 
 
-def full_pra(n: int) -> AlgebraModel:
-    """The full proper relation algebra over a base of n elements."""
+def full_carrier_size(n: int) -> int:
+    """The carrier size of ``full_pra(n)``, 2**(n*n); refuses what it refuses."""
     if n < 0:
         raise RelationError("base size must be nonnegative")
     if n > MAX_FULL_PRA_BASE:
@@ -289,9 +289,15 @@ def full_pra(n: int) -> AlgebraModel:
             f"full_pra base {n} exceeds cap {MAX_FULL_PRA_BASE} "
             f"(carrier would have 2**{n * n} elements)"
         )
+    return 1 << (n * n)
+
+
+def full_pra(n: int) -> AlgebraModel:
+    """The full proper relation algebra over a base of n elements."""
+    size = full_carrier_size(n)
     return AlgebraModel(
         n,
-        [_relation(n, code) for code in range(1 << (n * n))],
+        [_relation(n, code) for code in range(size)],
         unit=FiniteRelation.full(n),
         identity=FiniteRelation.identity(n),
         is_full=True,

@@ -12,10 +12,10 @@ spells a root-to-nil path of the tree (pi descends left, rho right).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple, Union
 
 from .errors import PositionedError, RelforkError
+from .node import Node
 
 PI = "pi"
 RHO = "rho"
@@ -31,23 +31,20 @@ def _check_symbol(star: str) -> None:
         raise RelforkError(f"projection symbol must be 'pi' or 'rho', got {star!r}")
 
 
-@dataclass(frozen=True)
-class Elem:
-    star: str
+class Elem(Node):
+    __slots__ = ("star",)
 
-    def __post_init__(self):
+    def _check(self) -> None:
         _check_symbol(self.star)
 
     def __repr__(self) -> str:
         return self.star
 
 
-@dataclass(frozen=True)
-class Cons:
-    star: str
-    rest: "Seq"
+class Cons(Node):
+    __slots__ = ("star", "rest")
 
-    def __post_init__(self):
+    def _check(self) -> None:
         _check_symbol(self.star)
 
     def __repr__(self) -> str:

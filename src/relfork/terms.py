@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import itertools
 import random
-import string
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, invert, or_, xor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import MAX_NESTING, PositionedError, RelforkError
+from .node import Node
 from .relcore import AlgebraModel, FiniteRelation, RelationError, _code, _relation
 
 
@@ -58,86 +57,63 @@ class NoForkStructureError(EvalError):
 # Abstract syntax
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Const:
-    kind: str  # zero | one | id | pi | rho | urid
+class Const(Node):
+    __slots__ = ("kind",)  # zero | one | id | pi | rho | urid
 
 
-@dataclass(frozen=True)
-class Union:
-    left: "Term"
-    right: "Term"
+class Union(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Meet:
-    left: "Term"
-    right: "Term"
+class Meet(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Complement:
-    arg: "Term"
+class Complement(Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Compose:
-    left: "Term"
-    right: "Term"
+class Compose(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Converse:
-    arg: "Term"
+class Converse(Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Fork:
-    left: "Term"
-    right: "Term"
+class Fork(Node):
+    __slots__ = ("left", "right")
 
 
 Term = "Var | Const | Union | Meet | Complement | Compose | Converse | Fork"
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: "Term"
-    right: "Term"
+class Eq(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Leq:
-    left: "Term"
-    right: "Term"
+class Leq(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Not:
-    arg: "Formula"
+class Not(Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Or(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Implies(Node):
+    __slots__ = ("left", "right")
 
 
 Formula = "Eq | Leq | Not | And | Or | Implies"
@@ -148,14 +124,15 @@ _CONST_TEXT = {kind: text for text, kind in _CONST_TOKENS.items()}
 _TERM, _FORMULA = "term", "formula"
 
 
-@dataclass(frozen=True)
-class _Op:
-    node: type
-    level: int
-    fixity: str  # prefix | postfix | left | right (associativity of a binary operator)
-    spelling: str  # as printed; without spaces it is the token
-    takes: str  # sort of the operands
-    gives: str  # sort of the result
+class _Op(Node):
+    __slots__ = (
+        "node",
+        "level",
+        "fixity",  # prefix | postfix | left | right (associativity of a binary operator)
+        "spelling",  # as printed; without spaces it is the token
+        "takes",  # sort of the operands
+        "gives",  # sort of the result
+    )
 
 
 # Every operator, loosest first.  An operand binds at the operator's level or
@@ -200,8 +177,8 @@ def _sort(node) -> str:
 
 
 # Names are ASCII: [a-z][a-z0-9_]*.
-_NAME_START = frozenset(string.ascii_lowercase)
-_NAME_CHARS = _NAME_START | frozenset(string.digits + "_")
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyz")
+_NAME_CHARS = _NAME_START | frozenset("0123456789_")
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -598,13 +575,11 @@ def eval_formula(f, env: Dict[str, object], model) -> bool:
 # Formula checking over finite models
 
 
-@dataclass
-class CheckReport:
-    formula: str
-    strategy: str
-    valid: bool
-    checked: int
-    counterexample: Optional[Dict[str, FiniteRelation]]
+class CheckReport(Node):
+    """The verdict on one formula: ``checked`` counts the assignments
+    evaluated, and ``counterexample`` is the first failing one or None."""
+
+    __slots__ = ("formula", "strategy", "valid", "checked", "counterexample")
 
     def counterexample_text(self) -> Optional[Dict[str, list]]:
         if self.counterexample is None:
@@ -617,10 +592,10 @@ class CheckReport:
 DEFAULT_ASSIGNMENT_CAP = 1 << 27
 
 
-def check_budget(formulas, model: AlgebraModel, assignment_cap: Optional[int] = None) -> None:
-    """Refuse, before any work, a formula whose assignment space exceeds the cap."""
+def check_budget(formulas, size: int, assignment_cap: Optional[int] = None) -> None:
+    """Refuse, before any work, a formula whose assignment space over a
+    carrier of ``size`` elements exceeds the cap."""
     cap = DEFAULT_ASSIGNMENT_CAP if assignment_cap is None else assignment_cap
-    size = len(model.carrier)
     for formula in formulas:
         nvars = len(free_variables(formula))
         if size**nvars > cap:
@@ -681,7 +656,7 @@ def check_formula(
     text = pretty_formula(formula)
 
     if strategy == "exhaustive":
-        check_budget([formula], model, assignment_cap)
+        check_budget([formula], len(carrier), assignment_cap)
         columns: Dict[Tuple[int, range], List[int]] = {}
         checked = 0
         for ranges in _exhaustive_batches(sliced, len(names)):

@@ -94,6 +94,24 @@ class TestCheckModel:
         code, _, err = run(capsys, "check", "--model", "full:9", "--suite", "cr_tarski")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("full:4", "assignment space 65536**3 exceeds cap 134217728; use a sampled strategy"),
+            ("full:5", "full_pra base 5 exceeds cap 4 (carrier would have 2**25 elements)"),
+        ],
+    )
+    def test_oversized_space_refused_before_the_model_is_built(
+        self, capsys, monkeypatch, spec, message
+    ):
+        def unreachable(n):
+            raise AssertionError("full_pra called for a refused check")
+
+        monkeypatch.setattr(relcore, "full_pra", unreachable)
+        code, out, err = run(capsys, "check", "--model", spec, "--suite", "cr_equational")
+        assert code == 2 and out == ""
+        assert f"error: {message}" in err
+
     def test_suite_budget_checked_before_any_axiom(self, capsys, monkeypatch):
         # cr_tarski opens with 2-variable axioms, which fit 512**2; its
         # 3-variable axioms do not, and no axiom may run before that is known.

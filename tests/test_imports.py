@@ -1,0 +1,66 @@
+"""Start-up footprint: the modules each entry point loads in a fresh process.
+
+Every CLI run is a new interpreter, so what a command imports is part of
+its wall time.  Each check subtracts the modules a bare interpreter
+already holds (``site`` may pull in some of the standard library).
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import relfork
+
+SRC = str(Path(relfork.__file__).resolve().parents[1])
+MARK = "modules:"
+
+
+def new_modules(code: str) -> set:
+    """Modules loaded by running code in a fresh interpreter, less a bare one's."""
+
+    def loaded(prefix: str) -> set:
+        probe = f"{prefix}\nimport sys\nprint({MARK!r}, *sorted(sys.modules))"
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        line = next(x for x in done.stdout.splitlines() if x.startswith(MARK))
+        return set(line.split()[1:])
+
+    return loaded(code) - loaded("")
+
+
+def test_import_package_loads_no_submodule():
+    loaded = new_modules("import relfork")
+    assert "relfork" in loaded
+    assert not {name for name in loaded if name.startswith("relfork.")}
+
+
+def test_check_model_loads_no_pairing_code():
+    loaded = new_modules(
+        "from relfork.cli import main\n"
+        "assert main(['check', '--model', 'full:2', '--suite', 'cr_equational']) == 0"
+    )
+    assert {"relfork.cli", "relfork.relcore", "relfork.terms"} <= loaded
+    assert not loaded & {"relfork.forkmodel", "relfork.constructions", "dataclasses", "hashlib"}
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from relfork import *", namespace)
+    assert len(relfork.__all__) == 116
+    for name in relfork.__all__:
+        assert namespace[name] is getattr(relfork, name)
+    assert set(relfork.__all__) <= set(dir(relfork))
+
+
+def test_each_name_comes_from_its_submodule():
+    for name, module in relfork._HOME.items():
+        assert getattr(relfork, name) is getattr(getattr(relfork, module), name)
+    assert relfork.terms.Var is relfork.Var
