@@ -33,8 +33,8 @@ _EXPORTS = {
         NoFiniteSupportError PairingFunction UndecidableCompositionError
         cfa_axiom_check complement_rel compose_rel conjugate converse_rel
         fix_members fix_proj_members fix_seq_members fix_tree_members fork
-        meet_rel projections si_member transport underline_seq underline_tree
-        union_rel urelement_relations window""",
+        meet_rel projections si_member transport underline union_rel
+        urelement_relations window""",
     "constructions": """ConstructionError ConstructionLayout build_from_config
         build_star_basic build_star_proj build_star_seq build_star_tree
         cantor_pair cantor_unpair layout_report""",

@@ -21,7 +21,8 @@ elapsed wall time goes to stderr so it never disturbs captured output.
 Every run is a fresh process, so each command imports only what it uses:
 the pairing modules (``forkmodel``, ``constructions``) and ``hashlib``
 load on the branches that build or read a pairing, never for a finite
-model.
+model.  The window caps are checked first, against constants that need
+no pairing code.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import time
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from . import relcore, terms
-from .errors import RelforkError
+from .errors import WINDOW_CAP, RelforkError
 
 if TYPE_CHECKING:
     from . import forkmodel
@@ -130,9 +131,7 @@ def _star_name(config: Dict) -> str:
 
 def _check_counts(args) -> None:
     """Reject windows and counts outside their range before any work starts."""
-    cap = FIX_WINDOW_CAP if args.command == "fix" else None
-    if args.command == "eval":
-        from .forkmodel import WINDOW_CAP as cap
+    cap = {"fix": FIX_WINDOW_CAP, "eval": WINDOW_CAP}.get(args.command)
     if cap is not None and args.window > cap:
         raise UsageError(f"--window {args.window} exceeds cap {cap}")
     for name in ("window", "trials", "support_bound", "urelement_bound", "sampled"):
@@ -155,7 +154,7 @@ def _cmd_check(args) -> Tuple[Dict, int]:
                 f"suite {suite!r} needs a pairing function target; use --star"
             )
         texts = terms.AXIOM_TEXTS[suite]
-        formulas = [terms.parse_formula(text) for text in texts]
+        formulas = terms.axiom_suite(suite)
         # A full:N carrier's size follows from N, so an oversized space is
         # refused before the model is built; a model file must be read first.
         n = _full_base(args.model)

@@ -1,8 +1,10 @@
-"""The base class of every relfork domain error.
+"""The base class of every relfork domain error, and the shared caps.
 
 A domain error is a request relfork refuses (malformed text or data, a
 cap exceeded, an undecidable comparison); the CLI reports it and exits 2.
-Broken internal invariants keep their built-in exception types.
+Broken internal invariants keep their built-in exception types.  The
+caps shared by several modules live here too, so that the CLI can check
+a request against them without importing the code they guard.
 """
 
 
@@ -21,3 +23,7 @@ class PositionedError(RelforkError):
 # How deep parsed text may nest (parentheses, operators, tree nodes); deeper
 # text is refused with a PositionedError rather than overflowing the stack.
 MAX_NESTING = 200
+
+# The largest window [0, n) a lazy relation is restricted to, read by
+# forkmodel.window and by the CLI's eval before any pairing is built.
+WINDOW_CAP = 4096

@@ -12,17 +12,18 @@ support and witnesses whenever the result stays enumerable; a
 composition whose left operand offers neither a support nor witnesses
 and whose right operand has no support is rejected as undecidable.
 
-``window(rel, n)`` takes the first path the relation offers: its
-support, its witnesses (n enumerations), its recipe, and only then n²
-``contains`` calls.  The combinators attach recipes, and so does
-``UNIVERSAL``, so every term of the term language is windowed without
-the n² scan; that scan remains only for bare ``from_predicate``
-relations.  Complement, meet, union and converse are pointwise in their
-operands' windows.  Column b of a fork's window meets column c of r's
-and column d of s's when unstar(b) = (c, d) lies in the window, as it
-does on every default cell of a built pairing; other columns take n
-``contains`` calls.  Row a of a composition whose left operand has
-witnesses ORs the right operand's window rows at a's witnesses.
+``window(rel, n)`` refuses n above ``errors.WINDOW_CAP``, then takes
+the first path the relation offers: its support, its witnesses (n
+enumerations), its recipe, and only then n² ``contains`` calls.  The
+combinators attach recipes, and so does ``UNIVERSAL``, so every term of
+the term language is windowed without the n² scan; that scan remains
+only for a bare ``LazyRelation(contains)``.  Complement, meet, union
+and converse are pointwise in their operands' windows.  Column b of a
+fork's window meets column c of r's and column d of s's when unstar(b)
+= (c, d) lies in the window, as it does on every default cell of a
+built pairing; other columns take n ``contains`` calls.  Row a of a
+composition whose left operand has witnesses ORs the right operand's
+window rows at a's witnesses.
 
 A control is a binary tree or a projection sequence, and its image is
 a partial function on the naturals: a tree t sends u to
@@ -37,18 +38,17 @@ fixpoints those of the one-step sequences ``pi`` and ``rho``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .btree import BT, NIL, Bin, Nil, tree_map
-from .errors import RelforkError
+from .errors import WINDOW_CAP, RelforkError
+from .node import Node
 from .relcore import FiniteRelation
 from .seqs import PI, Elem, Seq, seq_symbols
 
 Pair = Tuple[int, int]
 Control = BT | Seq
-
-WINDOW_CAP = 4096
 
 
 class UndecidableCompositionError(RelforkError):
@@ -77,8 +77,7 @@ class PairingFunction:
     meta: object = None
 
 
-@dataclass(frozen=True)
-class LazyRelation:
+class LazyRelation(Node):
     """A relation on the naturals given by a membership predicate.
 
     ``support_hint`` is the exact extension when finite.  ``witnesses``
@@ -88,10 +87,16 @@ class LazyRelation:
     them in that order before it falls back to ``contains``.
     """
 
-    contains: Callable[[int, int], bool]
-    support_hint: Optional[FrozenSet[Pair]] = None
-    witnesses: Optional[Callable[[int], Iterable[int]]] = None
-    recipe: Optional[Callable[[int], FiniteRelation]] = None
+    __slots__ = ("contains", "support_hint", "witnesses", "recipe")
+
+    def __init__(
+        self,
+        contains: Callable[[int, int], bool],
+        support_hint: Optional[FrozenSet[Pair]] = None,
+        witnesses: Optional[Callable[[int], Iterable[int]]] = None,
+        recipe: Optional[Callable[[int], FiniteRelation]] = None,
+    ):
+        super().__init__(contains, support_hint, witnesses, recipe)
 
     @classmethod
     def from_support(cls, pairs: Iterable[Pair]) -> "LazyRelation":
@@ -102,14 +107,6 @@ class LazyRelation:
             support_hint=support,
             witnesses=lambda a: by_left.get(a, ()),
         )
-
-    @classmethod
-    def from_predicate(
-        cls,
-        predicate: Callable[[int, int], bool],
-        witnesses: Optional[Callable[[int], Iterable[int]]] = None,
-    ) -> "LazyRelation":
-        return cls(contains=predicate, witnesses=witnesses)
 
 
 def _successors(pairs: Iterable[Pair]) -> Dict[int, Tuple[int, ...]]:
@@ -127,7 +124,7 @@ def _bits(n: int, test: Callable[[int], bool]) -> int:
 
 EMPTY = LazyRelation.from_support(())
 UNIVERSAL = LazyRelation(contains=lambda a, b: True, recipe=FiniteRelation.full)
-IDENTITY = LazyRelation.from_predicate(lambda a, b: a == b, witnesses=lambda a: (a,))
+IDENTITY = LazyRelation(lambda a, b: a == b, witnesses=lambda a: (a,))
 
 
 def union_rel(r: LazyRelation, s: LazyRelation) -> LazyRelation:
@@ -341,9 +338,6 @@ def underline(control: Control, pf: PairingFunction) -> LazyRelation:
     return LazyRelation(contains=lambda u, v: image(u) == v, witnesses=witnesses)
 
 
-underline_tree = underline_seq = underline
-
-
 def fix_members(
     pf: PairingFunction, region: Iterable[int], control: Control = Bin(NIL, NIL)
 ) -> Tuple[int, ...]:
@@ -379,14 +373,14 @@ def si_member(a: LazyRelation, bound_rel: LazyRelation) -> bool:
     return all(u == v and bound_rel.contains(u, u) for u, v in a.support_hint)
 
 
-def window(rel: LazyRelation, n: int, cap: int = WINDOW_CAP) -> FiniteRelation:
+def window(rel: LazyRelation, n: int) -> FiniteRelation:
     """Restriction of rel to [0, n) as a finite relation.
 
-    Takes the support, else the witnesses, else the recipe, else n²
-    ``contains`` calls.
+    Refuses n above ``WINDOW_CAP``.  Takes the support, else the
+    witnesses, else the recipe, else n² ``contains`` calls.
     """
-    if n > cap:
-        raise RelforkError(f"window size {n} exceeds cap {cap}")
+    if n > WINDOW_CAP:
+        raise RelforkError(f"window size {n} exceeds cap {WINDOW_CAP}")
     if n < 0:
         raise RelforkError(f"window size must be nonnegative, got {n}")
     if rel.support_hint is not None:
@@ -458,18 +452,16 @@ def transport(rel: LazyRelation, perm: Dict[int, int]) -> LazyRelation:
 # Direct checks of the fork axioms over a pairing function
 
 
-@dataclass
-class AxiomResult:
-    name: str
-    description: str
-    passed: bool
-    detail: str
-    witness: Optional[object] = None
+class AxiomResult(Node):
+    """One fork axiom's verdict; ``witness`` is its first failure, or None."""
+
+    __slots__ = ("name", "description", "passed", "detail", "witness")
 
 
-@dataclass
-class CfaReport:
-    results: List[AxiomResult] = field(default_factory=list)
+class CfaReport(Node):
+    """The axiom results of one ``cfa_axiom_check``, in check order."""
+
+    __slots__ = ("results",)
 
     @property
     def all_passed(self) -> bool:
@@ -502,7 +494,6 @@ def cfa_axiom_check(
     """
     rng = random.Random(seed)
     star, unstar = pf.star, pf.unstar
-    report = CfaReport()
 
     failures1 = []
     failures2 = []
@@ -513,11 +504,9 @@ def cfa_axiom_check(
         u = random_supported_relation(rng, support_bound)
 
         forked = fork(r, s, pf)
-        pattern = lambda a, b: (
-            (decoded := unstar(b)) is not None
-            and r.contains(a, decoded[0])
-            and s.contains(a, decoded[1])
-        )
+        # The fork's membership test decides the projection pattern through
+        # unstar, independently of the support built through star.
+        pattern = forked.contains
         for a, b in forked.support_hint:
             if not pattern(a, b):
                 failures1.append(((a, b), "fork pair rejected by projection pattern"))
@@ -538,54 +527,51 @@ def cfa_axiom_check(
         if lhs != rhs:
             failures2.append((sorted(lhs ^ rhs)[:4], "support mismatch"))
 
-    report.results.append(
-        AxiomResult(
-            name="cfa1",
-            description="r # s = (r;pi^) & (s;rho^)",
-            passed=not failures1,
-            detail=f"{trials} random pairs of finitely supported relations",
-            witness=failures1[0] if failures1 else None,
-        )
-    )
-    report.results.append(
-        AxiomResult(
-            name="cfa2",
-            description="(r # s);(t # u)^ = (r;t^) & (s;u^)",
-            passed=not failures2,
-            detail=f"{trials} random quadruples of finitely supported relations",
-            witness=failures2[0] if failures2 else None,
-        )
-    )
-
     failures3 = []
     for a in range(urelement_bound):
         decoded = unstar(a)
         if decoded is not None and star(decoded[0], decoded[1]) != a:
             failures3.append(a)
-    report.results.append(
-        AxiomResult(
-            name="cfa3",
-            description="pi^ # rho^ <= 1' (fork of the projections is a subidentity)",
-            passed=not failures3,
-            detail=f"star inverts unstar on [0, {urelement_bound})",
-            witness=failures3[0] if failures3 else None,
-        )
-    )
 
+    def result(name: str, description: str, detail: str, failures: list) -> AxiomResult:
+        return AxiomResult(
+            name, description, not failures, detail, failures[0] if failures else None
+        )
+
+    results = [
+        result(
+            "cfa1",
+            "r # s = (r;pi^) & (s;rho^)",
+            f"{trials} random pairs of finitely supported relations",
+            failures1,
+        ),
+        result(
+            "cfa2",
+            "(r # s);(t # u)^ = (r;t^) & (s;u^)",
+            f"{trials} random quadruples of finitely supported relations",
+            failures2,
+        ),
+        result(
+            "cfa3",
+            "pi^ # rho^ <= 1' (fork of the projections is a subidentity)",
+            f"star inverts unstar on [0, {urelement_bound})",
+            failures3,
+        ),
+    ]
     if include_urelement_axiom:
         urelement = next(
             (u for u in range(urelement_bound) if unstar(u) is None), None
         )
-        report.results.append(
+        results.append(
             AxiomResult(
-                name="cfau",
-                description="1;(~(1 # 1) & 1');1 = 1 (some urelement exists)",
-                passed=urelement is not None,
-                detail=f"searched [0, {urelement_bound}) for an element outside star's range",
-                witness=urelement,
+                "cfau",
+                "1;(~(1 # 1) & 1');1 = 1 (some urelement exists)",
+                urelement is not None,
+                f"searched [0, {urelement_bound}) for an element outside star's range",
+                urelement,
             )
         )
-    return report
+    return CfaReport(tuple(results))
 
 
 # ---------------------------------------------------------------------------

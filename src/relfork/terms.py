@@ -592,15 +592,15 @@ class CheckReport(Node):
 DEFAULT_ASSIGNMENT_CAP = 1 << 27
 
 
-def check_budget(formulas, size: int, assignment_cap: Optional[int] = None) -> None:
+def check_budget(formulas, size: int) -> None:
     """Refuse, before any work, a formula whose assignment space over a
-    carrier of ``size`` elements exceeds the cap."""
-    cap = DEFAULT_ASSIGNMENT_CAP if assignment_cap is None else assignment_cap
+    carrier of ``size`` elements exceeds ``DEFAULT_ASSIGNMENT_CAP``."""
     for formula in formulas:
         nvars = len(free_variables(formula))
-        if size**nvars > cap:
+        if size**nvars > DEFAULT_ASSIGNMENT_CAP:
             raise EvalError(
-                f"assignment space {size}**{nvars} exceeds cap {cap}; use a sampled strategy"
+                f"assignment space {size}**{nvars} exceeds cap {DEFAULT_ASSIGNMENT_CAP}; "
+                "use a sampled strategy"
             )
 
 
@@ -636,7 +636,6 @@ def check_formula(
     model: AlgebraModel,
     strategy="exhaustive",
     seed: int = 0,
-    assignment_cap: Optional[int] = None,
 ) -> CheckReport:
     """Check a formula over all (or sampled) assignments of carrier elements.
 
@@ -644,8 +643,8 @@ def check_formula(
     are enumerated in sorted name order, assignments in the carrier's
     canonical order, and the first failing assignment is reported.  Both
     strategies evaluate a batch of assignments at once (see ``_Sliced``);
-    the exhaustive one refuses more than ``assignment_cap`` assignments
-    (default ``DEFAULT_ASSIGNMENT_CAP``).
+    the exhaustive one refuses more than ``DEFAULT_ASSIGNMENT_CAP``
+    assignments.
     """
     if isinstance(formula, str):
         formula = parse_formula(formula)
@@ -656,7 +655,7 @@ def check_formula(
     text = pretty_formula(formula)
 
     if strategy == "exhaustive":
-        check_budget([formula], len(carrier), assignment_cap)
+        check_budget([formula], len(carrier))
         columns: Dict[Tuple[int, range], List[int]] = {}
         checked = 0
         for ranges in _exhaustive_batches(sliced, len(names)):

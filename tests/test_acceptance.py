@@ -56,8 +56,7 @@ from relfork import (
     substitute,
     transport,
     tree_map,
-    underline_seq,
-    underline_tree,
+    underline,
     variants,
     window,
 )
@@ -180,7 +179,7 @@ def test_criterion_05_projection_stars_pin_s_with_urelements():
 
 
 def test_criterion_06_seq_star_fixpoints_exactly_s():
-    rel = underline_seq(SEQ_S, SEQ_PF)
+    rel = underline(SEQ_S, SEQ_PF)
     for member in (0, 1, 2):
         assert rel.contains(member, member)
     layout = SEQ_PF.meta
@@ -229,8 +228,8 @@ def test_criterion_08_fixpoint_transfer_theorems_on_windows():
             fix_s2 = set(fix_seq_members(s2, pf, region))
             fix_cat = set(fix_seq_members(cat, pf, region))
             assert fix_s & fix_s2 <= fix_cat, (format_seq(s), format_seq(s2))
-            composed = compose_rel(underline_seq(s, pf), underline_seq(s2, pf))
-            assert window(composed, 600) == window(underline_seq(cat, pf), 600)
+            composed = compose_rel(underline(s, pf), underline(s2, pf))
+            assert window(composed, 600) == window(underline(cat, pf), 600)
 
     # Path compatibility: when s spells a root-to-nil path of t, every
     # t-controlled fixpoint is an s-controlled fixpoint.
@@ -276,7 +275,7 @@ def test_criterion_08_fixpoint_transfer_theorems_on_windows():
     for pf in (BASIC_PF, TREE_PF):
         for t in (parse_tree("bin nil nil"), TREE_T):
             forked = tree_map(t, lambda r, s: fork(r, s, pf), FM_IDENTITY)
-            lifted = underline_tree(t, pf)
+            lifted = underline(t, pf)
             assert window(forked, 400) == window(lifted, 400)
             for u in range(400):
                 assert lifted.contains(u, tree_map(t, pf.star, u))
@@ -292,12 +291,12 @@ def test_criterion_09_isomorphism_transport():
         perm = dict(zip(values, images))
         conj_tree = conjugate(TREE_PF, perm)
         conj_seq = conjugate(SEQ_PF, perm)
-        moved_tree = transport(underline_tree(t, TREE_PF), perm)
-        moved_seq = transport(underline_seq(s, SEQ_PF), perm)
-        assert window(moved_tree, 300) == window(underline_tree(t, conj_tree), 300)
-        assert window(moved_seq, 300) == window(underline_seq(s, conj_seq), 300)
+        moved_tree = transport(underline(t, TREE_PF), perm)
+        moved_seq = transport(underline(s, SEQ_PF), perm)
+        assert window(moved_tree, 300) == window(underline(t, conj_tree), 300)
+        assert window(moved_seq, 300) == window(underline(s, conj_seq), 300)
 
-    bound = LazyRelation.from_predicate(lambda a, b: (a * 7 + b) % 3 != 1)
+    bound = LazyRelation(lambda a, b: (a * 7 + b) % 3 != 1)
     for _ in range(50):
         values = rng.sample(range(200), 6)
         images = rng.sample(values, len(values))

@@ -41,13 +41,13 @@ from relfork import (
     si_member,
     transport,
     tree_map,
-    underline_seq,
-    underline_tree,
+    underline,
     union_rel,
     urelement_relations,
     window,
 )
 from relfork import terms
+from relfork.errors import WINDOW_CAP
 from relfork.forkmodel import EMPTY, IDENTITY, UNIVERSAL, random_supported_relation
 
 from helpers import compose_pairs, converse_pairs, fork_pairs, random_pairs, window_by_contains
@@ -77,9 +77,17 @@ class TestLazyRelation:
         assert tuple(r.witnesses(5)) == ()
 
     def test_from_predicate(self):
-        r = LazyRelation.from_predicate(lambda a, b: a + b == 4)
+        r = LazyRelation(lambda a, b: a + b == 4)
         assert r.contains(1, 3) and not r.contains(1, 1)
         assert r.support_hint is None and r.witnesses is None
+
+    def test_keyword_and_positional_fields_make_one_immutable_value(self):
+        r = LazyRelation(IDENTITY.contains, witnesses=IDENTITY.witnesses)
+        same = LazyRelation(IDENTITY.contains, None, IDENTITY.witnesses, None)
+        assert r == same and hash(r) == hash(same)
+        assert r.recipe is None
+        with pytest.raises(AttributeError):
+            r.contains = UNIVERSAL.contains
 
     def test_constants(self):
         assert EMPTY.support_hint == frozenset()
@@ -104,7 +112,7 @@ class TestCombinators:
 
     def test_meet_keeps_one_sided_witnesses(self):
         r = LazyRelation.from_support([(0, 0), (0, 3), (1, 1)])
-        odd = LazyRelation.from_predicate(lambda a, b: b % 2 == 1)
+        odd = LazyRelation(lambda a, b: b % 2 == 1)
         m = meet_rel(r, odd)
         assert tuple(m.witnesses(0)) == (3,)
         m2 = meet_rel(odd, r)
@@ -127,7 +135,7 @@ class TestCombinators:
         assert tuple(got.witnesses(1)) == (6,)
 
     def test_compose_support_right(self):
-        r = LazyRelation.from_predicate(lambda a, b: b == a + 1)
+        r = LazyRelation(lambda a, b: b == a + 1)
         s = LazyRelation.from_support([(3, 9), (5, 2)])
         got = compose_rel(r, s)
         assert got.contains(2, 9) and got.contains(4, 2)
@@ -135,8 +143,8 @@ class TestCombinators:
         assert tuple(got.witnesses(2)) == (9,)
 
     def test_compose_undecidable(self):
-        left = LazyRelation.from_predicate(lambda a, b: a < b)
-        right = LazyRelation.from_predicate(lambda a, b: a > b)
+        left = LazyRelation(lambda a, b: a < b)
+        right = LazyRelation(lambda a, b: a > b)
         with pytest.raises(UndecidableCompositionError) as exc:
             compose_rel(left, right)
         assert "undecidable-composition" in str(exc.value)
@@ -155,8 +163,8 @@ class TestCombinators:
             assert tuple(got.witnesses(20)) == ()
 
     def test_fork_contains_decides_through_unstar(self):
-        r = LazyRelation.from_predicate(lambda a, b: True)
-        s = LazyRelation.from_predicate(lambda a, b: True)
+        r = LazyRelation(lambda a, b: True)
+        s = LazyRelation(lambda a, b: True)
         f = fork(r, s, PROJ)
         assert f.contains(0, PROJ.star(0, 1))
         assert not f.contains(0, first_urelement(PROJ))
@@ -166,11 +174,11 @@ class TestWindow:
     def test_three_paths_agree(self):
         pairs = {(0, 1), (2, 3), (4, 4), (9, 0)}
         by_support = LazyRelation.from_support(pairs)
-        by_witness = LazyRelation.from_predicate(
+        by_witness = LazyRelation(
             lambda a, b: (a, b) in pairs,
             witnesses=lambda a: tuple(b for x, b in sorted(pairs) if x == a),
         )
-        by_scan = LazyRelation.from_predicate(lambda a, b: (a, b) in pairs)
+        by_scan = LazyRelation(lambda a, b: (a, b) in pairs)
         w = window(by_support, 10)
         assert window(by_witness, 10) == w
         assert window(by_scan, 10) == w
@@ -182,8 +190,8 @@ class TestWindow:
 
     def test_window_cap(self):
         with pytest.raises(ValueError):
-            window(IDENTITY, 5000)
-        assert window(IDENTITY, 5000, cap=5000).count() == 5000
+            window(IDENTITY, WINDOW_CAP + 1)
+        assert window(IDENTITY, WINDOW_CAP).count() == WINDOW_CAP
 
 
 # One pairing of every kind.  The two power controls have their tables built
@@ -337,7 +345,7 @@ class TestProjectionRelations:
 class TestUnderline:
     def test_underline_tree_is_tree_map_image(self):
         t = Bin(Bin(NIL, NIL), NIL)
-        rel = underline_tree(t, CANTOR)
+        rel = underline(t, CANTOR)
         for u in range(50):
             image = tree_map(t, cantor_pair, u)
             assert rel.contains(u, image)
@@ -346,14 +354,14 @@ class TestUnderline:
 
     def test_underline_seq_chases_projections(self):
         s = parse_seq("pi.rho")
-        rel = underline_seq(s, CANTOR)
+        rel = underline(s, CANTOR)
         u = cantor_pair(cantor_pair(9, 4), 7)
         # Head symbol pi keeps the left component, then rho keeps the right.
         assert tuple(rel.witnesses(u)) == (4,)
 
     def test_underline_seq_stops_on_urelement(self):
         s = parse_seq("pi")
-        rel = underline_seq(s, PROJ)
+        rel = underline(s, PROJ)
         urelement = first_urelement(PROJ)
         assert tuple(rel.witnesses(urelement)) == ()
         assert not rel.contains(urelement, urelement)
@@ -397,7 +405,7 @@ class TestSiMember:
         assert not si_member(LazyRelation.from_support([(3, 4)]), UNIVERSAL)
 
     def test_bound_restricts(self):
-        bound = LazyRelation.from_predicate(lambda a, b: a < 4)
+        bound = LazyRelation(lambda a, b: a < 4)
         assert si_member(LazyRelation.from_support([(3, 3)]), bound)
         assert not si_member(LazyRelation.from_support([(5, 5)]), bound)
 

@@ -51,10 +51,20 @@ def test_check_model_loads_no_pairing_code():
     assert not loaded & {"relfork.forkmodel", "relfork.constructions", "dataclasses", "hashlib"}
 
 
+def test_eval_model_loads_no_pairing_code():
+    # eval checks --window against its cap before it knows the target kind.
+    loaded = new_modules(
+        "from relfork.cli import main\n"
+        "assert main(['eval', '--model', 'full:2', '--formula', \"1' <= 1\"]) == 0"
+    )
+    assert {"relfork.cli", "relfork.relcore", "relfork.terms"} <= loaded
+    assert not loaded & {"relfork.forkmodel", "relfork.constructions", "dataclasses"}
+
+
 def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from relfork import *", namespace)
-    assert len(relfork.__all__) == 116
+    assert len(relfork.__all__) == 115
     for name in relfork.__all__:
         assert namespace[name] is getattr(relfork, name)
     assert set(relfork.__all__) <= set(dir(relfork))

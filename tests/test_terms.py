@@ -284,8 +284,6 @@ class TestCheckFormula:
             check_formula("x = x", full_pra(1), strategy=("sampled", count))
 
     def test_assignment_cap(self):
-        with pytest.raises(EvalError):
-            check_formula("x + y = y + x", full_pra(2), assignment_cap=10)
         assert terms.DEFAULT_ASSIGNMENT_CAP == 512**3
 
     def test_default_cap_read_at_call_time(self, monkeypatch):
