@@ -26,9 +26,9 @@ _EXPORTS = {
         model_from_dict model_to_dict power save_model""",
     "terms": """AXIOM_TEXTS And CheckReport Complement Compose Const Converse Eq
         EvalError Fork Implies Leq Meet NoForkStructureError Not Or ParseError
-        UnboundVariableError Union Var axiom_suite check_formula compile_formula
-        compile_term eval_formula eval_term free_variables parse parse_formula
-        parse_term pretty pretty_formula pretty_term""",
+        UnboundVariableError Union Var axiom_suite check_formula check_suite
+        compile_formula compile_term eval_formula eval_term free_variables parse
+        parse_formula parse_term pretty pretty_formula pretty_term""",
     "forkmodel": """CfaReport ForkBackend LazyRelation NilControlError
         NoFiniteSupportError PairingFunction UndecidableCompositionError
         cfa_axiom_check complement_rel compose_rel conjugate converse_rel

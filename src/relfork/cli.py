@@ -19,10 +19,11 @@ All randomness is seeded; stdout for a fixed seed is byte-stable.  The
 elapsed wall time goes to stderr so it never disturbs captured output.
 
 Every run is a fresh process, so each command imports only what it uses:
-the pairing modules (``forkmodel``, ``constructions``) and ``hashlib``
-load on the branches that build or read a pairing, never for a finite
-model.  The window caps are checked first, against constants that need
-no pairing code.
+the pairing modules (``forkmodel``, ``constructions``) load on the
+branches that build or read a pairing, never for a finite model, and
+``hashlib`` only for the commands that print a config digest.  The
+window caps and the sampled count are checked first, against constants
+that need no pairing code.
 """
 
 from __future__ import annotations
@@ -103,20 +104,19 @@ def _star_config(args) -> Dict:
     return config
 
 
-def _canonical_config(config: Dict) -> str:
-    return json.dumps(config, sort_keys=True, separators=(",", ":"))
-
-
-def _resolve_star(args) -> Tuple[forkmodel.PairingFunction, Dict, str]:
-    import hashlib
-
+def _resolve_star(args) -> Tuple[forkmodel.PairingFunction, Dict]:
     from . import constructions
 
     config = _star_config(args)
-    pf = constructions.build_from_config(config)
-    canonical = _canonical_config(config)
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return pf, config, digest
+    return constructions.build_from_config(config), config
+
+
+def _config_digest(config: Dict) -> str:
+    """The sha256 of the canonical config, which check, fix and build print."""
+    import hashlib
+
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _star_name(config: Dict) -> str:
@@ -134,11 +134,12 @@ def _check_counts(args) -> None:
     cap = {"fix": FIX_WINDOW_CAP, "eval": WINDOW_CAP}.get(args.command)
     if cap is not None and args.window > cap:
         raise UsageError(f"--window {args.window} exceeds cap {cap}")
-    for name in ("window", "trials", "support_bound", "urelement_bound", "sampled"):
+    for name in ("window", "trials", "support_bound", "urelement_bound"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
-            what = "sampled count" if name == "sampled" else "--" + name.replace("_", "-")
-            raise UsageError(f"{what} must be at least 1, got {value}")
+            raise UsageError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+    if getattr(args, "sampled", None) is not None:
+        terms.sample_count(("sampled", args.sampled))
 
 
 # ---------------------------------------------------------------------------
@@ -164,19 +165,17 @@ def _cmd_check(args) -> Tuple[Dict, int]:
             terms.check_budget(formulas, size)
         if model is None:
             model = relcore.full_pra(n)
-        results = []
-        all_valid = True
-        for text, formula in zip(texts, formulas):
-            report = terms.check_formula(formula, model, strategy=strategy, seed=args.seed)
-            all_valid &= report.valid
-            results.append(
-                {
-                    "axiom": text,
-                    "valid": report.valid,
-                    "checked": report.checked,
-                    "counterexample": report.counterexample_text(),
-                }
-            )
+        reports = terms.check_suite(formulas, model, strategy=strategy, seed=args.seed)
+        results = [
+            {
+                "axiom": text,
+                "valid": report.valid,
+                "checked": report.checked,
+                "counterexample": report.counterexample_text(),
+            }
+            for text, report in zip(texts, reports)
+        ]
+        all_valid = all(report.valid for report in reports)
         payload = {
             "target": f"model:{args.model}",
             "suite": suite,
@@ -191,7 +190,7 @@ def _cmd_check(args) -> Tuple[Dict, int]:
         raise UsageError(f"suite {suite!r} needs a finite model target; use --model")
     from . import forkmodel
 
-    pf, config, digest = _resolve_star(args)
+    pf, config = _resolve_star(args)
     report = forkmodel.cfa_axiom_check(
         pf,
         support_bound=args.support_bound,
@@ -203,7 +202,7 @@ def _cmd_check(args) -> Tuple[Dict, int]:
     payload = {
         "target": _star_name(config),
         "suite": suite,
-        "config_sha256": digest,
+        "config_sha256": _config_digest(config),
         "seed": args.seed,
         "trials": args.trials,
         "support_bound": args.support_bound,
@@ -239,7 +238,7 @@ def _cmd_eval(args) -> Tuple[Dict, int]:
     else:
         from . import forkmodel
 
-        pf, config, _ = _resolve_star(args)
+        pf, config = _resolve_star(args)
         env = {
             name: forkmodel.LazyRelation.from_support(pairs)
             for name, pairs in bindings.items()
@@ -261,14 +260,14 @@ def _cmd_eval(args) -> Tuple[Dict, int]:
 def _cmd_fix(args) -> Tuple[Dict, int]:
     from . import forkmodel
 
-    pf, config, digest = _resolve_star(args)
+    pf, config = _resolve_star(args)
     layout = pf.meta
     fixpoints = forkmodel.fix_members(pf, range(args.window), layout.control)
     candidates = layout.s_values
     matches = fixpoints == tuple(u for u in candidates if u < args.window)
     payload = {
         "target": _star_name(config),
-        "config_sha256": digest,
+        "config_sha256": _config_digest(config),
         "window": args.window,
         "fixpoints": list(fixpoints),
         "candidates": list(candidates),
@@ -280,10 +279,10 @@ def _cmd_fix(args) -> Tuple[Dict, int]:
 def _cmd_build(args) -> Tuple[Dict, int]:
     from . import constructions
 
-    pf, config, digest = _resolve_star(args)
+    pf, config = _resolve_star(args)
     payload = constructions.layout_report(pf)
     payload["config"] = config
-    payload["config_sha256"] = digest
+    payload["config_sha256"] = _config_digest(config)
     return payload, 0
 
 
@@ -299,10 +298,19 @@ def _cmd_export(args) -> Tuple[Dict, int]:
 # Rendering and argument wiring
 
 
-def _render_text(payload: Dict) -> str:
+def _check_scope(args) -> str:
+    """What a check covered, for its text header."""
+    if not args.model:
+        return f"{args.trials} random trials, seed {args.seed}"
+    if args.sampled is None:
+        return "exhaustive"
+    return f"sampled({args.sampled}), seed {args.seed}"
+
+
+def _render_text(payload: Dict, args) -> str:
     lines = []
     if "results" in payload:
-        lines.append(f"{payload['suite']} on {payload['target']}")
+        lines.append(f"{payload['suite']} on {payload['target']}  [{_check_scope(args)}]")
         for entry in payload["results"]:
             mark = "ok  " if entry.get("valid", entry.get("passed")) else "FAIL"
             label = entry.get("axiom", entry.get("description", ""))
@@ -340,11 +348,11 @@ def _render_text(payload: Dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(payload: Dict, fmt: str) -> None:
-    if fmt == "json":
+def _emit(payload: Dict, args) -> None:
+    if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(_render_text(payload))
+        print(_render_text(payload, args))
 
 
 def _add_target_args(parser: argparse.ArgumentParser, with_model: bool = True) -> None:
@@ -427,7 +435,7 @@ def main(argv=None) -> int:
     except (RelforkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args.format)
+    _emit(payload, args)
     print(f"elapsed-seconds: {time.monotonic() - started:.3f}", file=sys.stderr)
     return code
 

@@ -16,9 +16,11 @@ into closures over a model's operations: ``const``, ``union``, ``meet``,
 bitsliced (see ``_Sliced``): a term's value over a batch of assignments
 holds one int per cell, whose bit i says whether the cell is in the value
 under assignment i, and a formula's value is one int with a bit per
-assignment.  ``check_formula`` runs whole batches, exhaustive or seeded,
-and ``eval_term``/``eval_formula`` run a batch of one.  Over a pairing
-function the operations are ``ForkBackend``'s, always a batch of one.
+assignment.  ``check_suite`` runs whole batches, exhaustive or seeded,
+and the formulas of one arity share each batch; ``check_formula`` is a
+suite of one, and ``eval_term``/``eval_formula`` run a batch of one.
+Over a pairing function the operations are ``ForkBackend``'s, always a
+batch of one.
 """
 
 from __future__ import annotations
@@ -604,18 +606,42 @@ def check_budget(formulas, size: int) -> None:
             )
 
 
+def sample_count(strategy) -> Optional[int]:
+    """The trial count of ``("sampled", count)``, or None for ``"exhaustive"``.
+
+    Refuses, before any work, an unknown strategy and a count below 1 or
+    above ``DEFAULT_ASSIGNMENT_CAP``.
+    """
+    if strategy == "exhaustive":
+        return None
+    if not (isinstance(strategy, tuple) and len(strategy) == 2 and strategy[0] == "sampled"):
+        raise EvalError(f"unknown strategy {strategy!r}")
+    count = int(strategy[1])
+    if count < 1:
+        raise EvalError(f"sampled count must be at least 1, got {count}")
+    if count > DEFAULT_ASSIGNMENT_CAP:
+        raise EvalError(f"sampled count {count} exceeds cap {DEFAULT_ASSIGNMENT_CAP}")
+    return count
+
+
 def _first_failure(mask: int, full: int) -> Optional[int]:
     failing = full ^ mask
     return (failing & -failing).bit_length() - 1 if failing else None
 
 
+# A batch source yields (width, columns, assignment) after setting the
+# batch's ``full``: columns[j] is the value of a formula's j-th variable,
+# and assignment(i) gives the carrier indices of the variables under
+# assignment i of the batch.
+
+
 def _exhaustive_batches(sliced: _Sliced, nvars: int):
     """Batches covering carrier**nvars in itertools.product order.
 
-    Each batch is a tuple of index sequences, one per variable, and holds
-    their product.  The trailing variables that fit the width span every
-    batch; the leading ones are constant within it.  When not even one
-    variable fits, the last one is split into chunks of the carrier.
+    The trailing variables that fit the width span every batch, and their
+    columns are built once; the leading ones are constant within a batch.
+    When not even one variable fits, the last one is split into chunks of
+    the carrier.
     """
     size = len(sliced.model.carrier)
     spanned = 0
@@ -626,9 +652,112 @@ def _exhaustive_batches(sliced: _Sliced, nvars: int):
     else:
         cap = sliced.width_cap
         blocks = [(range(j, min(j + cap, size)),) for j in range(0, size, cap)]
+    spans: Dict[Tuple[int, range], List[int]] = {}
     for lead in itertools.product(range(size), repeat=nvars - len(blocks[0])):
         for block in blocks:
-            yield tuple(range(i, i + 1) for i in lead) + block
+            ranges = tuple(range(i, i + 1) for i in lead) + block
+            width = 1
+            for indices in ranges:
+                width *= len(indices)
+            sliced.full = (1 << width) - 1
+            columns, stretch = [], width
+            for j, indices in enumerate(ranges):
+                stretch //= len(indices)
+                if len(indices) == 1:
+                    columns.append(sliced.column(indices))
+                    continue
+                if (j, indices) not in spans:
+                    reps = width // (stretch * len(indices))
+                    spans[j, indices] = sliced.column(indices, stretch, reps)
+                columns.append(spans[j, indices])
+
+            def assignment(i: int, ranges=ranges) -> List[int]:
+                digits = []
+                for indices in reversed(ranges):
+                    i, digit = divmod(i, len(indices))
+                    digits.append(indices[digit])
+                return digits[::-1]
+
+            yield width, columns, assignment
+
+
+def _sampled_batches(sliced: _Sliced, nvars: int, count: int, seed: int):
+    """Batches of ``count`` seeded trials of nvars carrier indices each.
+
+    Trials are drawn one by one, variables in order, as a one-at-a-time
+    checker would draw them: the same seed gives the same trials.
+    """
+    draw = random.Random(seed).randrange
+    size = len(sliced.model.carrier)
+    done = 0
+    while done < count:
+        width = min(count - done, SAMPLE_BATCH, sliced.width_cap)
+        sliced.full = (1 << width) - 1
+        drawn = [draw(size) for _ in range(width * nvars)]
+        columns = [sliced.column(drawn[j::nvars]) for j in range(nvars)]
+        yield width, columns, lambda i, drawn=drawn: drawn[i * nvars : (i + 1) * nvars]
+        done += width
+
+
+def check_suite(
+    formulas,
+    model: AlgebraModel,
+    strategy="exhaustive",
+    seed: int = 0,
+) -> List[CheckReport]:
+    """Check each formula over all (or sampled) assignments of carrier elements.
+
+    ``strategy`` is ``"exhaustive"`` or ``("sampled", count)``.  A formula's
+    variables are enumerated in sorted name order, assignments in the
+    carrier's canonical order or in seeded draw order, and its first
+    failing assignment is reported.  Formulas with the same number of
+    variables share one batch stream: each batch is enumerated or drawn,
+    and its columns built, once, and every formula that has not yet failed
+    runs on it (see ``_Sliced``).  So each report is the one the formula
+    would get if checked alone.  The exhaustive strategy refuses the whole
+    list if one formula has more than ``DEFAULT_ASSIGNMENT_CAP``
+    assignments, and the sampled one a count above that cap.
+    """
+    formulas = [parse_formula(f) if isinstance(f, str) else f for f in formulas]
+    count = sample_count(strategy)
+    carrier = model.carrier
+    if count is None:
+        check_budget(formulas, len(carrier))
+    label = "exhaustive" if count is None else f"sampled({count})"
+    texts = [pretty_formula(f) for f in formulas]
+    names = [free_variables(f) for f in formulas]
+    sliced = _Sliced(model)
+    runs = [compile_formula(f, sliced) for f in formulas]
+    reports: List[Optional[CheckReport]] = [None] * len(formulas)
+    groups: Dict[int, List[int]] = {}
+    for k, formula_names in enumerate(names):
+        groups.setdefault(len(formula_names), []).append(k)
+    for nvars, live in groups.items():
+        if count is None:
+            batches = _exhaustive_batches(sliced, nvars)
+        else:
+            batches = _sampled_batches(sliced, nvars, count, seed)
+        checked = 0
+        for width, columns, assignment in batches:
+            running = []
+            for k in live:
+                failure = _first_failure(runs[k](dict(zip(names[k], columns))), sliced.full)
+                if failure is None:
+                    running.append(k)
+                    continue
+                counterexample = {
+                    name: carrier[i] for name, i in zip(names[k], assignment(failure))
+                }
+                reports[k] = CheckReport(
+                    texts[k], label, False, checked + failure + 1, counterexample
+                )
+            checked += width
+            live = running
+            if not live:
+                break
+        for k in live:
+            reports[k] = CheckReport(texts[k], label, True, checked, None)
+    return reports
 
 
 def check_formula(
@@ -637,79 +766,8 @@ def check_formula(
     strategy="exhaustive",
     seed: int = 0,
 ) -> CheckReport:
-    """Check a formula over all (or sampled) assignments of carrier elements.
-
-    ``strategy`` is ``"exhaustive"`` or ``("sampled", count)``.  Variables
-    are enumerated in sorted name order, assignments in the carrier's
-    canonical order, and the first failing assignment is reported.  Both
-    strategies evaluate a batch of assignments at once (see ``_Sliced``);
-    the exhaustive one refuses more than ``DEFAULT_ASSIGNMENT_CAP``
-    assignments.
-    """
-    if isinstance(formula, str):
-        formula = parse_formula(formula)
-    names = free_variables(formula)
-    sliced = _Sliced(model)
-    run = compile_formula(formula, sliced)
-    carrier = model.carrier
-    text = pretty_formula(formula)
-
-    if strategy == "exhaustive":
-        check_budget([formula], len(carrier))
-        columns: Dict[Tuple[int, range], List[int]] = {}
-        checked = 0
-        for ranges in _exhaustive_batches(sliced, len(names)):
-            width = 1
-            for indices in ranges:
-                width *= len(indices)
-            full = sliced.full = (1 << width) - 1
-            env, stretch = {}, width
-            for j, (name, indices) in enumerate(zip(names, ranges)):
-                stretch //= len(indices)
-                if len(indices) == 1:
-                    env[name] = sliced.column(indices)
-                    continue
-                if (j, indices) not in columns:
-                    reps = width // (stretch * len(indices))
-                    columns[j, indices] = sliced.column(indices, stretch, reps)
-                env[name] = columns[j, indices]
-            failure = _first_failure(run(env), full)
-            if failure is not None:
-                digits, rest = [], failure
-                for indices in reversed(ranges):
-                    rest, digit = divmod(rest, len(indices))
-                    digits.append(indices[digit])
-                counterexample = dict(zip(names, (carrier[i] for i in reversed(digits))))
-                return CheckReport(text, "exhaustive", False, checked + failure + 1, counterexample)
-            checked += width
-        return CheckReport(text, "exhaustive", True, checked, None)
-
-    if isinstance(strategy, tuple) and len(strategy) == 2 and strategy[0] == "sampled":
-        count = int(strategy[1])
-        if count < 1:
-            raise EvalError(f"sampled count must be at least 1, got {count}")
-        label = f"sampled({count})"
-        # Draw trial by trial, names in order, as a one-at-a-time checker
-        # would: the same seed then gives the same trials and counterexample.
-        draw = random.Random(seed).randrange
-        size, nvars = len(carrier), len(names)
-        checked = 0
-        while checked < count:
-            width = min(count - checked, SAMPLE_BATCH, sliced.width_cap)
-            full = sliced.full = (1 << width) - 1
-            drawn = [draw(size) for _ in range(width * nvars)]
-            env = {
-                name: sliced.column(drawn[j::nvars]) for j, name in enumerate(names)
-            }
-            failure = _first_failure(run(env), full)
-            if failure is not None:
-                trial = drawn[failure * nvars : (failure + 1) * nvars]
-                counterexample = {name: carrier[i] for name, i in zip(names, trial)}
-                return CheckReport(text, label, False, checked + failure + 1, counterexample)
-            checked += width
-        return CheckReport(text, label, True, count, None)
-
-    raise EvalError(f"unknown strategy {strategy!r}")
+    """Check one formula: ``check_suite([formula], ...)[0]``."""
+    return check_suite([formula], model, strategy, seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -120,17 +120,72 @@ class TestCheckModel:
         def reached(*args, **kwargs):
             raise AssertionError("an axiom was checked before the budget")
 
-        monkeypatch.setattr(terms, "check_formula", reached)
+        monkeypatch.setattr(terms, "check_suite", reached)
         code, out, err = run(capsys, "check", "--model", "full:3", "--suite", "cr_tarski")
         assert code == 2 and out == ""
         assert "error: assignment space 512**3 exceeds cap 262144" in err
 
     def test_sampled_run_has_no_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(terms, "DEFAULT_ASSIGNMENT_CAP", 1)
+        # The cap bounds the sampled count, not the space: 16**3 > 5.
+        monkeypatch.setattr(terms, "DEFAULT_ASSIGNMENT_CAP", 5)
         code, _, _ = run(
             capsys, "check", "--model", "full:2", "--suite", "cr_tarski", "--sampled", "5"
         )
         assert code == 0
+
+
+    @pytest.mark.parametrize("k", ["134217729", "99999999999999999999999"])
+    def test_sampled_count_above_cap_refused_before_the_model_loads(
+        self, capsys, monkeypatch, k
+    ):
+        def unreachable(spec):
+            raise AssertionError("model loaded before the sampled cap")
+
+        monkeypatch.setattr(relcore, "full_pra", unreachable)
+        code, out, err = run(
+            capsys, "check", "--model", "full:2", "--suite", "cr_tarski", "--sampled", k
+        )
+        assert code == 2 and out == ""
+        assert f"error: sampled count {k} exceeds cap 134217728" in err
+
+    def test_sampled_cap_read_at_call_time(self, capsys, monkeypatch):
+        monkeypatch.setattr(terms, "DEFAULT_ASSIGNMENT_CAP", 40)
+        argv = ["check", "--model", "full:1", "--suite", "cr_equational", "--sampled"]
+        assert run(capsys, *argv, "40")[0] == 0
+        code, _, err = run(capsys, *argv, "41")
+        assert code == 2 and "error: sampled count 41 exceeds cap 40" in err
+
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (
+                ["--model", "full:1", "--suite", "cr_tarski"],
+                "cr_tarski on model:full:1  [exhaustive]",
+            ),
+            (
+                ["--model", "full:2", "--suite", "cr_equational", "--sampled", "5", "--seed", "3"],
+                "cr_equational on model:full:2  [sampled(5), seed 3]",
+            ),
+            (
+                ["--star", "basic", "--S", "1", "--suite", "cfa", "--trials", "7", "--seed", "2"],
+                "cfa on star:basic S=[1]  [7 random trials, seed 2]",
+            ),
+        ],
+    )
+    def test_text_header_names_the_scope(self, capsys, argv, header):
+        code, out, _ = run(capsys, "check", *argv)
+        assert code == 0
+        assert out.splitlines()[0] == header
+
+    def test_json_has_no_text_scope(self, capsys):
+        code, out, _ = run(
+            capsys, "--format", "json", "check",
+            "--model", "full:2", "--suite", "cr_equational", "--sampled", "5", "--seed", "3",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["strategy"] == "('sampled', 5)" and payload["seed"] == 3
+        assert "scope" not in payload
 
 
 def unclosed_model(path, size=1025):

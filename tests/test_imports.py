@@ -61,10 +61,21 @@ def test_eval_model_loads_no_pairing_code():
     assert not loaded & {"relfork.forkmodel", "relfork.constructions", "dataclasses"}
 
 
+def test_eval_star_loads_no_hashlib():
+    # Only the commands that print config_sha256 hash the config.
+    loaded = new_modules(
+        "from relfork.cli import main\n"
+        "assert main(['eval', '--star', 'basic', '--S', '1,2', '--formula', 'pi # rho = 1\\'', "
+        "'--window', '64']) == 0"
+    )
+    assert {"relfork.forkmodel", "relfork.constructions"} <= loaded
+    assert "hashlib" not in loaded
+
+
 def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from relfork import *", namespace)
-    assert len(relfork.__all__) == 115
+    assert len(relfork.__all__) == 116
     for name in relfork.__all__:
         assert namespace[name] is getattr(relfork, name)
     assert set(relfork.__all__) <= set(dir(relfork))

@@ -31,6 +31,7 @@ from relfork import (
     axiom_suite,
     build_star_basic,
     check_formula,
+    check_suite,
     direct_product,
     eval_formula,
     eval_term,
@@ -368,3 +369,107 @@ class TestBitslicedChecker:
             parse_formula("x = 1 /\\ y = 1 -> x = 0"), model
         )
         assert report.checked == 256
+
+
+class TestCheckSuite:
+    """One pass over a list of formulas against each formula checked alone."""
+
+    @staticmethod
+    def compare(model, rng, lists, exhaustive_limit):
+        """Random lists of mixed-arity formulas; returns the (arity, valid) seen."""
+        seen = set()
+        size = len(model.carrier)
+        for _ in range(lists):
+            formulas = [
+                random_formula(rng, rng.randrange(3), names=("w", "x", "y", "z"), fork=False)
+                for _ in range(rng.randrange(1, 7))
+            ]
+            strategies = [("sampled", rng.randrange(1, 300))]
+            small = [f for f in formulas if size ** len(free_variables(f)) <= exhaustive_limit]
+            for strategy, fs in [(strategies[0], formulas), ("exhaustive", small)]:
+                seed = rng.randrange(1000)
+                got = check_suite(fs, model, strategy=strategy, seed=seed)
+                want = [check_formula_pairs(f, model, strategy=strategy, seed=seed) for f in fs]
+                assert list(map(report_tuple, got)) == want, (
+                    [pretty_formula(f) for f in fs], strategy, seed
+                )
+                seen |= {(len(free_variables(f)), r.valid) for f, r in zip(fs, got)}
+        return seen
+
+    @pytest.mark.parametrize("name", FINITE_MODELS)
+    def test_matches_reference(self, name):
+        seen = self.compare(FINITE_MODELS[name], random.Random(f"suite/{name}"), 15, 4096)
+        if len(FINITE_MODELS[name].carrier) > 2:
+            # Each run saw formulas of several arities that passed and failed.
+            assert {valid for _, valid in seen} == {True, False}
+            assert len({arity for arity, _ in seen}) >= 3
+
+    @pytest.mark.parametrize("slice_bits, sample_batch", [(1, 1), (7, 3), (40, 5), (100, 64)])
+    def test_narrow_batches_match_reference(self, monkeypatch, slice_bits, sample_batch):
+        monkeypatch.setattr(terms, "SLICE_BITS", slice_bits)
+        monkeypatch.setattr(terms, "SAMPLE_BATCH", sample_batch)
+        rng = random.Random(f"suite/{slice_bits}")
+        for model in (full_pra(1), full_pra(2), PRODUCT):
+            self.compare(model, rng, 5, 4096)
+
+    def test_check_formula_is_a_suite_of_one(self):
+        model = full_pra(2)
+        for text in ("x = 0", "x;(y;z) = (x;y);z", "~1 = 0"):
+            for strategy in ("exhaustive", ("sampled", 40)):
+                alone = check_formula(text, model, strategy=strategy, seed=3)
+                assert alone == check_suite([text], model, strategy=strategy, seed=3)[0]
+        assert check_suite([], model) == []
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The arguments of every ``random.Random.randrange`` call."""
+        calls = []
+        randrange = random.Random.randrange
+
+        def counting(self, *args):
+            calls.append(args)
+            return randrange(self, *args)
+
+        monkeypatch.setattr(random.Random, "randrange", counting)
+        return calls
+
+    def test_one_arity_draws_once(self, draws):
+        # cr_tarski has arities 0 to 3 over 16 formulas whose arities sum to 31.
+        formulas = axiom_suite("cr_tarski")
+        assert sorted({len(free_variables(f)) for f in formulas}) == [0, 1, 2, 3]
+        assert sum(len(free_variables(f)) for f in formulas) == 31
+        reports = check_suite(formulas, full_pra(2), strategy=("sampled", 500), seed=9)
+        assert all(r.valid and r.checked == 500 for r in reports)
+        assert len(draws) == 6 * 500
+
+    def test_failed_formula_retires_and_stops_its_draws(self, draws, monkeypatch):
+        # Over 16 elements, x = 0 and y = 1 each fail within the first batch
+        # of 8 trials; y = y never fails, so its group draws all 800.
+        monkeypatch.setattr(terms, "SAMPLE_BATCH", 8)
+        model = full_pra(2)
+        failing = check_suite(["x = 0", "y = 1"], model, strategy=("sampled", 800), seed=1)
+        assert [r.valid for r in failing] == [False, False]
+        assert len(draws) == 8
+        draws.clear()
+        mixed = check_suite(["x = 0", "y = y"], model, strategy=("sampled", 800), seed=1)
+        assert mixed[0] == failing[0] and mixed[1].valid
+        assert len(draws) == 800
+
+    def test_budget_refuses_the_whole_list_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(terms, "DEFAULT_ASSIGNMENT_CAP", 16**2)
+
+        def unreachable(*args):
+            raise AssertionError("a formula was compiled before the budget")
+
+        monkeypatch.setattr(terms, "compile_formula", unreachable)
+        with pytest.raises(EvalError, match="16\\*\\*3 exceeds cap 256"):
+            check_suite(["x = x", "x;(y;z) = (x;y);z"], full_pra(2))
+
+    def test_sampled_count_above_cap_rejected(self, monkeypatch):
+        cap = terms.DEFAULT_ASSIGNMENT_CAP
+        with pytest.raises(EvalError, match=f"sampled count {cap + 1} exceeds cap {cap}"):
+            check_suite(["x = x"], full_pra(1), strategy=("sampled", cap + 1))
+        monkeypatch.setattr(terms, "DEFAULT_ASSIGNMENT_CAP", 40)
+        assert check_suite(["x = x"], full_pra(1), strategy=("sampled", 40))[0].valid
+        with pytest.raises(EvalError, match="sampled count 41 exceeds cap 40"):
+            check_formula("x = x", full_pra(1), strategy=("sampled", 41))
