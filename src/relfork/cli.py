@@ -4,8 +4,8 @@ Subcommands:
 
 * ``check``: run an axiom suite, either against a finite model
   (``cr_tarski`` / ``cr_equational``, exhaustive or sampled assignments)
-  or against a built pairing function (``cfa`` / ``cfau``, random
-  finitely supported relations plus scan windows).
+  or against a built pairing function (``cfa`` / ``cfau``, exact over N
+  from the construction layout).
 * ``eval``: evaluate one formula; exact over a finite model, compared
   on a window over a pairing function.
 * ``fix``: enumerate the fixpoints of a built pairing's control on a
@@ -203,6 +203,7 @@ def _cmd_check(args) -> Tuple[Dict, int]:
         "target": _star_name(config),
         "suite": suite,
         "config_sha256": _config_digest(config),
+        "scope": report.scope,
         "seed": args.seed,
         "trials": args.trials,
         "support_bound": args.support_bound,
@@ -298,10 +299,10 @@ def _cmd_export(args) -> Tuple[Dict, int]:
 # Rendering and argument wiring
 
 
-def _check_scope(args) -> str:
+def _check_scope(payload: Dict, args) -> str:
     """What a check covered, for its text header."""
-    if not args.model:
-        return f"{args.trials} random trials, seed {args.seed}"
+    if "scope" in payload:
+        return payload["scope"]
     if args.sampled is None:
         return "exhaustive"
     return f"sampled({args.sampled}), seed {args.seed}"
@@ -310,7 +311,7 @@ def _check_scope(args) -> str:
 def _render_text(payload: Dict, args) -> str:
     lines = []
     if "results" in payload:
-        lines.append(f"{payload['suite']} on {payload['target']}  [{_check_scope(args)}]")
+        lines.append(f"{payload['suite']} on {payload['target']}  [{_check_scope(payload, args)}]")
         for entry in payload["results"]:
             mark = "ok  " if entry.get("valid", entry.get("passed")) else "FAIL"
             label = entry.get("axiom", entry.get("description", ""))

@@ -38,6 +38,47 @@ Each layout carries the control whose fixpoints its table pins, in the
 form ``forkmodel.fix_members`` scans: ``bin nil nil`` for ``basic``,
 the control tree for ``tree``, the one-step sequence ``pi`` or ``rho``
 for the projection kinds and the control sequence for ``seq``.
+
+The fork axioms, exactly over N.  In a proper fork algebra cfa2 holds
+iff ``star`` is injective, and cfa1 and cfa3 hold iff, in addition,
+``unstar`` is its exact partial inverse: ``unstar(star(u, v)) = (u, v)``
+everywhere, ``star(unstar(w)) = w`` wherever ``unstar`` is defined and
+``None`` off the range of ``star``.  ``ConstructionLayout.certify``
+proves these facts from the layout instead of sampling them.
+
+* Lemma.  ``residual_element`` and ``residual_rank`` are inverse
+  bijections between N and the residual, and the Cantor pairing is a
+  bijection N x N -> N.  Hence ``decode_rest(encode_rest(u, v)) =
+  (u, v)`` and ``encode_rest(decode_rest(w)) = w`` wherever
+  ``decode_rest`` is defined, which is exactly on block 0 at offsets
+  >= 1.  The offset is ``cantor_pair(u, v) + 1 > max(u, v)``, so the
+  default cell lies strictly above both coordinates.
+* Table kinds (``tree``, ``pi``, ``rho``, ``seq``).  Suppose the table's
+  values are distinct and no value is the default cell of an unpinned
+  pair.  Then ``star`` is injective: two pinned cells differ by the
+  first fact, two default cells by the lemma, and a pinned value equal
+  to ``encode_rest(q)`` would decode to the unpinned q.  ``unstar``
+  returns the pinned cell on a table value and otherwise decodes a
+  default cell unless the table pins it, so by the lemma it inverts
+  ``star`` both ways and is ``None`` exactly off its range.
+* ``basic``.  ``offdiag_code`` maps the off-diagonal pairs bijectively
+  onto N (v skips u), so off-diagonal pairs fill block 0.  The diagonal
+  sends S to itself and every other u, at block i and offset k, to
+  block i + 1 at offset k, so it fills the blocks above 0.  S, block 0
+  and the higher blocks partition N, so ``star`` is a bijection, its
+  inverse is ``unstar`` and there is no urelement.
+* The scan.  Let M be the largest table coordinate, table value or
+  reserved element.  ``certify`` walks [0, M + 1] through ``pf.star``
+  and ``pf.unstar``: ``star`` must map each decoded pair back to w, and
+  ``unstar`` must agree with the layout, returning the pair the layout
+  sends to w and ``None`` off the layout's range.  This ties the
+  pairing to its layout; a pairing that computes something else is
+  left to sampling.  Above M + 1 no value is pinned or reserved, and
+  the lemma carries the proof.  M + 1 is not
+  reserved, so the scan meets the first residual element, block 0 at
+  offset 0, which nothing pairs to: every table kind finds its first
+  urelement at most at M + 1 (which can exceed M, as for the tree
+  ``bin nil nil`` on S = {0}, where M = 0).
 """
 
 from __future__ import annotations
@@ -59,13 +100,15 @@ from .btree import (
     tree_map,
 )
 from .errors import RelforkError
-from .forkmodel import Control, PairingFunction
+from .forkmodel import Control, PairingFunction, Verdict, verdict
 from .seqs import PI, RHO, Elem, Seq, format_seq, parse_seq, seq_symbols
 
 Pair = Tuple[int, int]
 
 MAX_MEMBERS = 512
 MAX_CONTROL_NODES = 64
+# Longest scan ConstructionLayout.certify runs; a layout past it is sampled.
+CERTIFY_SCAN_CAP = 1 << 20
 
 
 class ConstructionError(RelforkError):
@@ -153,6 +196,74 @@ class ConstructionLayout:
         if place is None or place[0] != 0 or place[1] == 0:
             return None
         return cantor_unpair(place[1] - 1)
+
+    def certify(self, pf: PairingFunction) -> Optional[Dict[str, Verdict]]:
+        """Decide cfa1, cfa2, cfa3 and cfau exactly over N for a pairing on this layout.
+
+        Returns each axiom's (passed, detail, first failure) by name; the
+        proof is in the module docstring.  Every failure is checked
+        through ``pf`` itself: two cells that star sends to one value, or
+        a point w of the scan where star(unstar(w)) != w or where unstar
+        misses the cell that star sends to w.  Returns None, so that
+        only sampling applies, when M + 1 exceeds ``CERTIFY_SCAN_CAP`` or
+        when ``pf`` computes some other pairing than this layout's.
+        """
+        table = self.table
+        cells = (c for cell in table for c in cell)
+        top = 1 + max((*self.reserved, *table.values(), *cells), default=0)  # M + 1
+        if top > CERTIFY_SCAN_CAP:
+            return None
+        onto = self.kind == "basic"
+        star, unstar = pf.star, pf.unstar
+        # unstar on [0, top] as the layout defines it: the pairs of the
+        # default cells there unless the table pins them, then the table.
+        expected: Dict[int, Pair] = {}
+        k = 1
+        while not onto and (w := self.block_element(0, k)) <= top:
+            pair = cantor_unpair(k - 1)
+            if pair not in table:
+                expected[w] = pair
+            k += 1
+        cfa2 = []  # pairs of cells that star sends to one value
+        for cell, w in table.items():
+            if w in expected:
+                cfa2.append((expected[w], cell))
+            expected[w] = cell
+        if any(star(*p) != star(*q) for p, q in cfa2):
+            return None
+
+        cfa1, cfa3 = list(cfa2), []
+        urelement = None
+        for w in range(top + 1):
+            got = unstar(w)
+            if got is not None and star(*got) != w:
+                cfa1.append(w)
+                cfa3.append(w)
+            elif got is None if onto else got != expected.get(w):
+                want = expected.get(w)
+                if want is None or star(*want) != w:
+                    return None
+                # star(want) = w, but unstar(w) is not want.
+                cfa1.append(w)
+                if got is not None:
+                    cfa2.append((want, got))
+            elif got is None and urelement is None:
+                urelement = w
+
+        scanned = f"scan of [0, {top}]"
+        if onto:
+            injective = outside = "exact over N: star is a bijection"
+        else:
+            injective = "exact over N: star is injective (table values distinct, off default cells)"
+            outside = f"no element of [0, {top}] lies outside star's range"
+        if urelement is not None:
+            outside = f"exact over N: {urelement} lies outside star's range"
+        return {
+            "cfa1": verdict(cfa1, f"{injective}, and unstar is its inverse ({scanned})"),
+            "cfa2": verdict(cfa2, injective),
+            "cfa3": verdict(cfa3, f"exact over N: star inverts unstar ({scanned})"),
+            "cfau": (urelement is not None, outside, urelement),
+        }
 
 
 def _table_pairing(layout: ConstructionLayout) -> PairingFunction:

@@ -33,6 +33,15 @@ from the identity), a sequence chains its projection steps through
 ``fix_members`` scans a finite region for the image's fixpoints.  Plain
 fixpoints star(u, u) = u are those of ``bin nil nil``, and projection
 fixpoints those of the one-step sequences ``pi`` and ``rho``.
+
+The fork axioms hold in such a model exactly when the pairing is an
+exact one: cfa2 iff ``star`` is injective, cfa1 and cfa3 iff moreover
+``unstar`` is its exact partial inverse, and cfau iff some element lies
+outside the range of ``star``.  ``cfa_axiom_check`` therefore decides
+them from the pairing alone.  A built pairing carries its construction
+layout, which proves those facts exactly over N (see the
+``constructions`` docstring); any other pairing is sampled, with random
+finitely supported relations and a scan window, and its report says so.
 """
 
 from __future__ import annotations
@@ -458,14 +467,31 @@ class AxiomResult(Node):
     __slots__ = ("name", "description", "passed", "detail", "witness")
 
 
-class CfaReport(Node):
-    """The axiom results of one ``cfa_axiom_check``, in check order."""
+# An axiom's (passed, detail, witness), by which AxiomResult is built.
+Verdict = Tuple[bool, str, object]
 
-    __slots__ = ("results",)
+
+def verdict(failures: list, detail: str) -> Verdict:
+    """Passed when nothing failed; the witness is the first failure."""
+    return (not failures, detail, failures[0] if failures else None)
+
+
+class CfaReport(Node):
+    """The axiom results of one ``cfa_axiom_check``, in check order, and their scope."""
+
+    __slots__ = ("results", "scope")
 
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
+
+
+_CFA_AXIOMS = (
+    ("cfa1", "r # s = (r;pi^) & (s;rho^)"),
+    ("cfa2", "(r # s);(t # u)^ = (r;t^) & (s;u^)"),
+    ("cfa3", "pi^ # rho^ <= 1' (fork of the projections is a subidentity)"),
+    ("cfau", "1;(~(1 # 1) & 1');1 = 1 (some urelement exists)"),
+)
 
 
 def random_supported_relation(rng: random.Random, bound: int, max_size: int = 8) -> LazyRelation:
@@ -482,15 +508,42 @@ def cfa_axiom_check(
     urelement_bound: int = 1000,
     include_urelement_axiom: bool = False,
 ) -> CfaReport:
-    """Check the fork axioms on random finitely supported relations.
+    """Check the fork axioms cfa1 to cfa3, and cfau when asked, over pf.
+
+    A pairing built on a ``constructions.ConstructionLayout`` is decided
+    exactly over N by ``ConstructionLayout.certify``, which proves the
+    axioms from the layout and scans [0, M + 1]; the keyword arguments
+    are then unused and the scope is "exact over N".  Any other pairing
+    (``conjugate`` results, hand-built ones), or a layout past the
+    certificate's scan cap, is sampled: see ``_sampled_verdicts``.
+    """
+    # constructions imports this module, so it loads here, on first use.
+    from .constructions import ConstructionLayout
+
+    verdicts = None
+    if isinstance(pf.meta, ConstructionLayout):
+        verdicts = pf.meta.certify(pf)
+    scope = "exact over N"
+    if verdicts is None:
+        verdicts = _sampled_verdicts(pf, support_bound, trials, seed, urelement_bound)
+        scope = f"sampled({trials} trials), seed {seed}"
+    axioms = _CFA_AXIOMS if include_urelement_axiom else _CFA_AXIOMS[:3]
+    results = tuple(AxiomResult(name, text, *verdicts[name]) for name, text in axioms)
+    return CfaReport(results, scope)
+
+
+def _sampled_verdicts(
+    pf: PairingFunction, support_bound: int, trials: int, seed: int, urelement_bound: int
+) -> Dict[str, Verdict]:
+    """The fork axioms on random finitely supported relations and a scan window.
 
     The first axiom compares the fork's support, built through star,
     with the projection pattern decided through unstar, both ways on a
     grid of probes; the second compares exact finite
     supports of both sides; the third verifies that star inverts unstar
     on a scan window (the fork of the projections is then a
-    subidentity).  The optional urelement axiom searches the scan window
-    for an element outside the range of star.
+    subidentity).  The urelement axiom searches the scan window for an
+    element outside the range of star.
     """
     rng = random.Random(seed)
     star, unstar = pf.star, pf.unstar
@@ -532,46 +585,17 @@ def cfa_axiom_check(
         decoded = unstar(a)
         if decoded is not None and star(decoded[0], decoded[1]) != a:
             failures3.append(a)
-
-    def result(name: str, description: str, detail: str, failures: list) -> AxiomResult:
-        return AxiomResult(
-            name, description, not failures, detail, failures[0] if failures else None
-        )
-
-    results = [
-        result(
-            "cfa1",
-            "r # s = (r;pi^) & (s;rho^)",
-            f"{trials} random pairs of finitely supported relations",
-            failures1,
+    urelement = next((u for u in range(urelement_bound) if unstar(u) is None), None)
+    return {
+        "cfa1": verdict(failures1, f"{trials} random pairs of finitely supported relations"),
+        "cfa2": verdict(failures2, f"{trials} random quadruples of finitely supported relations"),
+        "cfa3": verdict(failures3, f"star inverts unstar on [0, {urelement_bound})"),
+        "cfau": (
+            urelement is not None,
+            f"searched [0, {urelement_bound}) for an element outside star's range",
+            urelement,
         ),
-        result(
-            "cfa2",
-            "(r # s);(t # u)^ = (r;t^) & (s;u^)",
-            f"{trials} random quadruples of finitely supported relations",
-            failures2,
-        ),
-        result(
-            "cfa3",
-            "pi^ # rho^ <= 1' (fork of the projections is a subidentity)",
-            f"star inverts unstar on [0, {urelement_bound})",
-            failures3,
-        ),
-    ]
-    if include_urelement_axiom:
-        urelement = next(
-            (u for u in range(urelement_bound) if unstar(u) is None), None
-        )
-        results.append(
-            AxiomResult(
-                "cfau",
-                "1;(~(1 # 1) & 1');1 = 1 (some urelement exists)",
-                urelement is not None,
-                f"searched [0, {urelement_bound}) for an element outside star's range",
-                urelement,
-            )
-        )
-    return CfaReport(tuple(results))
+    }
 
 
 # ---------------------------------------------------------------------------

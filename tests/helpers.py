@@ -85,6 +85,32 @@ def residual_rank_linear(reserved: Tuple[int, ...], u: int) -> int:
     return u - sum(1 for r in reserved if r < u)
 
 
+def cfa_scan_oracle(pf, grid: int, scan: int) -> dict:
+    """The pairing conditions of the fork axioms, by brute force on a finite region.
+
+    star must be injective and inverted by unstar on the pairs of
+    [0, grid)², and star must invert unstar on [0, scan); cfau asks for
+    an element of [0, scan) outside the range of star.  The reference
+    for ``ConstructionLayout.certify``.
+    """
+    star, unstar = pf.star, pf.unstar
+    owners = {}
+    injective = inverts = True
+    for u in range(grid):
+        for v in range(grid):
+            w = star(u, v)
+            injective = injective and owners.setdefault(w, (u, v)) == (u, v)
+            inverts = inverts and unstar(w) == (u, v)
+    decoded = [(w, unstar(w)) for w in range(scan)]
+    star_inverts = all(star(*pair) == w for w, pair in decoded if pair is not None)
+    return {
+        "cfa1": inverts and star_inverts,
+        "cfa2": injective,
+        "cfa3": star_inverts,
+        "cfau": any(pair is None for _, pair in decoded),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Pairwise closure, the reference for AlgebraModel's and generate_subalgebra's
 # atom refinement

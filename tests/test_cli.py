@@ -167,7 +167,13 @@ class TestCheckModel:
             ),
             (
                 ["--star", "basic", "--S", "1", "--suite", "cfa", "--trials", "7", "--seed", "2"],
-                "cfa on star:basic S=[1]  [7 random trials, seed 2]",
+                "cfa on star:basic S=[1]  [exact over N]",
+            ),
+            (
+                # Past the certificate's scan cap, a built pairing is sampled.
+                ["--star", "basic", "--S", "2000000", "--suite", "cfa", "--trials", "7",
+                 "--seed", "2"],
+                "cfa on star:basic S=[2000000]  [sampled(7 trials), seed 2]",
             ),
         ],
     )
@@ -311,6 +317,18 @@ class TestCheckStar:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "members, scope", [("1", "exact over N"), ("2000000", "sampled(10 trials), seed 7")]
+    )
+    def test_json_names_the_scope(self, capsys, members, scope):
+        code, out, _ = run(
+            capsys, "--format", "json", "check", "--star", "basic", "--S", members,
+            "--suite", "cfa", "--trials", "10", "--seed", "7",
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["scope"] == scope
+        assert (payload["trials"], payload["seed"]) == (10, 7)
 
     def test_tree_star_requires_control(self, capsys):
         code, _, err = run(capsys, "check", "--star", "tree", "--S", "0", "--suite", "cfa")

@@ -10,6 +10,7 @@ from relfork import (
     NIL,
     PI,
     RHO,
+    PairingFunction,
     build_from_config,
     build_star_basic,
     build_star_proj,
@@ -17,6 +18,8 @@ from relfork import (
     build_star_tree,
     cantor_pair,
     cantor_unpair,
+    cfa_axiom_check,
+    conjugate,
     fix_members,
     fix_proj_members,
     fix_seq_members,
@@ -26,9 +29,9 @@ from relfork import (
     parse_tree,
     seq_from_symbols,
 )
-from relfork.constructions import MAX_MEMBERS
+from relfork.constructions import CERTIFY_SCAN_CAP, MAX_MEMBERS, _table_pairing
 
-from helpers import residual_element_linear, residual_rank_linear
+from helpers import cfa_scan_oracle, residual_element_linear, residual_rank_linear
 
 
 def assert_injective_on_grid(star, n: int) -> None:
@@ -365,6 +368,192 @@ class TestEveryKind:
         # built for the power itself makes the root's periodic points fixed.
         pf = build_from_config(config)
         assert fix_members(pf, range(1000), pf.meta.control) == tuple(config["S"])
+
+
+# The power controls next to random ones: their tables pin the shortest root.
+CERTIFY_TREES = st.one_of(st.just(parse_tree("bin (bin nil nil) (bin nil nil)")), CONTROL_TREES)
+CERTIFY_SEQS = st.one_of(st.just(parse_seq("pi.pi")), CONTROL_SEQS)
+
+
+@st.composite
+def built_pairings(draw, max_members: int, max_value: int):
+    """A built pairing of any kind on random members."""
+    kind = draw(st.sampled_from(sorted(BUILDERS)))
+    members = draw(
+        st.lists(st.integers(0, max_value), min_size=1, max_size=max_members, unique=True)
+    )
+    if kind == "tree":
+        return build_star_tree(draw(CERTIFY_TREES), members)
+    if kind == "seq":
+        return build_star_seq(draw(CERTIFY_SEQS), members)
+    return BUILDERS[kind](members, None)
+
+
+def scan_top(layout) -> int:
+    """M + 1: one above every reserved element, table coordinate and table value."""
+    cells = [c for cell in layout.table for c in cell]
+    return 1 + max([*layout.reserved, *layout.table.values(), *cells], default=0)
+
+
+def passed(report) -> dict:
+    return {r.name: r.passed for r in report.results}
+
+
+class TestCertificateLemma:
+    """The identities that carry the fork-axiom certificate above its scan."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        pf=built_pairings(max_members=MAX_MEMBERS, max_value=2047),
+        pairs=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=20),
+        points=st.lists(st.integers(0, 10**6), max_size=20),
+        offsets=st.lists(st.integers(0, 2000), max_size=20),
+    )
+    def test_default_encoder_inverts_both_ways(self, pf, pairs, points, offsets):
+        layout = pf.meta
+        for u, v in pairs:
+            w = layout.encode_rest(u, v)
+            assert layout.decode_rest(w) == (u, v)
+            assert w > max(u, v)
+            block, offset = layout.block_of(w)
+            assert block == 0 and offset >= 1
+        block0 = [layout.block_element(0, k) for k in offsets]
+        for w in points + block0:
+            pair = layout.decode_rest(w)
+            if pair is not None:
+                assert layout.encode_rest(*pair) == w
+        if layout.kind == "basic":
+            for u, v in pairs:
+                assert pf.unstar(pf.star(u, v)) == (u, v)
+            for w in points + block0:
+                assert pf.star(*pf.unstar(w)) == w
+
+
+class TestCfaCertificate:
+    TREE = build_star_tree(parse_tree("bin (bin nil nil) nil"), [2, 5, 9])
+
+    @settings(max_examples=25, deadline=None)
+    @given(pf=built_pairings(max_members=8, max_value=39))
+    def test_agrees_with_probes_and_scan_oracle(self, pf):
+        exact = cfa_axiom_check(pf, include_urelement_axiom=True)
+        probed = cfa_axiom_check(
+            PairingFunction(pf.star, pf.unstar), trials=20, include_urelement_axiom=True
+        )
+        assert exact.scope == "exact over N"
+        assert probed.scope == "sampled(20 trials), seed 0"
+        top = scan_top(pf.meta)
+        oracle = cfa_scan_oracle(pf, top + 1, top + 1000)
+        assert passed(exact) == passed(probed) == oracle
+        assert oracle["cfau"] == (pf.meta.kind != "basic")
+
+    def mutant(self, change):
+        """A fresh tree pairing whose table ``change`` edits before it is built."""
+        layout = build_star_tree(parse_tree("bin (bin nil nil) nil"), [2, 5, 9]).meta
+        change(layout.table)
+        return _table_pairing(layout)
+
+    def duplicated(self):
+        """The pairing whose second table cell takes the first cell's value."""
+        first, second = list(self.TREE.meta.table)[:2]
+
+        def duplicate(table):
+            table[second] = table[first]
+
+        return first, second, self.mutant(duplicate)
+
+    def assert_fails(self, pf, witnesses):
+        """Exactly the named axioms fail, with these witnesses, as on the scan oracle."""
+        report = cfa_axiom_check(pf, include_urelement_axiom=True)
+        assert report.scope == "exact over N"
+        assert {r.name: r.witness for r in report.results if not r.passed} == witnesses
+        top = scan_top(pf.meta)
+        oracle = cfa_scan_oracle(pf, top + 1, top + 1000)
+        assert {name for name, ok in oracle.items() if not ok} == set(witnesses)
+
+    def test_duplicated_table_value_fails(self):
+        first, second, pf = self.duplicated()
+        # star sends both cells to one value; unstar can return only one.
+        assert pf.star(*first) == pf.star(*second)
+        collision = (first, second)
+        self.assert_fails(pf, {"cfa1": collision, "cfa2": collision})
+
+    def test_table_value_on_a_default_cell_fails(self):
+        layout = self.TREE.meta
+        cell = next(iter(layout.table))
+        unpinned = next((0, v) for v in range(10) if (0, v) not in layout.table)
+
+        def move(table):
+            table[cell] = layout.encode_rest(*unpinned)
+
+        collision = (unpinned, cell)
+        self.assert_fails(self.mutant(move), {"cfa1": collision, "cfa2": collision})
+
+    def test_star_disagreeing_at_one_point_fails(self):
+        pf = self.TREE
+        top = scan_top(pf.meta)
+        w = max(u for u in range(top) if pf.unstar(u) is not None)
+        pair = pf.unstar(w)
+        urelement = next(u for u in range(top) if pf.unstar(u) is None)
+        broken = PairingFunction(
+            star=lambda u, v: urelement if (u, v) == pair else pf.star(u, v),
+            unstar=pf.unstar,
+            meta=pf.meta,
+        )
+        self.assert_fails(broken, {"cfa1": w, "cfa3": w})
+
+    def test_unstar_missing_one_value_fails(self):
+        pf = self.TREE
+        w = pf.meta.table[next(iter(pf.meta.table))]
+        broken = PairingFunction(
+            star=pf.star, unstar=lambda u: None if u == w else pf.unstar(u), meta=pf.meta
+        )
+        self.assert_fails(broken, {"cfa1": w})
+
+    def test_bijective_basic_has_no_urelement(self):
+        report = cfa_axiom_check(build_star_basic([1, 2]), include_urelement_axiom=True)
+        assert report.scope == "exact over N"
+        assert passed(report) == {"cfa1": True, "cfa2": True, "cfa3": True, "cfau": False}
+        assert report.results[3].detail == "exact over N: star is a bijection"
+
+    def test_first_urelement_can_lie_just_above_m(self):
+        # M = 0 here: the scan reaches M + 1, the first residual element.
+        pf = build_star_tree(parse_tree("bin nil nil"), [0])
+        assert scan_top(pf.meta) == 1
+        cfau = cfa_axiom_check(pf, include_urelement_axiom=True).results[3]
+        assert cfau.passed and cfau.witness == 1
+
+    def test_conjugate_is_sampled(self):
+        pf = conjugate(self.TREE, {2: 30, 30: 2})
+        report = cfa_axiom_check(pf, trials=10, seed=4)
+        assert report.scope == "sampled(10 trials), seed 4"
+        assert report.all_passed
+        assert report.results[0].detail == "10 random pairs of finitely supported relations"
+
+    def test_pairing_that_is_not_its_layout_is_sampled(self):
+        moved = conjugate(self.TREE, {2: 30, 30: 2})
+        pf = PairingFunction(moved.star, moved.unstar, meta=self.TREE.meta)
+        assert self.TREE.meta.certify(pf) is None
+        report = cfa_axiom_check(pf, trials=10)
+        assert report.scope == "sampled(10 trials), seed 0" and report.all_passed
+
+    def test_collision_that_star_does_not_make_is_sampled(self):
+        # The table sends both cells to one value, but pf's star moves the
+        # first cell onto an urelement: star stays injective.
+        first, _, collided = self.duplicated()
+        urelement = next(u for u in range(100) if collided.unstar(u) is None)
+        pf = PairingFunction(
+            star=lambda u, v: urelement if (u, v) == first else collided.star(u, v),
+            unstar=collided.unstar,
+            meta=collided.meta,
+        )
+        assert pf.meta.certify(pf) is None
+        assert cfa_axiom_check(pf, trials=10).scope == "sampled(10 trials), seed 0"
+
+    def test_layout_past_the_scan_cap_is_sampled(self):
+        pf = build_star_basic([CERTIFY_SCAN_CAP])
+        assert pf.meta.certify(pf) is None
+        report = cfa_axiom_check(pf, trials=5)
+        assert report.scope == "sampled(5 trials), seed 0" and report.all_passed
 
 
 class TestBuildFromConfig:
