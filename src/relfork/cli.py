@@ -22,8 +22,8 @@ Every run is a fresh process, so each command imports only what it uses:
 the pairing modules (``forkmodel``, ``constructions``) load on the
 branches that build or read a pairing, never for a finite model, and
 ``hashlib`` only for the commands that print a config digest.  The
-window caps and the sampled count are checked first, against constants
-that need no pairing code.
+target's options, the window caps and the sampled count are checked
+first, against constants that need no pairing code.
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ import time
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from . import relcore, terms
-from .errors import WINDOW_CAP, RelforkError
+from .errors import SCAN_CAP, WINDOW_CAP, RelforkError
 
 if TYPE_CHECKING:
     from . import forkmodel
-
-FIX_WINDOW_CAP = 1 << 20
 
 
 class UsageError(RelforkError):
@@ -88,19 +86,18 @@ def _read_json_object(path: str, what: str) -> Dict:
 
 
 def _star_config(args) -> Dict:
-    if getattr(args, "config", None):
+    """The target's {kind, S, control}; build_from_config judges the control."""
+    if args.config:
         return _read_json_object(args.config, "config")
-    if not getattr(args, "star", None):
+    if not args.star:
         raise UsageError("need --star KIND (or --config FILE)")
     config: Dict = {"kind": args.star, "S": list(_parse_members(args.members))}
-    if args.star == "tree":
-        if not args.tree:
-            raise UsageError("kind tree needs --t TREE")
-        config["control"] = args.tree
-    elif args.star == "seq":
-        if not args.seq:
-            raise UsageError("kind seq needs --s SEQ")
-        config["control"] = args.seq
+    control = args.tree if args.tree is not None else args.seq
+    if control is not None:
+        config["control"] = control
+    elif args.star in ("tree", "seq"):
+        flag = "--t TREE" if args.star == "tree" else "--s SEQ"
+        raise UsageError(f"kind {args.star} needs {flag}")
     return config
 
 
@@ -128,16 +125,25 @@ def _star_name(config: Dict) -> str:
 # ---------------------------------------------------------------------------
 # Argument checks
 
+# Options that only some targets read: dest, flag and the targets that read it.
+_TARGET_OPTIONS = (
+    ("sampled", "--sampled", ("model",)), ("trials", "--trials", ("star", "config")),
+    ("members", "--S", ("star",)), ("tree", "--t", ("star",)), ("seq", "--s", ("star",)),
+)
 
-def _check_counts(args) -> None:
-    """Reject windows and counts outside their range before any work starts."""
-    cap = {"fix": FIX_WINDOW_CAP, "eval": WINDOW_CAP}.get(args.command)
+
+def _check_args(args) -> None:
+    """Refuse options the target ignores, and counts out of range, before any work."""
+    for dest, flag, targets in _TARGET_OPTIONS:
+        if getattr(args, dest, None) is not None and not any(getattr(args, t) for t in targets):
+            raise UsageError(f"{flag} needs {' or '.join('--' + t for t in targets)}")
+    cap = {"fix": SCAN_CAP, "eval": WINDOW_CAP}.get(args.command)
     if cap is not None and args.window > cap:
         raise UsageError(f"--window {args.window} exceeds cap {cap}")
-    for name in ("window", "trials", "support_bound", "urelement_bound"):
+    for name in ("window", "trials"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
-            raise UsageError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+            raise UsageError(f"--{name} must be at least 1, got {value}")
     if getattr(args, "sampled", None) is not None:
         terms.sample_count(("sampled", args.sampled))
 
@@ -191,13 +197,9 @@ def _cmd_check(args) -> Tuple[Dict, int]:
     from . import forkmodel
 
     pf, config = _resolve_star(args)
+    trials = 200 if args.trials is None else args.trials
     report = forkmodel.cfa_axiom_check(
-        pf,
-        support_bound=args.support_bound,
-        trials=args.trials,
-        seed=args.seed,
-        urelement_bound=args.urelement_bound,
-        include_urelement_axiom=(suite == "cfau"),
+        pf, trials=trials, seed=args.seed, include_urelement_axiom=(suite == "cfau")
     )
     payload = {
         "target": _star_name(config),
@@ -205,9 +207,9 @@ def _cmd_check(args) -> Tuple[Dict, int]:
         "config_sha256": _config_digest(config),
         "scope": report.scope,
         "seed": args.seed,
-        "trials": args.trials,
-        "support_bound": args.support_bound,
-        "urelement_bound": args.urelement_bound,
+        "trials": trials,
+        "support_bound": forkmodel.SUPPORT_BOUND,
+        "urelement_bound": forkmodel.URELEMENT_BOUND,
         "results": [
             {
                 "name": r.name,
@@ -357,17 +359,19 @@ def _emit(payload: Dict, args) -> None:
 
 
 def _add_target_args(parser: argparse.ArgumentParser, with_model: bool = True) -> None:
+    target = parser.add_mutually_exclusive_group()
     if with_model:
-        parser.add_argument("--model", help="finite model: full:N or a JSON file path")
-    parser.add_argument(
+        target.add_argument("--model", help="finite model: full:N or a JSON file path")
+    target.add_argument(
         "--star",
         choices=("basic", "tree", "pi", "rho", "seq"),
         help="construction kind for a pairing-function target",
     )
-    parser.add_argument("--S", dest="members", default="", help="members, e.g. 1,2")
-    parser.add_argument("--t", dest="tree", help="control tree, e.g. 'bin (bin nil nil) nil'")
-    parser.add_argument("--s", dest="seq", help="control sequence, e.g. pi.rho")
-    parser.add_argument("--config", help="JSON config file {kind, S, control}")
+    target.add_argument("--config", help="JSON config file {kind, S, control}")
+    parser.add_argument("--S", dest="members", help="members, e.g. 1,2")
+    control = parser.add_mutually_exclusive_group()
+    control.add_argument("--t", dest="tree", help="control tree, e.g. 'bin (bin nil nil) nil'")
+    control.add_argument("--s", dest="seq", help="control sequence, e.g. pi.rho")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,10 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="check K random assignments (default: every assignment)",
     )
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--support-bound", type=int, default=64, dest="support_bound")
-    p_check.add_argument("--trials", type=int, default=200)
     p_check.add_argument(
-        "--urelement-bound", type=int, default=1000, dest="urelement_bound"
+        "--trials", type=int, help="random trials if the pairing is sampled (default 200)"
     )
     p_check.set_defaults(func=_cmd_check)
 
@@ -431,7 +433,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        _check_counts(args)
+        _check_args(args)
         payload, code = args.func(args)
     except (RelforkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,7 +44,9 @@ iff ``star`` is injective, and cfa1 and cfa3 hold iff, in addition,
 ``unstar`` is its exact partial inverse: ``unstar(star(u, v)) = (u, v)``
 everywhere, ``star(unstar(w)) = w`` wherever ``unstar`` is defined and
 ``None`` off the range of ``star``.  ``ConstructionLayout.certify``
-proves these facts from the layout instead of sampling them.
+proves these facts from the layout instead of sampling them;
+``forkmodel.cfa_axiom_check`` calls it as ``pf.meta.certify``, so only
+this module imports the other.
 
 * Lemma.  ``residual_element`` and ``residual_rank`` are inverse
   bijections between N and the residual, and the Cantor pairing is a
@@ -73,12 +75,13 @@ proves these facts from the layout instead of sampling them.
   ``unstar`` must agree with the layout, returning the pair the layout
   sends to w and ``None`` off the layout's range.  This ties the
   pairing to its layout; a pairing that computes something else is
-  left to sampling.  Above M + 1 no value is pinned or reserved, and
-  the lemma carries the proof.  M + 1 is not
-  reserved, so the scan meets the first residual element, block 0 at
-  offset 0, which nothing pairs to: every table kind finds its first
-  urelement at most at M + 1 (which can exceed M, as for the tree
-  ``bin nil nil`` on S = {0}, where M = 0).
+  left to sampling, and so is a layout whose M + 1 exceeds
+  ``errors.SCAN_CAP``.  Above M + 1 no value is pinned or reserved, and
+  the lemma carries the proof.  M + 1 is not reserved, so the scan
+  meets the first residual element, block 0 at offset 0, which nothing
+  pairs to: every table kind finds its first urelement at most at
+  M + 1 (which can exceed M, as for the tree ``bin nil nil`` on
+  S = {0}, where M = 0).
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ from .btree import (
     strict_subtrees,
     tree_map,
 )
-from .errors import RelforkError
+from .errors import SCAN_CAP, RelforkError
 from .forkmodel import Control, PairingFunction, Verdict, verdict
 from .seqs import PI, RHO, Elem, Seq, format_seq, parse_seq, seq_symbols
 
@@ -107,8 +110,8 @@ Pair = Tuple[int, int]
 
 MAX_MEMBERS = 512
 MAX_CONTROL_NODES = 64
-# Longest scan ConstructionLayout.certify runs; a layout past it is sampled.
-CERTIFY_SCAN_CAP = 1 << 20
+# The side of the star grid that layout_report samples.
+REPORT_GRID = 12
 
 
 class ConstructionError(RelforkError):
@@ -205,13 +208,13 @@ class ConstructionLayout:
         through ``pf`` itself: two cells that star sends to one value, or
         a point w of the scan where star(unstar(w)) != w or where unstar
         misses the cell that star sends to w.  Returns None, so that
-        only sampling applies, when M + 1 exceeds ``CERTIFY_SCAN_CAP`` or
+        only sampling applies, when M + 1 exceeds ``errors.SCAN_CAP`` or
         when ``pf`` computes some other pairing than this layout's.
         """
         table = self.table
         cells = (c for cell in table for c in cell)
         top = 1 + max((*self.reserved, *table.values(), *cells), default=0)  # M + 1
-        if top > CERTIFY_SCAN_CAP:
+        if top > SCAN_CAP:
             return None
         onto = self.kind == "basic"
         star, unstar = pf.star, pf.unstar
@@ -499,8 +502,8 @@ def build_from_config(config: Mapping) -> PairingFunction:
     raise ConstructionError(f"unknown construction kind {kind!r}")
 
 
-def layout_report(pf: PairingFunction, grid: int = 12) -> Dict:
-    """Inspectable summary of a built pairing: blocks, table, sample grid."""
+def layout_report(pf: PairingFunction) -> Dict:
+    """Inspectable summary of a built pairing: blocks, table, ``REPORT_GRID`` star grid."""
     layout = pf.meta
     if not isinstance(layout, ConstructionLayout):
         raise ConstructionError("pairing function carries no construction layout")
@@ -524,7 +527,7 @@ def layout_report(pf: PairingFunction, grid: int = 12) -> Dict:
         "fix_candidates": list(layout.s_values),
         "blocks": blocks,
         "table": table,
-        "star_grid": [[pf.star(u, v) for v in range(grid)] for u in range(grid)],
+        "star_grid": [[pf.star(u, v) for v in range(REPORT_GRID)] for u in range(REPORT_GRID)],
     }
     if layout.partners is not None:
         report["partners"] = list(layout.partners)

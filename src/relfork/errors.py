@@ -27,3 +27,7 @@ MAX_NESTING = 200
 # The largest window [0, n) a lazy relation is restricted to, read by
 # forkmodel.window and by the CLI's eval before any pairing is built.
 WINDOW_CAP = 4096
+
+# The longest scan of N through a pairing: the CLI's fix window, checked before
+# any pairing is built, and ConstructionLayout.certify's scan, past which it samples.
+SCAN_CAP = 1 << 20

@@ -39,9 +39,10 @@ exact one: cfa2 iff ``star`` is injective, cfa1 and cfa3 iff moreover
 ``unstar`` is its exact partial inverse, and cfau iff some element lies
 outside the range of ``star``.  ``cfa_axiom_check`` therefore decides
 them from the pairing alone.  A built pairing carries its construction
-layout, which proves those facts exactly over N (see the
-``constructions`` docstring); any other pairing is sampled, with random
-finitely supported relations and a scan window, and its report says so.
+layout as ``meta``, whose ``certify`` proves those facts exactly over N
+(see the ``constructions`` docstring, a module this one never imports);
+any other pairing is sampled, with random finitely supported relations
+and a scan window, and its report says so.
 """
 
 from __future__ import annotations
@@ -494,47 +495,41 @@ _CFA_AXIOMS = (
 )
 
 
-def random_supported_relation(rng: random.Random, bound: int, max_size: int = 8) -> LazyRelation:
-    size = rng.randrange(0, max_size + 1)
-    pairs = {(rng.randrange(bound), rng.randrange(bound)) for _ in range(size)}
+# The sampled path's probes: at most MAX_SUPPORT_SIZE pairs drawn from
+# [0, SUPPORT_BOUND)² per relation, and the scan window [0, URELEMENT_BOUND).
+SUPPORT_BOUND = 64
+MAX_SUPPORT_SIZE = 8
+URELEMENT_BOUND = 1000
+
+
+def random_supported_relation(rng: random.Random) -> LazyRelation:
+    size = rng.randrange(0, MAX_SUPPORT_SIZE + 1)
+    pairs = {(rng.randrange(SUPPORT_BOUND), rng.randrange(SUPPORT_BOUND)) for _ in range(size)}
     return LazyRelation.from_support(pairs)
 
 
 def cfa_axiom_check(
-    pf: PairingFunction,
-    support_bound: int = 64,
-    trials: int = 200,
-    seed: int = 0,
-    urelement_bound: int = 1000,
-    include_urelement_axiom: bool = False,
+    pf: PairingFunction, trials: int = 200, seed: int = 0, include_urelement_axiom: bool = False
 ) -> CfaReport:
     """Check the fork axioms cfa1 to cfa3, and cfau when asked, over pf.
 
-    A pairing built on a ``constructions.ConstructionLayout`` is decided
-    exactly over N by ``ConstructionLayout.certify``, which proves the
-    axioms from the layout and scans [0, M + 1]; the keyword arguments
-    are then unused and the scope is "exact over N".  Any other pairing
-    (``conjugate`` results, hand-built ones), or a layout past the
-    certificate's scan cap, is sampled: see ``_sampled_verdicts``.
+    A pairing whose ``meta`` has ``certify``, as a built pairing's layout
+    does, is decided by it exactly over N; trials and seed are unused.
+    Any other pairing (``conjugate`` results, hand-built ones), or one
+    that ``certify`` declines, is sampled: see ``_sampled_verdicts``.
     """
-    # constructions imports this module, so it loads here, on first use.
-    from .constructions import ConstructionLayout
-
-    verdicts = None
-    if isinstance(pf.meta, ConstructionLayout):
-        verdicts = pf.meta.certify(pf)
+    certify = getattr(pf.meta, "certify", None)
+    verdicts = None if certify is None else certify(pf)
     scope = "exact over N"
     if verdicts is None:
-        verdicts = _sampled_verdicts(pf, support_bound, trials, seed, urelement_bound)
+        verdicts = _sampled_verdicts(pf, trials, seed)
         scope = f"sampled({trials} trials), seed {seed}"
     axioms = _CFA_AXIOMS if include_urelement_axiom else _CFA_AXIOMS[:3]
     results = tuple(AxiomResult(name, text, *verdicts[name]) for name, text in axioms)
     return CfaReport(results, scope)
 
 
-def _sampled_verdicts(
-    pf: PairingFunction, support_bound: int, trials: int, seed: int, urelement_bound: int
-) -> Dict[str, Verdict]:
+def _sampled_verdicts(pf: PairingFunction, trials: int, seed: int) -> Dict[str, Verdict]:
     """The fork axioms on random finitely supported relations and a scan window.
 
     The first axiom compares the fork's support, built through star,
@@ -551,10 +546,7 @@ def _sampled_verdicts(
     failures1 = []
     failures2 = []
     for _ in range(trials):
-        r = random_supported_relation(rng, support_bound)
-        s = random_supported_relation(rng, support_bound)
-        t = random_supported_relation(rng, support_bound)
-        u = random_supported_relation(rng, support_bound)
+        r, s, t, u = (random_supported_relation(rng) for _ in range(4))
 
         forked = fork(r, s, pf)
         # The fork's membership test decides the projection pattern through
@@ -565,7 +557,7 @@ def _sampled_verdicts(
                 failures1.append(((a, b), "fork pair rejected by projection pattern"))
         probe_lefts = {a for a, _ in r.support_hint | s.support_hint}
         probe_rights = {b for _, b in forked.support_hint}
-        probe_rights.update(rng.randrange(support_bound) for _ in range(8))
+        probe_rights.update(rng.randrange(SUPPORT_BOUND) for _ in range(8))
         for a in probe_lefts:
             for b in probe_rights:
                 if pattern(a, b) != ((a, b) in forked.support_hint):
@@ -581,18 +573,18 @@ def _sampled_verdicts(
             failures2.append((sorted(lhs ^ rhs)[:4], "support mismatch"))
 
     failures3 = []
-    for a in range(urelement_bound):
+    for a in range(URELEMENT_BOUND):
         decoded = unstar(a)
         if decoded is not None and star(decoded[0], decoded[1]) != a:
             failures3.append(a)
-    urelement = next((u for u in range(urelement_bound) if unstar(u) is None), None)
+    urelement = next((u for u in range(URELEMENT_BOUND) if unstar(u) is None), None)
     return {
         "cfa1": verdict(failures1, f"{trials} random pairs of finitely supported relations"),
         "cfa2": verdict(failures2, f"{trials} random quadruples of finitely supported relations"),
-        "cfa3": verdict(failures3, f"star inverts unstar on [0, {urelement_bound})"),
+        "cfa3": verdict(failures3, f"star inverts unstar on [0, {URELEMENT_BOUND})"),
         "cfau": (
             urelement is not None,
-            f"searched [0, {urelement_bound}) for an element outside star's range",
+            f"searched [0, {URELEMENT_BOUND}) for an element outside star's range",
             urelement,
         ),
     }

@@ -384,17 +384,13 @@ def power(model: AlgebraModel, exponent: int) -> AlgebraModel:
     return result
 
 
-def generate_subalgebra(
-    base_size: int,
-    generators: Iterable[FiniteRelation],
-    carrier_cap: int = MAX_CARRIER,
-) -> AlgebraModel:
+def generate_subalgebra(base_size: int, generators: Iterable[FiniteRelation]) -> AlgebraModel:
     """Subalgebra of the full algebra over [0, base_size) generated by H.
 
     Its atoms are the blocks of the coarsest partition of the unit that
     the generators and the identity split, and that converses and
     compositions of its own blocks split no further.  The carrier, every
-    union of the k atoms, is built only once 2^k is known to fit the cap.
+    union of the k atoms, is built only once 2^k is known to fit ``MAX_CARRIER``.
     """
     if base_size > MAX_BASE:
         raise RelationError(f"base size {base_size} exceeds cap {MAX_BASE}")
@@ -405,8 +401,7 @@ def generate_subalgebra(
         if g.base_size != base_size:
             raise RelationError("generator has wrong base size")
         splitters.append(_code(g))
-    cap = min(carrier_cap, MAX_CARRIER)
-    limit = max(cap, 0).bit_length() - 1
+    limit = MAX_CARRIER.bit_length() - 1
     blocks = _refine([_code(unit)] if base_size else [], splitters, limit)
     while len(blocks) <= limit:
         atoms = [_relation(base_size, b) for b in blocks]
@@ -418,7 +413,7 @@ def generate_subalgebra(
         blocks = refined
     if len(blocks) > limit:
         raise RelationError(
-            f"generated carrier of at least 2**{len(blocks)} elements exceeds cap {cap}"
+            f"generated carrier of at least 2**{len(blocks)} elements exceeds cap {MAX_CARRIER}"
         )
 
     codes = [0]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pathlib
 import random
 
 import pytest
@@ -12,12 +13,22 @@ from relfork.cli import main
 UNIT2 = [[0, 0], [0, 1], [1, 0], [1, 1]]
 IDENT2 = [[0, 0], [1, 1]]
 DIV2 = [[0, 1], [1, 0]]
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_to_exit(capsys, *argv):
+    """Like run, but an argparse refusal returns its exit code too."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
 
 
 class TestCheckModel:
@@ -278,7 +289,7 @@ class TestCheckStar:
     def test_cfau_passes_on_projection_star(self, capsys):
         code, out, _ = run(
             capsys, "check", "--star", "pi", "--S", "3,4", "--suite", "cfau",
-            "--trials", "20", "--urelement-bound", "200",
+            "--trials", "20",
         )
         assert code == 0
         assert "result: pass" in out
@@ -287,7 +298,7 @@ class TestCheckStar:
         code, out, _ = run(
             capsys, "--format", "json", "check",
             "--star", "basic", "--S", "1,2", "--suite", "cfau",
-            "--trials", "10", "--urelement-bound", "200",
+            "--trials", "10",
         )
         assert code == 1
         payload = json.loads(out)
@@ -303,10 +314,7 @@ class TestCheckStar:
             ("--star", "seq", "--S", "0", "--s", "pi.rho"),
         ]
         for target in targets:
-            code, _, _ = run(
-                capsys, "check", *target, "--suite", "cfa",
-                "--trials", "15", "--support-bound", "24", "--urelement-bound", "100",
-            )
+            code, _, _ = run(capsys, "check", *target, "--suite", "cfa", "--trials", "15")
             assert code == 0
 
     def test_stdout_is_stable_for_fixed_seed(self, capsys):
@@ -329,6 +337,17 @@ class TestCheckStar:
         payload = json.loads(out)
         assert code == 0 and payload["scope"] == scope
         assert (payload["trials"], payload["seed"]) == (10, 7)
+
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    @pytest.mark.parametrize("scope, members", [("exact", "1,2"), ("sampled", "2000000")])
+    def test_stdout_bytes_are_pinned(self, capsys, scope, members, fmt, suffix):
+        # The echoed probe sizes, the key order and the scope labels.
+        code, out, _ = run(
+            capsys, "--format", fmt, "check", "--star", "basic", "--S", members,
+            "--suite", "cfau", "--trials", "10", "--seed", "7",
+        )
+        assert code == 1
+        assert out == (GOLDEN / f"check_cfau_{scope}.{suffix}").read_text(encoding="utf-8")
 
     def test_tree_star_requires_control(self, capsys):
         code, _, err = run(capsys, "check", "--star", "tree", "--S", "0", "--suite", "cfa")
@@ -573,8 +592,6 @@ class TestCountChecks:
             ["fix", *BASIC_TARGET, "--window", "-5"],
             ["fix", *BASIC_TARGET, "--window", "2000000"],
             ["check", *BASIC_TARGET, "--suite", "cfa", "--trials", "-1"],
-            ["check", *BASIC_TARGET, "--suite", "cfa", "--support-bound", "0"],
-            ["check", *BASIC_TARGET, "--suite", "cfau", "--urelement-bound", "0"],
         ],
     )
     def test_rejected_before_the_pairing_is_built(self, capsys, monkeypatch, argv):
@@ -598,6 +615,62 @@ class TestCountChecks:
         assert code == 2 and out == ""
         assert "error: sampled count must be at least 1, got 0" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["check", *BASIC_TARGET, "--suite", "cfa", "--sampled", "5"],
+                "error: --sampled needs --model",
+            ),
+            (
+                ["check", "--model", "full:2", "--suite", "cr_equational", "--trials", "5"],
+                "error: --trials needs --star or --config",
+            ),
+            (
+                ["check", "--model", "full:1", *BASIC_TARGET, "--suite", "cfa"],
+                "error: argument --star: not allowed with argument --model",
+            ),
+            (
+                ["build", "--config", "c.json", *BASIC_TARGET],
+                "error: argument --star: not allowed with argument --config",
+            ),
+            (["fix", "--config", "c.json", "--S", "1"], "error: --S needs --star"),
+            (
+                ["eval", "--model", "full:1", "--formula", "1 = 1", "--s", "pi"],
+                "error: --s needs --star",
+            ),
+            (
+                ["build", "--star", "tree", "--S", "0", "--t", "bin nil nil", "--s", "pi"],
+                "error: argument --s: not allowed with argument --t",
+            ),
+        ],
+        ids=[
+            "sampled-on-star", "trials-on-model", "model-and-star", "config-and-star",
+            "members-on-config", "control-on-model", "two-controls",
+        ],
+    )
+    def test_ignored_option_refused_before_any_work(
+        self, capsys, monkeypatch, tmp_path, argv, message
+    ):
+        def unreachable(*args):
+            raise AssertionError("a target was read before its options were checked")
+
+        monkeypatch.setattr(constructions, "build_from_config", unreachable)
+        monkeypatch.setattr(relcore, "full_pra", unreachable)
+        monkeypatch.setattr(relcore, "load_model", unreachable)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({"kind": "basic", "S": [1]}))
+        code, out, err = run_to_exit(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err and "Traceback" not in err
+
+    def test_control_refused_as_in_a_config_file(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"kind": "basic", "S": [1], "control": "bin nil nil"}))
+        flags = run(capsys, "build", *BASIC_TARGET, "--t", "bin nil nil")
+        file = run(capsys, "build", "--config", str(path))
+        assert flags == file == (2, "", "error: basic construction takes no control\n")
+
 
 class TestArgumentErrors:
     def test_unknown_suite(self, capsys):
@@ -620,6 +693,12 @@ class TestArgumentErrors:
             main(["fix", "--star", "spiral"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--support-bound", "--urelement-bound"])
+    def test_bound_flags_removed(self, capsys, flag):
+        # The sampled path's probe sizes are forkmodel constants.
+        code, out, err = run_to_exit(capsys, "check", *BASIC_TARGET, "--suite", "cfa", flag, "5")
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {flag} 5" in err
 
 
 EVAL_X = ["eval", "--model", "full:2", "--formula", "x <= 1", "--bind"]

@@ -29,7 +29,9 @@ from relfork import (
     parse_tree,
     seq_from_symbols,
 )
-from relfork.constructions import CERTIFY_SCAN_CAP, MAX_MEMBERS, _table_pairing
+from relfork import constructions
+from relfork.constructions import MAX_MEMBERS, _table_pairing
+from relfork.errors import SCAN_CAP
 
 from helpers import cfa_scan_oracle, residual_element_linear, residual_rank_linear
 
@@ -550,7 +552,7 @@ class TestCfaCertificate:
         assert cfa_axiom_check(pf, trials=10).scope == "sampled(10 trials), seed 0"
 
     def test_layout_past_the_scan_cap_is_sampled(self):
-        pf = build_star_basic([CERTIFY_SCAN_CAP])
+        pf = build_star_basic([SCAN_CAP])
         assert pf.meta.certify(pf) is None
         report = cfa_axiom_check(pf, trials=5)
         assert report.scope == "sampled(5 trials), seed 0" and report.all_passed
@@ -609,9 +611,10 @@ class TestBuildFromConfig:
 
 
 class TestLayoutReport:
-    def test_report_shape(self):
+    def test_report_shape(self, monkeypatch):
+        monkeypatch.setattr(constructions, "REPORT_GRID", 8)
         pf = build_from_config({"kind": "tree", "S": [0, 1], "control": "bin nil nil"})
-        report = layout_report(pf, grid=8)
+        report = layout_report(pf)
         assert report["kind"] == "tree"
         assert report["members"] == [0, 1]
         assert report["control"] == "bin nil nil"

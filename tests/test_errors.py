@@ -183,8 +183,6 @@ def cli_argvs(draw):
     elif command == "check":
         suite = mostly(st.sampled_from(["cfa", "cfau"]), st.just("cr_tarski"))
         argv += draw(star_targets()) + ["--suite", draw(suite), "--trials", draw(counts)]
-        argv += ["--support-bound", draw(st.integers(1, 16).map(str) | counts)]
-        argv += ["--urelement-bound", draw(st.integers(1, 64).map(str) | counts)]
         argv += draw(optional("--seed", st.integers(0, 9).map(str)))
     elif command == "eval":
         if draw(st.booleans()):

@@ -72,6 +72,16 @@ def test_eval_star_loads_no_hashlib():
     assert "hashlib" not in loaded
 
 
+def test_cfa_check_loads_no_constructions():
+    # A layout's certify is found on pf.meta, so the dependency runs one way.
+    loaded = new_modules(
+        "from relfork.forkmodel import PairingFunction, cfa_axiom_check\n"
+        "pf = PairingFunction(star=lambda u, v: 2 * u + v, unstar=lambda w: None)\n"
+        "assert cfa_axiom_check(pf, trials=1).scope == 'sampled(1 trials), seed 0'"
+    )
+    assert "relfork.forkmodel" in loaded and "relfork.constructions" not in loaded
+
+
 def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from relfork import *", namespace)

@@ -265,12 +265,14 @@ class TestAtomsAgainstPairwiseOracles:
     def test_generated_carrier_matches(self, case, cap):
         n, generators = case
         expected = generate_subalgebra_rounds(n, generators, cap)
-        if expected is None:
-            with pytest.raises(RelationError, match="exceeds cap"):
-                generate_subalgebra(n, generators, carrier_cap=cap)
-        else:
-            model = generate_subalgebra(n, generators, carrier_cap=cap)
-            assert {rel.rows for rel in model.carrier} == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(relcore, "MAX_CARRIER", cap)
+            if expected is None:
+                with pytest.raises(RelationError, match="exceeds cap"):
+                    generate_subalgebra(n, generators)
+            else:
+                model = generate_subalgebra(n, generators)
+                assert {rel.rows for rel in model.carrier} == expected
 
 
 class TestIdealsAndClassification:
@@ -317,9 +319,10 @@ class TestGeneratedSubalgebra:
         m = generate_subalgebra(1, [])
         assert len(m.carrier) == 2
 
-    def test_carrier_cap(self):
+    def test_carrier_cap(self, monkeypatch):
+        monkeypatch.setattr(relcore, "MAX_CARRIER", 8)
         with pytest.raises(RelationError):
-            generate_subalgebra(3, [FiniteRelation.from_pairs(3, [(0, 1)])], carrier_cap=8)
+            generate_subalgebra(3, [FiniteRelation.from_pairs(3, [(0, 1)])])
 
     def test_cap_checked_before_any_union(self, monkeypatch):
         def built(*args, **kwargs):
@@ -327,9 +330,10 @@ class TestGeneratedSubalgebra:
 
         monkeypatch.setattr(relcore, "AlgebraModel", built)
         monkeypatch.setattr(FiniteRelation, "union", built)
+        monkeypatch.setattr(relcore, "MAX_CARRIER", 64)
         generators = [FiniteRelation.from_pairs(4, [(a, a + 1)]) for a in range(3)]
         with pytest.raises(RelationError, match="exceeds cap 64"):
-            generate_subalgebra(4, generators, carrier_cap=64)
+            generate_subalgebra(4, generators)
 
     def test_full_base_four_from_one_cell_generators(self):
         generators = [FiniteRelation.from_pairs(4, [(a, a + 1)]) for a in range(3)]
