@@ -125,20 +125,24 @@ def _star_name(config: Dict) -> str:
 # ---------------------------------------------------------------------------
 # Argument checks
 
-# Options that only some targets read: dest, flag and the targets that read it.
+# Options that only some targets read: dest, flag and the options that read it.
+# fix's --window has a default and every fix target reads it, so only eval's
+# --window (default None) is checked here.
 _TARGET_OPTIONS = (
     ("sampled", "--sampled", ("model",)), ("trials", "--trials", ("star", "config")),
+    ("seed", "--seed", ("sampled", "star", "config")), ("window", "--window", ("star", "config")),
     ("members", "--S", ("star",)), ("tree", "--t", ("star",)), ("seq", "--s", ("star",)),
 )
 
 
 def _check_args(args) -> None:
     """Refuse options the target ignores, and counts out of range, before any work."""
-    for dest, flag, targets in _TARGET_OPTIONS:
-        if getattr(args, dest, None) is not None and not any(getattr(args, t) for t in targets):
-            raise UsageError(f"{flag} needs {' or '.join('--' + t for t in targets)}")
+    for dest, flag, readers in _TARGET_OPTIONS:
+        given = getattr(args, dest, None) is not None and (dest, args.command) != ("window", "fix")
+        if given and all(getattr(args, r) is None for r in readers):
+            raise UsageError(f"{flag} needs {' or '.join('--' + r for r in readers)}")
     cap = {"fix": SCAN_CAP, "eval": WINDOW_CAP}.get(args.command)
-    if cap is not None and args.window > cap:
+    if cap is not None and args.window is not None and args.window > cap:
         raise UsageError(f"--window {args.window} exceeds cap {cap}")
     for name in ("window", "trials"):
         value = getattr(args, name, None)
@@ -154,6 +158,7 @@ def _check_args(args) -> None:
 
 def _cmd_check(args) -> Tuple[Dict, int]:
     suite = args.suite
+    seed = 0 if args.seed is None else args.seed
     strategy = ("sampled", args.sampled) if args.sampled is not None else "exhaustive"
     if args.model:
         if suite not in ("cr_tarski", "cr_equational"):
@@ -171,7 +176,7 @@ def _cmd_check(args) -> Tuple[Dict, int]:
             terms.check_budget(formulas, size)
         if model is None:
             model = relcore.full_pra(n)
-        reports = terms.check_suite(formulas, model, strategy=strategy, seed=args.seed)
+        reports = terms.check_suite(formulas, model, strategy=strategy, seed=seed)
         results = [
             {
                 "axiom": text,
@@ -186,7 +191,7 @@ def _cmd_check(args) -> Tuple[Dict, int]:
             "target": f"model:{args.model}",
             "suite": suite,
             "strategy": str(strategy),
-            "seed": args.seed,
+            "seed": seed,
             "results": results,
             "all_valid": all_valid,
         }
@@ -199,14 +204,14 @@ def _cmd_check(args) -> Tuple[Dict, int]:
     pf, config = _resolve_star(args)
     trials = 200 if args.trials is None else args.trials
     report = forkmodel.cfa_axiom_check(
-        pf, trials=trials, seed=args.seed, include_urelement_axiom=(suite == "cfau")
+        pf, trials=trials, seed=seed, include_urelement_axiom=(suite == "cfau")
     )
     payload = {
         "target": _star_name(config),
         "suite": suite,
         "config_sha256": _config_digest(config),
         "scope": report.scope,
-        "seed": args.seed,
+        "seed": seed,
         "trials": trials,
         "support_bound": forkmodel.SUPPORT_BOUND,
         "urelement_bound": forkmodel.URELEMENT_BOUND,
@@ -246,10 +251,9 @@ def _cmd_eval(args) -> Tuple[Dict, int]:
             name: forkmodel.LazyRelation.from_support(pairs)
             for name, pairs in bindings.items()
         }
-        value = terms.eval_formula(
-            formula, env, forkmodel.ForkBackend(pf, window=args.window)
-        )
-        mode = f"window[0,{args.window})"
+        window = 200 if args.window is None else args.window
+        value = terms.eval_formula(formula, env, forkmodel.ForkBackend(pf, window=window))
+        mode = f"window[0,{window})"
         target = _star_name(config)
     payload = {
         "formula": terms.pretty_formula(formula),
@@ -307,7 +311,7 @@ def _check_scope(payload: Dict, args) -> str:
         return payload["scope"]
     if args.sampled is None:
         return "exhaustive"
-    return f"sampled({args.sampled}), seed {args.seed}"
+    return f"sampled({args.sampled}), seed {payload['seed']}"
 
 
 def _render_text(payload: Dict, args) -> str:
@@ -398,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="check K random assignments (default: every assignment)",
     )
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=int, help="seed of --sampled or of trials (default 0)")
     p_check.add_argument(
         "--trials", type=int, help="random trials if the pairing is sampled (default 200)"
     )
@@ -408,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_args(p_eval)
     p_eval.add_argument("--formula", required=True)
     p_eval.add_argument("--bind", help="JSON file binding variables to pair lists")
-    p_eval.add_argument("--window", type=int, default=200)
+    p_eval.add_argument("--window", type=int, help="window over a pairing (default 200)")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_fix = sub.add_parser("fix", help="enumerate controlled fixpoints")

@@ -13,17 +13,18 @@ composition whose left operand offers neither a support nor witnesses
 and whose right operand has no support is rejected as undecidable.
 
 ``window(rel, n)`` refuses n above ``errors.WINDOW_CAP``, then takes
-the first path the relation offers: its support, its witnesses (n
-enumerations), its recipe, and only then n² ``contains`` calls.  The
-combinators attach recipes, and so does ``UNIVERSAL``, so every term of
-the term language is windowed without the n² scan; that scan remains
-only for a bare ``LazyRelation(contains)``.  Complement, meet, union
-and converse are pointwise in their operands' windows.  Column b of a
-fork's window meets column c of r's and column d of s's when unstar(b)
-= (c, d) lies in the window, as it does on every default cell of a
-built pairing; other columns take n ``contains`` calls.  Row a of a
-composition whose left operand has witnesses ORs the right operand's
-window rows at a's witnesses.
+the first path the relation offers: its witnesses (n enumerations),
+its recipe, and only then n² ``contains`` calls.  Every relation this
+module gives a support also gets witnesses, so it takes the first
+path.  The combinators attach recipes, and so does ``UNIVERSAL``, so
+every term of the term language is windowed without the n² scan; that
+scan remains only for a bare ``LazyRelation(contains)``.  Complement,
+meet, union and converse are pointwise in their operands' windows.
+Column b of a fork's window meets column c of r's and column d of s's
+when unstar(b) = (c, d) lies in the window, as it does on every
+default cell of a built pairing; other columns take n ``contains``
+calls.  Row a of a composition whose left operand has witnesses ORs
+the right operand's window rows at a's witnesses.
 
 A control is a binary tree or a projection sequence, and its image is
 a partial function on the naturals: a tree t sends u to
@@ -92,9 +93,11 @@ class LazyRelation(Node):
 
     ``support_hint`` is the exact extension when finite.  ``witnesses``
     enumerates all successors of a left element; when present it is
-    sound and complete for ``contains``.  ``recipe`` maps n to the exact
-    restriction to [0, n), built from other windows.  ``window`` tries
-    them in that order before it falls back to ``contains``.
+    sound and complete for ``contains``, and ``from_support`` and the
+    combinators attach it wherever they attach a support.  ``recipe``
+    maps n to the exact restriction to [0, n), built from other
+    windows.  ``window`` tries the witnesses, then the recipe, before it
+    falls back to ``contains``.
     """
 
     __slots__ = ("contains", "support_hint", "witnesses", "recipe")
@@ -386,17 +389,13 @@ def si_member(a: LazyRelation, bound_rel: LazyRelation) -> bool:
 def window(rel: LazyRelation, n: int) -> FiniteRelation:
     """Restriction of rel to [0, n) as a finite relation.
 
-    Refuses n above ``WINDOW_CAP``.  Takes the support, else the
-    witnesses, else the recipe, else n² ``contains`` calls.
+    Refuses n above ``WINDOW_CAP``.  Takes the witnesses, else the
+    recipe, else n² ``contains`` calls.
     """
     if n > WINDOW_CAP:
         raise RelforkError(f"window size {n} exceeds cap {WINDOW_CAP}")
     if n < 0:
         raise RelforkError(f"window size must be nonnegative, got {n}")
-    if rel.support_hint is not None:
-        return FiniteRelation.from_pairs(
-            n, [(a, b) for a, b in rel.support_hint if a < n and b < n]
-        )
     if rel.witnesses is not None:
         rows = []
         for a in range(n):

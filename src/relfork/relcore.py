@@ -19,13 +19,15 @@ found by partition refinement of the unit's cells.
 from __future__ import annotations
 
 import json
-from typing import Iterable, List, Sequence, Tuple
+import math
+from operator import and_, or_
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .errors import RelforkError
+from .node import Node
 
 MAX_BASE = 16
 MAX_CARRIER = 1 << 16
-MAX_FULL_PRA_BASE = 4
 
 
 class RelationError(RelforkError):
@@ -35,15 +37,10 @@ class RelationError(RelforkError):
 Pair = Tuple[int, int]
 
 
-class FiniteRelation:
+class FiniteRelation(Node):
     """An immutable binary relation on the base [0, base_size)."""
 
-    __slots__ = ("base_size", "rows", "_hash")
-
-    def __init__(self, base_size: int, rows: Tuple[int, ...]):
-        self.base_size = base_size
-        self.rows = rows
-        self._hash = hash((base_size, rows))
+    __slots__ = ("base_size", "rows")
 
     @classmethod
     def from_pairs(cls, base_size: int, pairs: Iterable[Pair]) -> "FiniteRelation":
@@ -94,24 +91,20 @@ class FiniteRelation:
                 f"base-size mismatch: {self.base_size} vs {other.base_size}"
             )
 
-    def union(self, other: "FiniteRelation") -> "FiniteRelation":
+    def _rowwise(self, op: Callable[[int, int], int], other: "FiniteRelation"):
+        """The relation whose row a is op(self's row a, other's row a)."""
         self._check_same_base(other)
-        return FiniteRelation(
-            self.base_size, tuple(a | b for a, b in zip(self.rows, other.rows))
-        )
+        return FiniteRelation(self.base_size, tuple(map(op, self.rows, other.rows)))
+
+    def union(self, other: "FiniteRelation") -> "FiniteRelation":
+        return self._rowwise(or_, other)
 
     def meet(self, other: "FiniteRelation") -> "FiniteRelation":
-        self._check_same_base(other)
-        return FiniteRelation(
-            self.base_size, tuple(a & b for a, b in zip(self.rows, other.rows))
-        )
+        return self._rowwise(and_, other)
 
     def complement_in(self, unit: "FiniteRelation") -> "FiniteRelation":
         """Complement relative to the given unit."""
-        self._check_same_base(unit)
-        return FiniteRelation(
-            self.base_size, tuple(u & ~a for a, u in zip(self.rows, unit.rows))
-        )
+        return self._rowwise(lambda a, u: u & ~a, unit)
 
     def compose(self, other: "FiniteRelation") -> "FiniteRelation":
         self._check_same_base(other)
@@ -145,16 +138,6 @@ class FiniteRelation:
     def is_subset(self, other: "FiniteRelation") -> bool:
         self._check_same_base(other)
         return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FiniteRelation)
-            and self.base_size == other.base_size
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"FiniteRelation({self.base_size}, {sorted(self.pairs())})"
@@ -270,9 +253,6 @@ class AlgebraModel:
             raise RelationError("carrier not closed under composition")
         return atoms
 
-    def complement(self, r: FiniteRelation) -> FiniteRelation:
-        return r.complement_in(self.unit)
-
     def __repr__(self) -> str:
         shape = "full" if self.is_full else "proper"
         return (
@@ -284,9 +264,10 @@ def full_carrier_size(n: int) -> int:
     """The carrier size of ``full_pra(n)``, 2**(n*n); refuses what it refuses."""
     if n < 0:
         raise RelationError("base size must be nonnegative")
-    if n > MAX_FULL_PRA_BASE:
+    cap = math.isqrt(MAX_CARRIER.bit_length() - 1)  # the largest n with 2**(n*n) <= MAX_CARRIER
+    if n > cap:
         raise RelationError(
-            f"full_pra base {n} exceeds cap {MAX_FULL_PRA_BASE} "
+            f"full_pra base {n} exceeds cap {cap} "
             f"(carrier would have 2**{n * n} elements)"
         )
     return 1 << (n * n)

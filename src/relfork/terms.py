@@ -91,9 +91,6 @@ class Fork(Node):
     __slots__ = ("left", "right")
 
 
-Term = "Var | Const | Union | Meet | Complement | Compose | Converse | Fork"
-
-
 class Eq(Node):
     __slots__ = ("left", "right")
 
@@ -117,8 +114,6 @@ class Or(Node):
 class Implies(Node):
     __slots__ = ("left", "right")
 
-
-Formula = "Eq | Leq | Not | And | Or | Implies"
 
 _CONST_TOKENS = {"0": "zero", "1": "one", "1'": "id", "pi": "pi", "rho": "rho", "1u": "urid"}
 _CONST_TEXT = {kind: text for text, kind in _CONST_TOKENS.items()}

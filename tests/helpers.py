@@ -59,7 +59,7 @@ def random_pairs(rng: random.Random, n: int, density: float = 0.4) -> FrozenSet[
 
 def window_by_contains(rel, n: int) -> FiniteRelation:
     """The window of a lazy relation from n^2 membership tests, the reference
-    for its support, witness and recipe paths."""
+    for its witness and recipe paths."""
     return FiniteRelation.from_pairs(
         n, [(a, b) for a in range(n) for b in range(n) if rel.contains(a, b)]
     )

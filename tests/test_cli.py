@@ -615,6 +615,12 @@ class TestCountChecks:
         assert code == 2 and out == ""
         assert "error: sampled count must be at least 1, got 0" in err
 
+    def test_seed_with_a_zero_sampled_count_reports_the_count(self, capsys):
+        # --sampled 0 is given, so --seed has a reader; the count is what is wrong.
+        code, out, err = run(capsys, *CHECK_MODEL, "full:1", "--sampled", "0", "--seed", "3")
+        assert (code, out) == (2, "")
+        assert "error: sampled count must be at least 1, got 0" in err
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -625,6 +631,14 @@ class TestCountChecks:
             (
                 ["check", "--model", "full:2", "--suite", "cr_equational", "--trials", "5"],
                 "error: --trials needs --star or --config",
+            ),
+            (
+                ["check", "--model", "full:1", "--suite", "cr_equational", "--seed", "9"],
+                "error: --seed needs --sampled or --star or --config",
+            ),
+            (
+                ["eval", "--model", "full:2", "--formula", "1' <= 1", "--window", "5"],
+                "error: --window needs --star or --config",
             ),
             (
                 ["check", "--model", "full:1", *BASIC_TARGET, "--suite", "cfa"],
@@ -645,7 +659,8 @@ class TestCountChecks:
             ),
         ],
         ids=[
-            "sampled-on-star", "trials-on-model", "model-and-star", "config-and-star",
+            "sampled-on-star", "trials-on-model", "seed-on-exhaustive", "window-on-model",
+            "model-and-star", "config-and-star",
             "members-on-config", "control-on-model", "two-controls",
         ],
     )

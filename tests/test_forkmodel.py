@@ -183,6 +183,11 @@ class TestWindow:
         assert window(by_witness, 10) == w
         assert window(by_scan, 10) == w
         assert set(w.pairs()) == pairs
+        # A combinator's supported result offers witnesses and a recipe as
+        # well; its window follows the witnesses and matches its contains.
+        forked = fork(by_support, by_support, BASIC)
+        assert forked.support_hint is not None and forked.witnesses is not None
+        assert window(forked, 10) == window_by_contains(forked, 10)
 
     def test_window_clips(self):
         r = LazyRelation.from_support([(0, 1), (50, 2), (3, 50)])

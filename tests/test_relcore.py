@@ -1,5 +1,7 @@
 """Finite relations against pair-set oracles; models, products, ideals."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from relfork import (
     save_model,
 )
 from relfork import relcore
+from relfork.node import Node
 
 from helpers import (
     closure_failure_pairwise,
@@ -63,6 +66,20 @@ class TestFiniteRelation:
         b = FiniteRelation.from_pairs(3, [(0, 1)])
         assert a == b and hash(a) == hash(b)
         assert a != FiniteRelation.from_pairs(3, [(1, 0)])
+
+    def test_value_contract(self):
+        # A Node: frozen fields, a hash over (base_size, rows), copies and
+        # pickles that compare equal, and the pair-list repr.
+        r = FiniteRelation.from_pairs(2, [(0, 1)])
+        assert isinstance(r, Node)
+        for field in ("base_size", "rows"):
+            with pytest.raises(AttributeError):
+                setattr(r, field, None)
+        assert hash(r) == hash((2, r.rows))
+        assert len({r, FiniteRelation(2, (0b10, 0)), FiniteRelation.empty(2)}) == 2
+        assert copy.copy(r) == r == copy.deepcopy(r)
+        assert pickle.loads(pickle.dumps(r)) == r
+        assert repr(r) == "FiniteRelation(2, [(0, 1)])"
 
     @given(st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), pair_sets(n), pair_sets(n))))
     def test_ops_match_pair_oracles(self, case):
