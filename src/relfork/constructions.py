@@ -44,7 +44,7 @@ iff ``star`` is injective, and cfa1 and cfa3 hold iff, in addition,
 ``unstar`` is its exact partial inverse: ``unstar(star(u, v)) = (u, v)``
 everywhere, ``star(unstar(w)) = w`` wherever ``unstar`` is defined and
 ``None`` off the range of ``star``.  ``ConstructionLayout.certify``
-proves these facts from the layout instead of sampling them;
+proves these facts from the layout's table alone;
 ``forkmodel.cfa_axiom_check`` calls it as ``pf.meta.certify``, so only
 this module imports the other.
 
@@ -63,29 +63,32 @@ this module imports the other.
   returns the pinned cell on a table value and otherwise decodes a
   default cell unless the table pins it, so by the lemma it inverts
   ``star`` both ways and is ``None`` exactly off its range.
-* ``basic``.  ``offdiag_code`` maps the off-diagonal pairs bijectively
-  onto N (v skips u), so off-diagonal pairs fill block 0.  The diagonal
+* ``basic``.  The off-diagonal code ``cantor_pair(u, v')``, where v'
+  is v below u and v - 1 above it, maps the off-diagonal pairs
+  bijectively onto N, so off-diagonal pairs fill block 0.  The diagonal
   sends S to itself and every other u, at block i and offset k, to
   block i + 1 at offset k, so it fills the blocks above 0.  S, block 0
   and the higher blocks partition N, so ``star`` is a bijection, its
   inverse is ``unstar`` and there is no urelement.
-* The scan.  Let M be the largest table coordinate, table value or
-  reserved element.  ``certify`` walks [0, M + 1] through ``pf.star``
-  and ``pf.unstar``: ``star`` must map each decoded pair back to w, and
-  ``unstar`` must agree with the layout, returning the pair the layout
-  sends to w and ``None`` off the layout's range.  This ties the
-  pairing to its layout; a pairing that computes something else is
-  left to sampling, and so is a layout whose M + 1 exceeds
-  ``errors.SCAN_CAP``.  Above M + 1 no value is pinned or reserved, and
-  the lemma carries the proof.  M + 1 is not reserved, so the scan
-  meets the first residual element, block 0 at offset 0, which nothing
-  pairs to: every table kind finds its first urelement at most at
-  M + 1 (which can exceed M, as for the tree ``bin nil nil`` on
-  S = {0}, where M = 0).
+* The certificate.  ``ConstructionLayout.certify`` reads only the
+  table: it reports every table cell whose value is already taken, by
+  an earlier cell or by the default cell of an unpinned pair, as a
+  collision.  With no collision, the two facts above hold, so ``star``
+  is injective and ``unstar`` its exact partial inverse.  The first
+  urelement is the least w with ``unstar(w)`` None.  No table value
+  and no default cell is the first residual element, block 0 at
+  offset 0, so the walk up from 0 ends there at the latest, after at
+  most |reserved| + 1 steps.
+* The tie.  A layout computes its pairing: the ``star`` and ``unstar``
+  of a built pairing are the layout's own methods, and
+  ``forkmodel.cfa_axiom_check`` accepts a pairing only when they are.
+  So the certificate speaks of the very functions the pairing runs,
+  and no scan of N is needed to tie the two together.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -102,8 +105,8 @@ from .btree import (
     strict_subtrees,
     tree_map,
 )
-from .errors import SCAN_CAP, RelforkError
-from .forkmodel import Control, PairingFunction, Verdict, verdict
+from .errors import RelforkError
+from .forkmodel import Certificate, Control, PairingFunction
 from .seqs import PI, RHO, Elem, Seq, format_seq, parse_seq, seq_symbols
 
 Pair = Tuple[int, int]
@@ -143,6 +146,8 @@ def _checked_members(s_members: Iterable[int]) -> Tuple[int, ...]:
 class ConstructionLayout:
     """Reserved set, residual block arithmetic, the pinned table and its control.
 
+    The layout computes its pairing: ``star`` and ``unstar`` are its
+    methods, and ``pairing()`` hands them out once the table is filled.
     ``reserved`` must be strictly increasing and non-negative.  The
     residual arithmetic bisects it, so ``star`` and ``unstar`` cost
     O(log |reserved|) per call.
@@ -172,6 +177,7 @@ class ConstructionLayout:
         self.control_text = control_text
         self.partners = partners
         self.table: Dict[Pair, int] = {}
+        self.inverse: Dict[int, Pair] = {}  # the table's, set by pairing()
 
     def residual_element(self, j: int) -> int:
         return j + bisect_right(self.gaps, j)
@@ -200,143 +206,87 @@ class ConstructionLayout:
             return None
         return cantor_unpair(place[1] - 1)
 
-    def certify(self, pf: PairingFunction) -> Optional[Dict[str, Verdict]]:
-        """Decide cfa1, cfa2, cfa3 and cfau exactly over N for a pairing on this layout.
+    def pairing(self) -> PairingFunction:
+        """The pairing this layout computes, once its table is filled."""
+        self.inverse = {w: pair for pair, w in self.table.items()}
+        return PairingFunction(self.star, self.unstar, self)
 
-        Returns each axiom's (passed, detail, first failure) by name; the
-        proof is in the module docstring.  Every failure is checked
-        through ``pf`` itself: two cells that star sends to one value, or
-        a point w of the scan where star(unstar(w)) != w or where unstar
-        misses the cell that star sends to w.  Returns None, so that
-        only sampling applies, when M + 1 exceeds ``errors.SCAN_CAP`` or
-        when ``pf`` computes some other pairing than this layout's.
-        """
-        table = self.table
-        cells = (c for cell in table for c in cell)
-        top = 1 + max((*self.reserved, *table.values(), *cells), default=0)  # M + 1
-        if top > SCAN_CAP:
-            return None
-        onto = self.kind == "basic"
-        star, unstar = pf.star, pf.unstar
-        # unstar on [0, top] as the layout defines it: the pairs of the
-        # default cells there unless the table pins them, then the table.
-        expected: Dict[int, Pair] = {}
-        k = 1
-        while not onto and (w := self.block_element(0, k)) <= top:
-            pair = cantor_unpair(k - 1)
-            if pair not in table:
-                expected[w] = pair
-            k += 1
-        cfa2 = []  # pairs of cells that star sends to one value
-        for cell, w in table.items():
-            if w in expected:
-                cfa2.append((expected[w], cell))
-            expected[w] = cell
-        if any(star(*p) != star(*q) for p, q in cfa2):
-            return None
-
-        cfa1, cfa3 = list(cfa2), []
-        urelement = None
-        for w in range(top + 1):
-            got = unstar(w)
-            if got is not None and star(*got) != w:
-                cfa1.append(w)
-                cfa3.append(w)
-            elif got is None if onto else got != expected.get(w):
-                want = expected.get(w)
-                if want is None or star(*want) != w:
-                    return None
-                # star(want) = w, but unstar(w) is not want.
-                cfa1.append(w)
-                if got is not None:
-                    cfa2.append((want, got))
-            elif got is None and urelement is None:
-                urelement = w
-
-        scanned = f"scan of [0, {top}]"
-        if onto:
-            injective = outside = "exact over N: star is a bijection"
-        else:
-            injective = "exact over N: star is injective (table values distinct, off default cells)"
-            outside = f"no element of [0, {top}] lies outside star's range"
-        if urelement is not None:
-            outside = f"exact over N: {urelement} lies outside star's range"
-        return {
-            "cfa1": verdict(cfa1, f"{injective}, and unstar is its inverse ({scanned})"),
-            "cfa2": verdict(cfa2, injective),
-            "cfa3": verdict(cfa3, f"exact over N: star inverts unstar ({scanned})"),
-            "cfau": (urelement is not None, outside, urelement),
-        }
-
-
-def _table_pairing(layout: ConstructionLayout) -> PairingFunction:
-    """The pinned table on its cells, the default encoder everywhere else.
-
-    Table values never lie in block 0 and default cells always do, so
-    star is injective; unstar inverts the table and, off its values,
-    decodes a default cell unless the table pins that cell instead.
-    """
-    table = layout.table
-    inverse = {w: pair for pair, w in table.items()}
-
-    def star(u: int, v: int) -> int:
-        pinned = table.get((u, v))
+    def star(self, u: int, v: int) -> int:
+        """The pinned table on its cells, the default encoder everywhere else."""
+        pinned = self.table.get((u, v))
         if pinned is not None:
             return pinned
-        return layout.encode_rest(u, v)
+        return self.encode_rest(u, v)
 
-    def unstar(w: int) -> Optional[Pair]:
-        pinned = inverse.get(w)
+    def unstar(self, w: int) -> Optional[Pair]:
+        """The pinned cell of a table value, else the unpinned pair of a default cell."""
+        pinned = self.inverse.get(w)
         if pinned is not None:
             return pinned
-        pair = layout.decode_rest(w)
-        if pair is None or pair in table:
+        pair = self.decode_rest(w)
+        if pair is None or pair in self.table:
             return None
         return pair
 
-    return PairingFunction(star=star, unstar=unstar, meta=layout)
+    def certify(self) -> Certificate:
+        """Why star is injective, its collisions and its first urelement, from the table.
+
+        A collision pairs a table cell, in table order, with what first
+        took its value: an earlier cell, or the unpinned pair whose
+        default cell it is.  The proof is in the module docstring.
+        """
+        collisions = []
+        owners: Dict[int, Pair] = {}
+        for cell, w in self.table.items():
+            pair = self.decode_rest(w)
+            unpinned = None if pair in self.table else pair  # whose default cell is w
+            owner = owners.get(w) or unpinned
+            if owner is not None:
+                collisions.append((owner, cell))
+            owners[w] = cell
+        urelement = next(w for w in itertools.count() if self.unstar(w) is None)
+        injective = "exact over N: star is injective (table values distinct, off default cells)"
+        return injective, collisions, urelement
 
 
 # ---------------------------------------------------------------------------
 # basic: star(u, u) = u exactly on S; bijective
 
 
+class BasicLayout(ConstructionLayout):
+    """The layout of ``basic``: no table, and star a bijection by construction."""
+
+    def star(self, u: int, v: int) -> int:
+        if u != v:
+            return self.block_element(0, cantor_pair(u, v if v < u else v - 1))
+        if u in self.reserved_set:
+            return u
+        i, k = self.block_of(u)
+        return self.block_element(i + 1, k)
+
+    def unstar(self, w: int) -> Optional[Pair]:
+        if w in self.reserved_set:
+            return (w, w)
+        i, k = self.block_of(w)
+        if i == 0:
+            u, v = cantor_unpair(k)
+            return (u, v if v < u else v + 1)
+        u = self.block_element(i - 1, k)
+        return (u, u)
+
+    def certify(self) -> Certificate:
+        return "exact over N: star is a bijection", [], None
+
+
 def build_star_basic(s_members: Iterable[int]) -> PairingFunction:
     s_values = _checked_members(s_members)
-    layout = ConstructionLayout(
+    return BasicLayout(
         kind="basic",
         s_values=s_values,
         reserved=s_values,
         block_names=("offdiag", "diag-shift-0"),
         control=Bin(NIL, NIL),
-    )
-    s_set = layout.reserved_set
-
-    def offdiag_code(u: int, v: int) -> int:
-        return cantor_pair(u, v if v < u else v - 1)
-
-    def offdiag_decode(k: int) -> Pair:
-        u, v2 = cantor_unpair(k)
-        return (u, v2 if v2 < u else v2 + 1)
-
-    def star(u: int, v: int) -> int:
-        if u == v:
-            if u in s_set:
-                return u
-            i, k = layout.block_of(u)
-            return layout.block_element(i + 1, k)
-        return layout.block_element(0, offdiag_code(u, v))
-
-    def unstar(w: int) -> Optional[Pair]:
-        if w in s_set:
-            return (w, w)
-        i, k = layout.block_of(w)
-        if i == 0:
-            return offdiag_decode(k)
-        u = layout.block_element(i - 1, k)
-        return (u, u)
-
-    return PairingFunction(star=star, unstar=unstar, meta=layout)
+    ).pairing()
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +339,7 @@ def build_star_tree(t: BT, s_members: Iterable[int]) -> PairingFunction:
         for c in families:
             layout.table[(h(c.left, w), h(c.right, w))] = h(c, w)
         layout.table[(h(root.left, w), h(root.right, w))] = w
-    return _table_pairing(layout)
+    return layout.pairing()
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +369,7 @@ def build_star_proj(s_members: Iterable[int], which: str = PI) -> PairingFunctio
     for w, p in zip(s_values, partners):
         key = (w, p) if which == PI else (p, w)
         layout.table[key] = w
-    return _table_pairing(layout)
+    return layout.pairing()
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +411,7 @@ def build_star_seq(s: Seq, s_members: Iterable[int]) -> PairingFunction:
             key = chain_value(i, w)
             pair = (key, partner) if symbols[i - 1] == PI else (partner, key)
             layout.table[pair] = chain_value(i - 1, w)
-    return _table_pairing(layout)
+    return layout.pairing()
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +431,9 @@ def build_from_config(config: Mapping) -> PairingFunction:
     if unknown:
         raise ConstructionError(f"unknown config keys: {sorted(unknown)}")
     kind = config.get("kind")
-    members = config.get("S", ())
+    members = config.get("S", [])
+    if not isinstance(members, list) or not all(type(u) is int and u >= 0 for u in members):
+        raise ConstructionError(f"S must be a list of naturals, got {members!r}")
     control = config.get("control")
     if kind == "basic":
         if control is not None:

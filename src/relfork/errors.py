@@ -29,5 +29,5 @@ MAX_NESTING = 200
 WINDOW_CAP = 4096
 
 # The longest scan of N through a pairing: the CLI's fix window, checked before
-# any pairing is built, and ConstructionLayout.certify's scan, past which it samples.
+# any pairing is built.
 SCAN_CAP = 1 << 20

@@ -439,10 +439,14 @@ def pairs_from_json(data) -> List[Pair]:
 
 def model_from_dict(data: dict) -> AlgebraModel:
     try:
-        base_size = int(data["base_size"])
-        full = bool(data.get("full", False))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        base_size = data["base_size"]
+        full = data.get("full", False)
+    except (KeyError, TypeError) as exc:
         raise RelationError(f"malformed model data: {exc}") from exc
+    if type(base_size) is not int:
+        raise RelationError(f"base_size must be an integer, got {base_size!r}")
+    if type(full) is not bool:
+        raise RelationError(f"full must be true or false, got {full!r}")
     if full and "carrier" not in data:
         return full_pra(base_size)
     if not 0 <= base_size <= MAX_BASE:

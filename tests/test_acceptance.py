@@ -164,11 +164,11 @@ def test_criterion_04_tree_star_fixpoints_exactly_s():
 def test_criterion_05_projection_stars_pin_s_with_urelements():
     assert fix_proj_members(PI_PF, range(1000), which=PI) == (3, 4)
     assert any(PI_PF.unstar(u) is None for u in range(1000))
-    report = cfa_axiom_check(PI_PF, trials=200, seed=0, include_urelement_axiom=True)
+    report = cfa_axiom_check(PI_PF, include_urelement_axiom=True)
     assert report.all_passed
     assert fix_proj_members(RHO_PF, range(1000), which=RHO) == (3, 4)
     assert any(RHO_PF.unstar(u) is None for u in range(1000))
-    mirror = cfa_axiom_check(RHO_PF, trials=200, seed=0, include_urelement_axiom=True)
+    mirror = cfa_axiom_check(RHO_PF, include_urelement_axiom=True)
     assert mirror.all_passed
 
 
@@ -197,7 +197,7 @@ def test_criterion_07_cfa_axioms_on_every_built_star():
         "seq": SEQ_PF,
     }
     for name, pf in stars.items():
-        report = cfa_axiom_check(pf, trials=200, seed=0)
+        report = cfa_axiom_check(pf)
         failed = [r.name for r in report.results if not r.passed]
         assert not failed, f"{name}: {failed}"
 

@@ -181,10 +181,10 @@ class TestCheckModel:
                 "cfa on star:basic S=[1]  [exact over N]",
             ),
             (
-                # Past the certificate's scan cap, a built pairing is sampled.
+                # Members in the millions are certified from the table alone too.
                 ["--star", "basic", "--S", "2000000", "--suite", "cfa", "--trials", "7",
                  "--seed", "2"],
-                "cfa on star:basic S=[2000000]  [sampled(7 trials), seed 2]",
+                "cfa on star:basic S=[2000000]  [exact over N]",
             ),
         ],
     )
@@ -327,27 +327,28 @@ class TestCheckStar:
         assert first == second
 
     @pytest.mark.parametrize(
-        "members, scope", [("1", "exact over N"), ("2000000", "sampled(10 trials), seed 7")]
+        "members, scope", [("1", "exact over N"), ("2000000", "exact over N")]
     )
     def test_json_names_the_scope(self, capsys, members, scope):
+        # --trials and --seed are accepted on a pairing, which reads neither.
         code, out, _ = run(
             capsys, "--format", "json", "check", "--star", "basic", "--S", members,
             "--suite", "cfa", "--trials", "10", "--seed", "7",
         )
         payload = json.loads(out)
         assert code == 0 and payload["scope"] == scope
-        assert (payload["trials"], payload["seed"]) == (10, 7)
+        assert not {"trials", "seed", "support_bound", "urelement_bound"} & set(payload)
 
     @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-    @pytest.mark.parametrize("scope, members", [("exact", "1,2"), ("sampled", "2000000")])
-    def test_stdout_bytes_are_pinned(self, capsys, scope, members, fmt, suffix):
-        # The echoed probe sizes, the key order and the scope labels.
+    @pytest.mark.parametrize("name, members", [("exact", "1,2"), ("large_member", "2000000")])
+    def test_stdout_bytes_are_pinned(self, capsys, name, members, fmt, suffix):
+        # The key order, the details and the scope labels.
         code, out, _ = run(
             capsys, "--format", fmt, "check", "--star", "basic", "--S", members,
             "--suite", "cfau", "--trials", "10", "--seed", "7",
         )
         assert code == 1
-        assert out == (GOLDEN / f"check_cfau_{scope}.{suffix}").read_text(encoding="utf-8")
+        assert out == (GOLDEN / f"check_cfau_{name}.{suffix}").read_text(encoding="utf-8")
 
     def test_tree_star_requires_control(self, capsys):
         code, _, err = run(capsys, "check", "--star", "tree", "--S", "0", "--suite", "cfa")
@@ -732,6 +733,13 @@ MALFORMED = {
     "config-string-members": ({"kind": "basic", "S": "abc"}, ["build", "--config", "in.json"]),
     "config-int-members": ({"kind": "basic", "S": 5}, ["build", "--config", "in.json"]),
     "config-null-member": ({"kind": "basic", "S": [None]}, ["build", "--config", "in.json"]),
+    "config-float-member": ({"kind": "basic", "S": [1.7]}, ["build", "--config", "in.json"]),
+    "config-digit-string-members": ({"kind": "basic", "S": "12"}, ["build", "--config", "in.json"]),
+    "config-bool-member": ({"kind": "basic", "S": [True]}, ["build", "--config", "in.json"]),
+    "model-float-base-size": ({"base_size": 2.9, "full": True}, [*CHECK_MODEL, "in.json"]),
+    "model-string-base-size": ({"base_size": "2", "full": "false"}, [*CHECK_MODEL, "in.json"]),
+    "model-string-full": ({"base_size": 2, "full": "false"}, [*CHECK_MODEL, "in.json"]),
+    "model-bool-base-size": ({"base_size": True, "full": True}, [*CHECK_MODEL, "in.json"]),
     "tree-with-hole": (None, [*TREE_STAR, "bin _ nil"]),
     "tree-is-hole": (None, [*TREE_STAR, "_"]),
     "config-directory": (None, ["build", "--config", "a_dir"]),

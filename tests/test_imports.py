@@ -73,11 +73,18 @@ def test_eval_star_loads_no_hashlib():
 
 
 def test_cfa_check_loads_no_constructions():
-    # A layout's certify is found on pf.meta, so the dependency runs one way.
+    # A layout's certify is found on pf.meta, so the dependency runs one way:
+    # a pairing without one is refused without importing constructions.
     loaded = new_modules(
+        "from relfork.errors import RelforkError\n"
         "from relfork.forkmodel import PairingFunction, cfa_axiom_check\n"
         "pf = PairingFunction(star=lambda u, v: 2 * u + v, unstar=lambda w: None)\n"
-        "assert cfa_axiom_check(pf, trials=1).scope == 'sampled(1 trials), seed 0'"
+        "try:\n"
+        "    cfa_axiom_check(pf)\n"
+        "except RelforkError as exc:\n"
+        "    assert \"meta's own\" in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('a hand-built pairing was certified')"
     )
     assert "relfork.forkmodel" in loaded and "relfork.constructions" not in loaded
 
