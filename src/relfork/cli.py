@@ -412,7 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fix = sub.add_parser("fix", help="enumerate controlled fixpoints")
     _add_target_args(p_fix, with_model=False)
-    p_fix.add_argument("--window", type=int, default=1000)
+    p_fix.add_argument(
+        "--window",
+        type=int,
+        default=1000,
+        help=f"scan [0, WINDOW) for fixpoints (default 1000, capped by SCAN_CAP = {SCAN_CAP})",
+    )
     p_fix.set_defaults(func=_cmd_fix)
 
     p_build = sub.add_parser("build", help="build a pairing and report its layout")

@@ -48,9 +48,12 @@ proves these facts from the layout's table alone;
 ``forkmodel.cfa_axiom_check`` calls it as ``pf.meta.certify``, so only
 this module imports the other.
 
-* Lemma.  ``residual_element`` and ``residual_rank`` are inverse
-  bijections between N and the residual, and the Cantor pairing is a
-  bijection N x N -> N.  Hence ``decode_rest(encode_rest(u, v)) =
+* Lemma.  The residual element of rank j is j plus the number of
+  reserved values at or below it, and the rank of a residual element u
+  is u minus the number of reserved values below it.  These are inverse
+  bijections between N and the residual, the Cantor pairing is a
+  bijection N x N -> N, and block i at offset k is the residual element
+  of rank ``cantor_pair(i, k)``.  Hence ``decode_rest(encode_rest(u, v)) =
   (u, v)`` and ``encode_rest(decode_rest(w)) = w`` wherever
   ``decode_rest`` is defined, which is exactly on block 0 at offsets
   >= 1.  The offset is ``cantor_pair(u, v) + 1 > max(u, v)``, so the
@@ -148,9 +151,12 @@ class ConstructionLayout:
 
     The layout computes its pairing: ``star`` and ``unstar`` are its
     methods, and ``pairing()`` hands them out once the table is filled.
-    ``reserved`` must be strictly increasing and non-negative.  The
-    residual arithmetic bisects it, so ``star`` and ``unstar`` cost
-    O(log |reserved|) per call.
+    ``reserved`` must be strictly increasing and non-negative.  Each of
+    ``encode_rest``, ``decode_rest`` and ``BasicLayout``'s ``star`` and
+    ``unstar`` does its Cantor and residual arithmetic in one body: the
+    Cantor steps by ``math.isqrt``, and each residual step by a bisect of
+    ``reserved`` below its top value and a shift by |reserved| from there
+    up.  So ``star`` and ``unstar`` cost O(log |reserved|) per call.
     """
 
     def __init__(
@@ -172,6 +178,10 @@ class ConstructionLayout:
         self.reserved_set = frozenset(reserved)
         # reserved[i] - i counts the residual elements below reserved[i].
         self.gaps = tuple(r - i for i, r in enumerate(reserved))
+        # From top up, a residual element is its rank plus |reserved|, so the
+        # arithmetic below bisects only under top.
+        self.top = reserved[-1] + 1 if reserved else 0
+        self.shift = len(reserved)
         self.block_names = block_names
         self.control = control
         self.control_text = control_text
@@ -179,32 +189,31 @@ class ConstructionLayout:
         self.table: Dict[Pair, int] = {}
         self.inverse: Dict[int, Pair] = {}  # the table's, set by pairing()
 
-    def residual_element(self, j: int) -> int:
+    def block_element(self, i: int, k: int) -> int:
+        """The element of block i at offset k: residual element cantor_pair(i, k)."""
+        j = cantor_pair(i, k)
         return j + bisect_right(self.gaps, j)
 
-    def residual_rank(self, u: int) -> int:
-        if u in self.reserved_set:
-            raise ValueError(f"{u} is reserved")
-        return u - bisect_left(self.reserved, u)
-
-    def block_element(self, i: int, k: int) -> int:
-        return self.residual_element(cantor_pair(i, k))
-
-    def block_of(self, u: int) -> Optional[Pair]:
-        """Block index and offset of a residual element, None on reserved."""
-        if u in self.reserved_set:
-            return None
-        return cantor_unpair(self.residual_rank(u))
-
     def encode_rest(self, u: int, v: int) -> int:
-        """Default cell: block 0, strictly above both coordinates."""
-        return self.block_element(0, cantor_pair(u, v) + 1)
+        """Default cell: block 0 at offset cantor_pair(u, v) + 1, above both coordinates."""
+        d = u + v
+        k = d * (d + 1) // 2 + v + 1
+        j = k * (k + 3) // 2  # cantor_pair(0, k)
+        w = j + self.shift
+        return w if w >= self.top else j + bisect_right(self.gaps, j)
 
     def decode_rest(self, w: int) -> Optional[Pair]:
-        place = self.block_of(w)
-        if place is None or place[0] != 0 or place[1] == 0:
+        """The pair whose default cell is w; None off block 0's offsets >= 1."""
+        if w in self.reserved_set:
             return None
-        return cantor_unpair(place[1] - 1)
+        j = w - (self.shift if w >= self.top else bisect_left(self.reserved, w))  # w's rank
+        d = (math.isqrt(8 * j + 1) - 1) // 2
+        if d == 0 or j != d * (d + 3) // 2:  # j = cantor_pair(0, d), d >= 1
+            return None
+        m = d - 1  # cantor_pair(u, v)
+        d = (math.isqrt(8 * m + 1) - 1) // 2
+        v = m - d * (d + 1) // 2
+        return (d - v, v)
 
     def pairing(self) -> PairingFunction:
         """The pairing this layout computes, once its table is filled."""
@@ -258,20 +267,34 @@ class BasicLayout(ConstructionLayout):
 
     def star(self, u: int, v: int) -> int:
         if u != v:
-            return self.block_element(0, cantor_pair(u, v if v < u else v - 1))
-        if u in self.reserved_set:
+            if v > u:
+                v -= 1
+            d = u + v
+            k = d * (d + 1) // 2 + v  # the off-diagonal code
+            j = k * (k + 3) // 2  # block 0 at offset k
+        elif u in self.reserved_set:
             return u
-        i, k = self.block_of(u)
-        return self.block_element(i + 1, k)
+        else:
+            j = u - (self.shift if u >= self.top else bisect_left(self.reserved, u))
+            j += (math.isqrt(8 * j + 1) + 1) // 2  # from block i to i + 1 at offset k
+        w = j + self.shift
+        return w if w >= self.top else j + bisect_right(self.gaps, j)
 
     def unstar(self, w: int) -> Optional[Pair]:
         if w in self.reserved_set:
             return (w, w)
-        i, k = self.block_of(w)
-        if i == 0:
-            u, v = cantor_unpair(k)
+        j = w - (self.shift if w >= self.top else bisect_left(self.reserved, w))
+        d = (math.isqrt(8 * j + 1) - 1) // 2
+        k = j - d * (d + 1) // 2  # w is at block d - k, offset k
+        if k == d:  # block 0: k is the off-diagonal code
+            d = (math.isqrt(8 * k + 1) - 1) // 2
+            v = k - d * (d + 1) // 2
+            u = d - v
             return (u, v if v < u else v + 1)
-        u = self.block_element(i - 1, k)
+        j -= d  # block d - k - 1 at offset k
+        u = j + self.shift
+        if u < self.top:
+            u = j + bisect_right(self.gaps, j)
         return (u, u)
 
     def certify(self) -> Certificate:

@@ -31,9 +31,14 @@ a partial function on the naturals: a tree t sends u to
 ``tree_map(t, star, u)`` (folding fork over the shape of t starting
 from the identity), a sequence chains its projection steps through
 ``unstar``.  ``underline(control)`` is the relation of that image, and
-``fix_members`` scans a finite region for the image's fixpoints.  Plain
-fixpoints star(u, u) = u are those of ``bin nil nil``, and projection
-fixpoints those of the one-step sequences ``pi`` and ``rho``.
+``fix_members`` scans a finite region for the image's fixpoints.  Each
+compiles the image once per call, not once per element: one
+``tree_map`` fold turns a tree into nested closures over ``star``, with
+nil as the identity, and a sequence becomes a loop over its coordinate
+indices, so an element makes the ``star`` or ``unstar`` calls of the
+definition and nothing more.  Plain fixpoints star(u, u) = u are those
+of ``bin nil nil``, and projection fixpoints those of the one-step
+sequences ``pi`` and ``rho``.
 
 The fork axioms hold in such a model exactly when the pairing is an
 exact one: cfa2 iff ``star`` is injective, cfa1 and cfa3 iff moreover
@@ -53,7 +58,7 @@ functions the pairing runs; it refuses any other pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .btree import BT, NIL, Bin, Nil, tree_map
 from .errors import WINDOW_CAP, RelforkError
@@ -330,23 +335,46 @@ def urelement_relations(pf: PairingFunction) -> Tuple[LazyRelation, LazyRelation
     return id_u, u1u
 
 
-def _chase(symbols: Sequence[str], unstar, u: int) -> Optional[int]:
-    for symbol in symbols:
-        decoded = unstar(u)
-        if decoded is None:
-            return None
-        u = decoded[0] if symbol == PI else decoded[1]
+def _identity(u: int) -> int:
     return u
 
 
+def _fork_image(star: Callable[[int, int], int]):
+    """The image of bin l r from the images of l and r, with nil's identity inlined."""
+
+    def image(left: Callable[[int], int], right: Callable[[int], int]) -> Callable[[int], int]:
+        if left is _identity:
+            if right is _identity:
+                return lambda u: star(u, u)
+            return lambda u: star(u, right(u))
+        if right is _identity:
+            return lambda u: star(left(u), u)
+        return lambda u: star(left(u), right(u))
+
+    return image
+
+
 def _image(control: Control, pf: PairingFunction) -> Callable[[int], Optional[int]]:
-    """The partial function of a control over pf; None where a chase ends."""
+    """The partial function of a control over pf, compiled once; None where a chase ends.
+
+    A tree folds ``tree_map`` once over its shape into nested closures
+    over ``pf.star``; a sequence chases its coordinate indices through
+    ``pf.unstar``.  Per element, both make the calls the definition does.
+    """
     if isinstance(control, (Nil, Bin)):
-        star = pf.star
-        return lambda u: tree_map(control, star, u)
-    symbols = seq_symbols(control)
+        return tree_map(control, _fork_image(pf.star), _identity)
+    coordinates = tuple(0 if symbol == PI else 1 for symbol in seq_symbols(control))
     unstar = pf.unstar
-    return lambda u: _chase(symbols, unstar, u)
+
+    def chase(u: int) -> Optional[int]:
+        for i in coordinates:
+            decoded = unstar(u)
+            if decoded is None:
+                return None
+            u = decoded[i]
+        return u
+
+    return chase
 
 
 def underline(control: Control, pf: PairingFunction) -> LazyRelation:
@@ -371,7 +399,7 @@ def fix_members(
     if isinstance(control, Nil):
         raise NilControlError()
     image = _image(control, pf)
-    return tuple(u for u in region if image(u) == u)
+    return tuple([u for u in region if image(u) == u])
 
 
 def fix_tree_members(t: BT, pf: PairingFunction, region: Iterable[int]) -> Tuple[int, ...]:

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import FrozenSet, Iterable, Set, Tuple
+from bisect import bisect_left, bisect_right
+from typing import FrozenSet, Iterable, Optional, Set, Tuple
 
 from relfork import (
     BT,
@@ -22,6 +23,8 @@ from relfork import (
     PI,
     RHO,
     Seq,
+    cantor_pair,
+    cantor_unpair,
 )
 from relfork import terms
 
@@ -83,6 +86,77 @@ def residual_rank_linear(reserved: Tuple[int, ...], u: int) -> int:
     if u in reserved:
         raise ValueError(f"{u} is reserved")
     return u - sum(1 for r in reserved if r < u)
+
+
+class ChainArithmetic:
+    """A layout's pairing computed step by step, the reference for its flattened bodies.
+
+    Each cell goes through separate Cantor and residual steps: the
+    residual element and rank by bisection, or by the linear scans above
+    when ``linear``, then block, offset, default cell and pinned table.
+    """
+
+    def __init__(self, layout, linear: bool = False):
+        self.layout = layout
+        self.reserved = layout.reserved
+        self.reserved_set = frozenset(layout.reserved)
+        self.gaps = tuple(r - i for i, r in enumerate(layout.reserved))
+        self.inverse = {w: cell for cell, w in layout.table.items()}
+        self.linear = linear
+
+    def residual_element(self, j: int) -> int:
+        if self.linear:
+            return residual_element_linear(self.reserved, j)
+        return j + bisect_right(self.gaps, j)
+
+    def residual_rank(self, u: int) -> int:
+        if self.linear:
+            return residual_rank_linear(self.reserved, u)
+        return u - bisect_left(self.reserved, u)
+
+    def block_element(self, i: int, k: int) -> int:
+        return self.residual_element(cantor_pair(i, k))
+
+    def block_of(self, u: int) -> Optional[Pair]:
+        """Block index and offset of a residual element, None on reserved."""
+        if u in self.reserved_set:
+            return None
+        return cantor_unpair(self.residual_rank(u))
+
+    def encode_rest(self, u: int, v: int) -> int:
+        return self.block_element(0, cantor_pair(u, v) + 1)
+
+    def decode_rest(self, w: int) -> Optional[Pair]:
+        place = self.block_of(w)
+        if place is None or place[0] != 0 or place[1] == 0:
+            return None
+        return cantor_unpair(place[1] - 1)
+
+    def star(self, u: int, v: int) -> int:
+        if self.layout.kind == "basic":
+            if u != v:
+                return self.block_element(0, cantor_pair(u, v if v < u else v - 1))
+            if u in self.reserved_set:
+                return u
+            i, k = self.block_of(u)
+            return self.block_element(i + 1, k)
+        table = self.layout.table
+        return table[(u, v)] if (u, v) in table else self.encode_rest(u, v)
+
+    def unstar(self, w: int) -> Optional[Pair]:
+        if self.layout.kind == "basic":
+            if w in self.reserved_set:
+                return (w, w)
+            i, k = self.block_of(w)
+            if i == 0:
+                u, v = cantor_unpair(k)
+                return (u, v if v < u else v + 1)
+            u = self.block_element(i - 1, k)
+            return (u, u)
+        if w in self.inverse:
+            return self.inverse[w]
+        pair = self.decode_rest(w)
+        return None if pair is None or pair in self.layout.table else pair
 
 
 def cfa_scan_oracle(pf, grid: int, scan: int) -> dict:

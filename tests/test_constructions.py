@@ -34,10 +34,15 @@ from relfork import (
     seq_from_symbols,
 )
 from relfork import constructions
-from relfork.constructions import MAX_MEMBERS
+from relfork.constructions import MAX_MEMBERS, BasicLayout
 from relfork.errors import SCAN_CAP
 
-from helpers import cfa_scan_oracle, residual_element_linear, residual_rank_linear
+from helpers import (
+    ChainArithmetic,
+    cfa_scan_oracle,
+    residual_element_linear,
+    residual_rank_linear,
+)
 
 
 def assert_injective_on_grid(star, n: int) -> None:
@@ -80,14 +85,15 @@ class TestLayoutArithmetic:
     )
 
     def test_residual_enumeration(self):
-        got = [self.LAYOUT.residual_element(j) for j in range(6)]
+        # Residual element j sits in block i at offset k, where (i, k) = cantor_unpair(j).
+        got = [self.LAYOUT.block_element(*cantor_unpair(j)) for j in range(6)]
         assert got == [2, 5, 6, 7, 8, 9]
         for j, u in enumerate(got):
-            assert self.LAYOUT.residual_rank(u) == j
+            assert residual_rank_linear(self.LAYOUT.reserved, u) == j
 
-    def test_residual_rank_rejects_reserved(self):
-        with pytest.raises(ValueError):
-            self.LAYOUT.residual_rank(3)
+    def test_decode_rest_rejects_reserved(self):
+        for r in self.LAYOUT.reserved:
+            assert self.LAYOUT.decode_rest(r) is None
 
     def test_block_partition(self):
         seen = set()
@@ -95,11 +101,9 @@ class TestLayoutArithmetic:
             for k in range(5):
                 u = self.LAYOUT.block_element(i, k)
                 assert u not in self.LAYOUT.reserved_set
-                assert self.LAYOUT.block_of(u) == (i, k)
+                assert cantor_unpair(residual_rank_linear(self.LAYOUT.reserved, u)) == (i, k)
                 seen.add(u)
         assert len(seen) == 25
-        for r in self.LAYOUT.reserved:
-            assert self.LAYOUT.block_of(r) is None
 
     def test_encode_rest_strictly_dominates(self):
         for u in range(30):
@@ -136,7 +140,7 @@ def reserved_tuples(draw):
 
 
 class TestLayoutMatchesLinearArithmetic:
-    """Bisection against the linear scans it replaced, up to the 2|S| = 1,024 of pi/rho."""
+    """The flattened arithmetic against the linear scans, up to the 2|S| = 1,024 of pi/rho."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -149,29 +153,32 @@ class TestLayoutMatchesLinearArithmetic:
     @example(reserved=tuple(range(1024)), ranks=[], blocks=[])
     @example(reserved=tuple(range(0, 2048, 2)), ranks=[], blocks=[])
     def test_agrees_with_linear_scan(self, reserved, ranks, blocks):
-        layout = ConstructionLayout("basic", (), reserved, ("rest",))
+        # reserved is all the basic layout reads, so any tuple is a layout.
+        layout = BasicLayout("basic", (), reserved, ("rest",))
+        linear = ChainArithmetic(layout, linear=True)
         # Residual ranks where the count of reserved values below steps up.
         edges = {r - i + d for i, r in enumerate(reserved) for d in (-1, 0, 1)}
         probes = sorted(x for x in edges | {0, 1, 4100, 10**6} if x >= 0) + ranks
+        elements = []
         for j in probes:
-            u = layout.residual_element(j)
+            u = layout.block_element(*cantor_unpair(j))
             assert u == residual_element_linear(reserved, j)
-            assert layout.residual_rank(u) == j
-        for u in probes + list(reserved):
-            if u in layout.reserved_set:
-                with pytest.raises(ValueError):
-                    layout.residual_rank(u)
-                assert layout.block_of(u) is None
-            else:
-                assert layout.residual_rank(u) == residual_rank_linear(reserved, u)
+            assert residual_rank_linear(reserved, u) == j
+            elements.append(u)
         for i, k in [(i, k) for i in (0, 1, 7) for k in (0, 1, 50, 3000)] + blocks:
-            assert layout.block_of(layout.block_element(i, k)) == (i, k)
+            u = layout.block_element(i, k)
+            assert cantor_unpair(residual_rank_linear(reserved, u)) == (i, k)
+        for w in elements + list(reserved) + probes:
+            assert layout.decode_rest(w) == linear.decode_rest(w)
+            assert layout.unstar(w) == linear.unstar(w)
         coords = sorted(set(reserved[:3] + reserved[-3:] + (0, 1, 2047, 2048, 5000)))
         for u in coords:
             for v in coords:
                 w = layout.encode_rest(u, v)
+                assert w == linear.encode_rest(u, v)
                 assert w > max(u, v)
                 assert layout.decode_rest(w) == (u, v)
+                assert layout.star(u, v) == linear.star(u, v)
 
 
 class TestBasicStar:
@@ -421,7 +428,7 @@ class TestCertificateLemma:
             w = layout.encode_rest(u, v)
             assert layout.decode_rest(w) == (u, v)
             assert w > max(u, v)
-            block, offset = layout.block_of(w)
+            block, offset = ChainArithmetic(layout, linear=True).block_of(w)
             assert block == 0 and offset >= 1
         block0 = [layout.block_element(0, k) for k in offsets]
         for w in points + block0:
@@ -433,6 +440,81 @@ class TestCertificateLemma:
                 assert pf.unstar(pf.star(u, v)) == (u, v)
             for w in points + block0:
                 assert pf.star(*pf.unstar(w)) == w
+
+
+def probe_cells(layout):
+    """Pairs and points on both sides of the layout's top reserved value.
+
+    Below it the arithmetic bisects; from it up it shifts by |reserved|.
+    The points take in every reserved value, every table value and
+    coordinate, the first cells of every block and the first urelements.
+    """
+    top = layout.reserved[-1] + 1
+    near = {0, 1, 2, top - 1, top, top + 1, 10**22}
+    near |= {r + d for r in layout.reserved[:4] + layout.reserved[-4:] for d in (-1, 0, 1)}
+    near.discard(-1)
+    pairs = [(u, v) for u in range(10) for v in range(10)]
+    pairs += [(u, v) for u in sorted(near) for v in (u, 0, 3)] + list(layout.table)
+    points = set(range(300)) | near | {c for cell in layout.table for c in cell}
+    points |= set(layout.table.values()) | set(layout.reserved)
+    points |= {layout.block_element(i, k) for i in range(len(layout.block_names)) for k in range(8)}
+    return pairs, sorted(points)
+
+
+def assert_matches_chain(pf):
+    """star, unstar, encode_rest and decode_rest equal the step-by-step arithmetic."""
+    layout = pf.meta
+    chains = (ChainArithmetic(layout), ChainArithmetic(layout, linear=True))
+    pairs, points = probe_cells(layout)
+    for u, v in pairs:
+        want = {(c.star(u, v), c.encode_rest(u, v)) for c in chains}
+        assert want == {(pf.star(u, v), layout.encode_rest(u, v))}, (u, v)
+    for w in points:
+        want = {(c.unstar(w), c.decode_rest(w)) for c in chains}
+        assert want == {(pf.unstar(w), layout.decode_rest(w))}, w
+    return pairs, points
+
+
+class TestFlattenedArithmetic:
+    """Every kind's one-body cells against the helper chain they replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(BUILDERS)),
+        s_members=st.lists(st.integers(0, 5000), min_size=1, max_size=40, unique=True),
+        data=st.data(),
+    )
+    def test_agrees_with_helper_chain(self, kind, s_members, data):
+        pf = BUILDERS[kind](s_members, data)
+        assert_matches_chain(pf)
+        # The certificate still speaks of what the flattened bodies compute.
+        report = cfa_axiom_check(pf, include_urelement_axiom=True)
+        assert passed(report) == cfa_scan_oracle(pf, 30, 1500)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "basic"},
+            {"kind": "pi"},
+            {"kind": "rho"},
+            {"kind": "tree", "control": "bin (bin nil nil) nil"},
+            {"kind": "seq", "control": "pi.rho"},
+        ],
+    )
+    def test_probes_reach_both_branches(self, config):
+        # 512 members up to 1,022: pinned cells, default cells of small pairs,
+        # urelements and the first cells of each block lie below the top
+        # reserved value, where the arithmetic bisects.
+        pf = build_from_config({**config, "S": list(range(0, 1024, 2))})
+        top = pf.meta.reserved[-1] + 1
+        pairs, points = assert_matches_chain(pf)
+        stars = [pf.star(u, v) for u, v in pairs]
+        assert min(stars) < top <= max(stars)
+        assert min(points) < top <= max(points)
+        urelements = [w for w in points if pf.unstar(w) is None]
+        assert (min(urelements) < top) if config["kind"] != "basic" else not urelements
+        report = cfa_axiom_check(pf, include_urelement_axiom=True)
+        assert passed(report) == cfa_scan_oracle(pf, 30, 1500)
 
 
 class TestCfaCertificate:

@@ -14,6 +14,7 @@ from relfork import (
     UndecidableCompositionError,
     NIL,
     Bin,
+    Nil,
     PI,
     RHO,
     build_star_basic,
@@ -50,7 +51,15 @@ from relfork import terms
 from relfork.errors import WINDOW_CAP, RelforkError
 from relfork.forkmodel import EMPTY, IDENTITY, UNIVERSAL
 
-from helpers import compose_pairs, converse_pairs, fork_pairs, random_pairs, window_by_contains
+from helpers import (
+    compose_pairs,
+    converse_pairs,
+    fork_pairs,
+    random_pairs,
+    random_seq,
+    random_tree,
+    window_by_contains,
+)
 
 # The basic star is a bijection (no urelements); the projection-controlled
 # star leaves its reserved partner elements outside the range of star.
@@ -370,6 +379,96 @@ class TestUnderline:
         urelement = first_urelement(PROJ)
         assert tuple(rel.witnesses(urelement)) == ()
         assert not rel.contains(urelement, urelement)
+
+
+def counted(pf: PairingFunction):
+    """pf behind wrappers that count its star and unstar calls, as a tracer's do."""
+    calls = {"star": 0, "unstar": 0}
+
+    def star(u, v):
+        calls["star"] += 1
+        return pf.star(u, v)
+
+    def unstar(w):
+        calls["unstar"] += 1
+        return pf.unstar(w)
+
+    return PairingFunction(star, unstar, pf.meta), calls
+
+
+def image_by_steps(control, pf: PairingFunction, u: int):
+    """A control's image by its definition: tree_map for a tree, a step-by-step chase."""
+    if not isinstance(control, (Nil, Bin)):
+        for symbol in seq_symbols(control):
+            decoded = pf.unstar(u)
+            if decoded is None:
+                return None
+            u = decoded[0] if symbol == PI else decoded[1]
+        return u
+    return tree_map(control, pf.star, u)
+
+
+@st.composite
+def controls_and_pairings(draw):
+    """A random tree (nil included) or sequence, and a pairing: built of every kind,
+    a conjugate of a built one, or the hand-built Cantor pairing."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    control = random_tree(rng, 4) if rng.random() < 0.6 else random_seq(rng, 5)
+    kind = draw(st.sampled_from(["basic", "pi", "rho", "tree", "seq", "conjugate", "cantor"]))
+    if kind == "cantor":
+        return control, CANTOR
+    members = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6, unique=True))
+    config = {"kind": "tree" if kind == "conjugate" else kind, "S": members}
+    if config["kind"] == "tree":
+        config["control"] = "bin (bin nil nil) nil"
+    if kind == "seq":
+        config["control"] = "rho.pi"
+    pf = build_from_config(config)
+    if kind == "conjugate":
+        pf = conjugate(pf, {members[0]: 100, 100: members[0]})
+    return control, pf
+
+
+class TestCompiledImage:
+    """The image compiled once per scan against the definition it folds."""
+
+    REGION = list(range(40)) + [1000, 10**6]
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=controls_and_pairings())
+    def test_equals_the_definition_with_the_same_calls(self, case):
+        control, pf = case
+        ref, ref_calls = counted(pf)
+        want = [image_by_steps(control, ref, u) for u in self.REGION]
+        rel = underline(control, pf)
+        assert [tuple(rel.witnesses(u)) for u in self.REGION] == [
+            () if v is None else (v,) for v in want
+        ]
+        if control == NIL:
+            assert want == self.REGION
+            return
+        scanned, calls = counted(pf)
+        got = fix_members(scanned, self.REGION, control)
+        assert got == tuple(u for u, v in zip(self.REGION, want) if v == u)
+        assert calls == ref_calls
+
+    def test_nil_is_the_identity(self):
+        pf, calls = counted(PROJ)
+        rel = underline(NIL, pf)
+        for u in range(30):
+            assert rel.contains(u, u) and not rel.contains(u, u + 1)
+            assert tuple(rel.witnesses(u)) == (u,)
+        assert calls == {"star": 0, "unstar": 0}
+
+    def test_compiles_once_per_scan(self, monkeypatch):
+        from relfork import forkmodel
+
+        folds = []
+        monkeypatch.setattr(
+            forkmodel, "tree_map", lambda *args: folds.append(args) or tree_map(*args)
+        )
+        assert fix_members(CANTOR, range(500), Bin(Bin(NIL, NIL), NIL)) == (0,)
+        assert len(folds) == 1
 
 
 class TestFixMembers:
