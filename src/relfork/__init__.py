@@ -19,8 +19,7 @@ _EXPORTS = {
     "btree": """BT BTC Bin HOLE Hole NIL Nil TreeSyntaxError bt_lt format_tree
         is_tree node_count parse_tree strict_subtrees substitute tree_map variants""",
     "errors": "RelforkError",
-    "seqs": """Cons Elem PI RHO Seq SeqSyntaxError format_seq ll_rel parse_seq
-        seq_concat seq_from_symbols seq_index seq_long seq_suffix seq_symbols""",
+    "seqs": "PI RHO Seq SeqSyntaxError format_seq ll_rel parse_seq seq_concat",
     "relcore": """AlgebraModel Classification FiniteRelation RelationError classify
         direct_product full_pra generate_subalgebra ideal_elements load_model
         model_from_dict model_to_dict power save_model""",

@@ -126,8 +126,6 @@ def _star_name(config: Dict) -> str:
 # Argument checks
 
 # Options that only some targets read: dest, flag and the options that read it.
-# fix's --window has a default and every fix target reads it, so only eval's
-# --window (default None) is checked here.
 _TARGET_OPTIONS = (
     ("sampled", "--sampled", ("model",)), ("trials", "--trials", ("star", "config")),
     ("seed", "--seed", ("sampled", "star", "config")), ("window", "--window", ("star", "config")),
@@ -138,7 +136,7 @@ _TARGET_OPTIONS = (
 def _check_args(args) -> None:
     """Refuse options the target ignores, and counts out of range, before any work."""
     for dest, flag, readers in _TARGET_OPTIONS:
-        given = getattr(args, dest, None) is not None and (dest, args.command) != ("window", "fix")
+        given = getattr(args, dest, None) is not None
         if given and all(getattr(args, r) is None for r in readers):
             raise UsageError(f"{flag} needs {' or '.join('--' + r for r in readers)}")
     cap = {"fix": SCAN_CAP, "eval": WINDOW_CAP}.get(args.command)
@@ -261,14 +259,15 @@ def _cmd_fix(args) -> Tuple[Dict, int]:
     from . import forkmodel
 
     pf, config = _resolve_star(args)
+    window = 1000 if args.window is None else args.window
     layout = pf.meta
-    fixpoints = forkmodel.fix_members(pf, range(args.window), layout.control)
+    fixpoints = forkmodel.fix_members(pf, range(window), layout.control)
     candidates = layout.s_values
-    matches = fixpoints == tuple(u for u in candidates if u < args.window)
+    matches = fixpoints == tuple(u for u in candidates if u < window)
     payload = {
         "target": _star_name(config),
         "config_sha256": _config_digest(config),
-        "window": args.window,
+        "window": window,
         "fixpoints": list(fixpoints),
         "candidates": list(candidates),
         "matches_candidates": matches,
@@ -415,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fix.add_argument(
         "--window",
         type=int,
-        default=1000,
         help=f"scan [0, WINDOW) for fixpoints (default 1000, capped by SCAN_CAP = {SCAN_CAP})",
     )
     p_fix.set_defaults(func=_cmd_fix)

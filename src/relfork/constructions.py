@@ -110,7 +110,7 @@ from .btree import (
 )
 from .errors import RelforkError
 from .forkmodel import Certificate, Control, PairingFunction
-from .seqs import PI, RHO, Elem, Seq, format_seq, parse_seq, seq_symbols
+from .seqs import PI, RHO, Seq, format_seq, parse_seq
 
 Pair = Tuple[int, int]
 
@@ -386,7 +386,7 @@ def build_star_proj(s_members: Iterable[int], which: str = PI) -> PairingFunctio
         s_values=s_values,
         reserved=tuple(sorted(s_set | set(partners))),
         block_names=("rest",),
-        control=Elem(which),
+        control=Seq((which,)),
         partners=tuple(partners),
     )
     for w, p in zip(s_values, partners):
@@ -400,7 +400,7 @@ def build_star_proj(s_members: Iterable[int], which: str = PI) -> PairingFunctio
 
 
 def build_star_seq(s: Seq, s_members: Iterable[int]) -> PairingFunction:
-    symbols = seq_symbols(s)
+    symbols = s.symbols
     if len(symbols) > MAX_CONTROL_NODES:
         raise ConstructionError(f"control sequence exceeds {MAX_CONTROL_NODES} steps")
     # The chain follows the shortest period of the sequence (see above).

@@ -64,7 +64,7 @@ from .btree import BT, NIL, Bin, Nil, tree_map
 from .errors import WINDOW_CAP, RelforkError
 from .node import Node
 from .relcore import FiniteRelation
-from .seqs import PI, Elem, Seq, seq_symbols
+from .seqs import PI, Seq
 
 Pair = Tuple[int, int]
 Control = BT | Seq
@@ -363,7 +363,7 @@ def _image(control: Control, pf: PairingFunction) -> Callable[[int], Optional[in
     """
     if isinstance(control, (Nil, Bin)):
         return tree_map(control, _fork_image(pf.star), _identity)
-    coordinates = tuple(0 if symbol == PI else 1 for symbol in seq_symbols(control))
+    coordinates = tuple(0 if symbol == PI else 1 for symbol in control.symbols)
     unstar = pf.unstar
 
     def chase(u: int) -> Optional[int]:
@@ -409,7 +409,7 @@ def fix_tree_members(t: BT, pf: PairingFunction, region: Iterable[int]) -> Tuple
 def fix_proj_members(
     pf: PairingFunction, region: Iterable[int], which: str = PI
 ) -> Tuple[int, ...]:
-    return fix_members(pf, region, Elem(which))
+    return fix_members(pf, region, Seq((which,)))
 
 
 def fix_seq_members(s: Seq, pf: PairingFunction, region: Iterable[int]) -> Tuple[int, ...]:

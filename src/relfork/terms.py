@@ -547,9 +547,11 @@ class _Sliced:
 
     def env(self, env: Dict[str, FiniteRelation]) -> Dict[str, List[int]]:
         """A width-1 batch of one assignment of relations."""
-        for rel in env.values():
+        for name, rel in env.items():
             if rel.base_size != self.n:
                 raise RelationError(f"base-size mismatch: {rel.base_size} vs {self.n}")
+            if rel not in self.model:
+                raise RelationError(f"binding {name!r} is not an element of the model")
         return {name: _cells(_cell_text(rel), 1) for name, rel in env.items()}
 
 

@@ -15,8 +15,6 @@ from relfork import (
     BT,
     BTC,
     Bin,
-    Cons,
-    Elem,
     FiniteRelation,
     HOLE,
     NIL,
@@ -262,10 +260,7 @@ def random_context(rng: random.Random, depth: int = 3) -> BTC:
 
 def random_seq(rng: random.Random, max_len: int = 4) -> Seq:
     length = rng.randrange(1, max_len + 1)
-    seq: Seq = Elem(rng.choice((PI, RHO)))
-    for _ in range(length - 1):
-        seq = Cons(rng.choice((PI, RHO)), seq)
-    return seq
+    return Seq(tuple(rng.choice((PI, RHO)) for _ in range(length)))
 
 
 # ---------------------------------------------------------------------------

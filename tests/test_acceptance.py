@@ -21,6 +21,7 @@ from relfork import (
     PI,
     RHO,
     PairingFunction,
+    Seq,
     build_star_basic,
     build_star_proj,
     build_star_seq,
@@ -51,7 +52,6 @@ from relfork import (
     power,
     pretty,
     seq_concat,
-    seq_from_symbols,
     si_member,
     substitute,
     transport,
@@ -85,7 +85,7 @@ def all_seqs(max_len: int):
     out = []
     for length in range(1, max_len + 1):
         for symbols in itertools.product((PI, RHO), repeat=length):
-            out.append(seq_from_symbols(symbols))
+            out.append(Seq(symbols))
     return out
 
 

@@ -14,6 +14,22 @@ UNIT2 = [[0, 0], [0, 1], [1, 0], [1, 1]]
 IDENT2 = [[0, 0], [1, 1]]
 DIV2 = [[0, 1], [1, 0]]
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+CFAU_BASIC = ["check", "--star", "basic", "--suite", "cfau", "--trials", "10", "--seed", "7"]
+# Pinned stdout, by test id: golden file stem, exit code and argv after --format.
+PINNED = {
+    "exact-1,2": ("check_cfau_exact", 1, [*CFAU_BASIC, "--S", "1,2"]),
+    "large_member-2000000": ("check_cfau_large_member", 1, [*CFAU_BASIC, "--S", "2000000"]),
+    "build-seq-rho.pi.pi": (
+        "build_seq_rho_pi_pi", 0, ["build", "--star", "seq", "--S", "0,1", "--s", "rho.pi.pi"]
+    ),
+    "fix-seq-pi.pi": (
+        "fix_seq_pi_pi", 0,
+        ["fix", "--star", "seq", "--S", "3,7", "--s", "pi.pi", "--window", "64"],
+    ),
+    "check-pi-3,4": (
+        "check_cfau_pi", 0, ["check", "--star", "pi", "--S", "3,4", "--suite", "cfau"]
+    ),
+}
 
 
 def run(capsys, *argv):
@@ -340,15 +356,12 @@ class TestCheckStar:
         assert not {"trials", "seed", "support_bound", "urelement_bound"} & set(payload)
 
     @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-    @pytest.mark.parametrize("name, members", [("exact", "1,2"), ("large_member", "2000000")])
-    def test_stdout_bytes_are_pinned(self, capsys, name, members, fmt, suffix):
-        # The key order, the details and the scope labels.
-        code, out, _ = run(
-            capsys, "--format", fmt, "check", "--star", "basic", "--S", members,
-            "--suite", "cfau", "--trials", "10", "--seed", "7",
-        )
-        assert code == 1
-        assert out == (GOLDEN / f"check_cfau_{name}.{suffix}").read_text(encoding="utf-8")
+    @pytest.mark.parametrize("golden, exit_code, argv", PINNED.values(), ids=PINNED.keys())
+    def test_stdout_bytes_are_pinned(self, capsys, golden, exit_code, argv, fmt, suffix):
+        # The key order, the details, the scope labels and the control text.
+        code, out, _ = run(capsys, "--format", fmt, *argv)
+        assert code == exit_code
+        assert out == (GOLDEN / f"{golden}.{suffix}").read_text(encoding="utf-8")
 
     def test_tree_star_requires_control(self, capsys):
         code, _, err = run(capsys, "check", "--star", "tree", "--S", "0", "--suite", "cfa")
@@ -379,6 +392,20 @@ class TestEval:
         )
         assert code == 1
         assert out.strip().endswith("false")
+
+    def test_binding_outside_the_model_exits_two(self, capsys, tmp_path):
+        # (0, 1) lies in the base of the product model but in none of its elements.
+        model = tmp_path / "product.json"
+        product = relcore.direct_product(relcore.full_pra(1), relcore.full_pra(1))
+        relcore.save_model(product, str(model))
+        bind = tmp_path / "bind.json"
+        bind.write_text(json.dumps({"x": [[0, 1]]}))
+        code, out, err = run(
+            capsys, "eval", "--model", str(model),
+            "--formula", "x + ~x = 1", "--bind", str(bind),
+        )
+        assert (code, out) == (2, "")
+        assert "error: binding 'x' is not an element of the model" in err
 
     def test_window_mode(self, capsys):
         code, out, _ = run(
@@ -460,6 +487,12 @@ class TestFix:
         code, out, _ = run(capsys, "fix", "--star", "basic", "--S", "2,5", "--window", "400")
         assert code == 0
         assert "agreement:  yes" in out
+
+    def test_window_defaults_to_1000(self, capsys):
+        _, text, _ = run(capsys, "fix", "--star", "basic", "--S", "2,5")
+        _, out, _ = run(capsys, "--format", "json", "fix", "--star", "basic", "--S", "2,5")
+        assert "window [0,1000)" in text
+        assert json.loads(out)["window"] == 1000
 
     def test_all_kinds(self, capsys):
         targets = [
@@ -641,6 +674,7 @@ class TestCountChecks:
                 ["eval", "--model", "full:2", "--formula", "1' <= 1", "--window", "5"],
                 "error: --window needs --star or --config",
             ),
+            (["fix", "--window", "5"], "error: --window needs --star or --config"),
             (
                 ["check", "--model", "full:1", *BASIC_TARGET, "--suite", "cfa"],
                 "error: argument --star: not allowed with argument --model",
@@ -661,6 +695,7 @@ class TestCountChecks:
         ],
         ids=[
             "sampled-on-star", "trials-on-model", "seed-on-exhaustive", "window-on-model",
+            "window-on-fix-without-target",
             "model-and-star", "config-and-star",
             "members-on-config", "control-on-model", "two-controls",
         ],

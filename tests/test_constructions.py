@@ -15,6 +15,7 @@ from relfork import (
     RHO,
     PairingFunction,
     RelforkError,
+    Seq,
     build_from_config,
     build_star_basic,
     build_star_proj,
@@ -31,7 +32,6 @@ from relfork import (
     layout_report,
     parse_seq,
     parse_tree,
-    seq_from_symbols,
 )
 from relfork import constructions
 from relfork.constructions import MAX_MEMBERS, BasicLayout
@@ -330,7 +330,7 @@ class TestSeqStar:
             build_star_seq(self.S, [])
 
     def test_rejects_oversized_control(self):
-        long_seq = seq_from_symbols([PI] * 65)
+        long_seq = Seq((PI,) * 65)
         with pytest.raises(ConstructionError):
             build_star_seq(long_seq, [0])
 
@@ -340,7 +340,7 @@ CONTROL_TREES = st.builds(
     *[st.recursive(st.just(NIL), lambda kids: st.builds(Bin, kids, kids), max_leaves=4)] * 2,
 )
 CONTROL_SEQS = st.lists(st.sampled_from([PI, RHO]), min_size=1, max_size=5).map(
-    seq_from_symbols
+    lambda symbols: Seq(tuple(symbols))
 )
 BUILDERS = {
     "basic": lambda s_members, data: build_star_basic(s_members),

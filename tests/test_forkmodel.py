@@ -38,7 +38,6 @@ from relfork import (
     parse_term,
     pretty_term,
     projections,
-    seq_symbols,
     si_member,
     transport,
     tree_map,
@@ -399,7 +398,7 @@ def counted(pf: PairingFunction):
 def image_by_steps(control, pf: PairingFunction, u: int):
     """A control's image by its definition: tree_map for a tree, a step-by-step chase."""
     if not isinstance(control, (Nil, Bin)):
-        for symbol in seq_symbols(control):
+        for symbol in control.symbols:
             decoded = pf.unstar(u)
             if decoded is None:
                 return None
@@ -490,12 +489,11 @@ class TestFixMembers:
     def test_seq_fix_matches_chase(self):
         s = parse_seq("pi.pi")
         got = fix_seq_members(s, CANTOR, range(300))
-        symbols = seq_symbols(s)
         expected = []
         for u in range(300):
             v = u
             ok = True
-            for symbol in symbols:
+            for symbol in s.symbols:
                 decoded = cantor_unpair(v)
                 v = decoded[0] if symbol == PI else decoded[1]
             if v == u:

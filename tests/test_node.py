@@ -12,10 +12,8 @@ from relfork import (
     CheckReport,
     Complement,
     Compose,
-    Cons,
     Const,
     Converse,
-    Elem,
     Eq,
     Fork,
     HOLE,
@@ -30,6 +28,7 @@ from relfork import (
     PI,
     RHO,
     RelforkError,
+    Seq,
     Union,
     Var,
     parse_formula,
@@ -47,7 +46,8 @@ class TestEquality:
         assert Var("x") != Const("x")
         assert Eq(X, Y) != Leq(X, Y)
         assert NIL != HOLE
-        assert Elem(PI) != Cons(PI, Elem(PI))
+        assert Seq((PI,)) != Seq((PI, PI))
+        assert Seq((PI, RHO)) != (PI, RHO)
         assert Var("x") != ("x",)
 
     def test_equal_nodes_hash_equal(self):
@@ -56,7 +56,7 @@ class TestEquality:
         assert Bin(NIL, Bin(NIL, NIL)) == parse_tree("bin nil (bin nil nil)")
         f, g = parse_formula("x;y <= ~z"), Leq(Compose(X, Y), Complement(Var("z")))
         assert f == g and hash(f) == hash(g)
-        assert Cons(PI, Elem(RHO)) == parse_seq("pi.rho")
+        assert Seq((PI, RHO)) == parse_seq("pi.rho")
         assert len({Union(X, Y), Union(X, Y), Meet(X, Y)}) == 2
 
 
@@ -75,7 +75,7 @@ class TestRepr:
 class TestImmutability:
     @pytest.mark.parametrize(
         "node, field",
-        [(X, "name"), (Union(X, Y), "left"), (Bin(NIL, NIL), "right"), (Elem(PI), "star")],
+        [(X, "name"), (Union(X, Y), "left"), (Bin(NIL, NIL), "right"), (Seq((PI,)), "symbols")],
     )
     def test_fields_cannot_change(self, node, field):
         with pytest.raises(AttributeError):
@@ -104,9 +104,9 @@ class TestConstruction:
 
     def test_check_hook_validates(self):
         with pytest.raises(RelforkError):
-            Elem("sigma")
+            Seq(("sigma",))
         with pytest.raises(RelforkError):
-            Cons("sigma", Elem(PI))
+            Seq(("sigma", PI))
 
     def test_pickle_and_copy(self):
         formula = parse_formula("!(x = y) -> x^ # 1 <= 0'")

@@ -1,4 +1,4 @@
-"""Projection sequences: indexing, suffixes, concatenation, tree paths."""
+"""Projection sequences: the symbol tuple, concatenation, tree paths, text."""
 
 import random
 
@@ -7,118 +7,97 @@ from hypothesis import given, strategies as st
 
 from relfork import (
     Bin,
-    Cons,
-    Elem,
     NIL,
     PI,
     RHO,
+    Seq,
     SeqSyntaxError,
     format_seq,
     ll_rel,
     parse_seq,
     seq_concat,
-    seq_from_symbols,
-    seq_index,
-    seq_long,
-    seq_suffix,
-    seq_symbols,
 )
 
 from helpers import random_seq, random_tree
 
-S1 = Elem(PI)
-S2 = Cons(PI, Elem(RHO))  # pi.rho
-S3 = Cons(RHO, Cons(PI, Elem(PI)))  # rho.pi.pi
+S1 = Seq((PI,))
+S2 = Seq((PI, RHO))
+S3 = Seq((RHO, PI, PI))
 
 
 def seq_strategy(max_len: int = 6):
     return st.lists(
         st.sampled_from((PI, RHO)), min_size=1, max_size=max_len
-    ).map(seq_from_symbols)
+    ).map(lambda symbols: Seq(tuple(symbols)))
 
 
 class TestBasics:
     def test_symbol_validation(self):
-        with pytest.raises(ValueError):
-            Elem("sigma")
-        with pytest.raises(ValueError):
-            Cons("x", S1)
+        for symbols in [("sigma",), ("x", PI), (PI, None), (), [PI], "pi", None]:
+            with pytest.raises(ValueError):
+                Seq(symbols)
 
     def test_long(self):
-        assert seq_long(S1) == 1
-        assert seq_long(S2) == 2
-        assert seq_long(S3) == 3
+        assert [len(parse_seq(text).symbols) for text in ("pi", "pi.rho", "rho.pi.pi")] == [
+            1, 2, 3
+        ]
 
     def test_symbols_round_trip(self):
-        assert seq_symbols(S3) == (RHO, PI, PI)
-        assert seq_from_symbols((RHO, PI, PI)) == S3
-        with pytest.raises(ValueError):
-            seq_from_symbols(())
+        assert S3.symbols == (RHO, PI, PI)
+        assert Seq(S3.symbols) == S3 and hash(Seq(S3.symbols)) == hash(S3)
 
     @given(seq_strategy())
     def test_symbols_inverse(self, s):
-        assert seq_from_symbols(seq_symbols(s)) == s
+        assert parse_seq(repr(s)) == s
 
 
 class TestIndexing:
     def test_head_first_positions(self):
-        assert seq_index(S3, 1) == RHO
-        assert seq_index(S3, 2) == PI
-        assert seq_index(S3, 3) == PI
-
-    def test_index_bounds(self):
-        for bad in (0, 4, -1):
-            with pytest.raises(IndexError):
-                seq_index(S3, bad)
+        assert parse_seq("rho.pi.pi").symbols[0] == RHO
+        assert parse_seq("pi.rho").symbols[-1] == RHO
 
     @given(seq_strategy())
     def test_index_matches_symbols(self, s):
-        symbols = seq_symbols(s)
-        for i in range(1, len(symbols) + 1):
-            assert seq_index(s, i) == symbols[i - 1]
+        assert format_seq(s).split(".") == list(s.symbols)
 
 
 class TestSuffix:
-    def test_full_suffix_is_identity(self):
-        for s in (S1, S2, S3):
-            assert seq_suffix(s, seq_long(s)) == s
-
     def test_shorter_suffixes(self):
-        assert seq_suffix(S3, 2) == Cons(PI, Elem(PI))
-        assert seq_suffix(S3, 1) == Elem(PI)
-        assert seq_suffix(S2, 1) == Elem(RHO)
+        assert Seq(S3.symbols[1:]) == parse_seq("pi.pi")
+        assert Seq(S2.symbols[1:]) == parse_seq("rho")
 
     def test_suffix_bounds(self):
-        for bad in (0, 4):
-            with pytest.raises(IndexError):
-                seq_suffix(S3, bad)
+        # An empty slice is no sequence.
+        for empty in (S3.symbols[3:], S3.symbols[:0]):
+            with pytest.raises(ValueError):
+                Seq(empty)
 
     @given(seq_strategy())
     def test_suffix_drops_leading_symbols(self, s):
-        symbols = seq_symbols(s)
-        for i in range(1, len(symbols) + 1):
-            assert seq_symbols(seq_suffix(s, i)) == symbols[len(symbols) - i :]
+        symbols = s.symbols
+        for i in range(1, len(symbols)):
+            assert seq_concat(Seq(symbols[:i]), Seq(symbols[i:])) == s
 
 
 class TestConcat:
     def test_examples(self):
-        assert seq_concat(S1, Elem(RHO)) == S2
-        assert seq_concat(Elem(RHO), Cons(PI, Elem(PI))) == S3
+        assert seq_concat(S1, Seq((RHO,))) == S2
+        assert seq_concat(Seq((RHO,)), Seq((PI, PI))) == S3
 
     @given(seq_strategy(), seq_strategy())
     def test_symbols_concatenate(self, a, b):
-        assert seq_symbols(seq_concat(a, b)) == seq_symbols(a) + seq_symbols(b)
-        assert seq_long(seq_concat(a, b)) == seq_long(a) + seq_long(b)
+        assert seq_concat(a, b).symbols == a.symbols + b.symbols
 
 
 class TestTreePaths:
     def test_examples(self):
         t = Bin(Bin(NIL, NIL), NIL)
-        assert ll_rel(Elem(RHO), t)  # right child is nil
-        assert not ll_rel(Elem(PI), t)  # left child is not nil
-        assert ll_rel(Cons(PI, Elem(PI)), t)
-        assert ll_rel(Cons(PI, Elem(RHO)), t)
-        assert not ll_rel(Cons(RHO, Elem(PI)), t)
+        assert ll_rel(Seq((RHO,)), t)  # right child is nil
+        assert not ll_rel(Seq((PI,)), t)  # left child is not nil
+        assert ll_rel(Seq((PI, PI)), t)
+        assert ll_rel(Seq((PI, RHO)), t)
+        assert not ll_rel(Seq((RHO, PI)), t)
+        assert not ll_rel(Seq((PI, PI, PI)), t)
         assert not ll_rel(S1, NIL)
 
     def test_against_path_oracle(self):
@@ -134,7 +113,7 @@ class TestTreePaths:
         for _ in range(300):
             s = random_seq(rng, 4)
             t = random_tree(rng, 4)
-            assert ll_rel(s, t) == oracle(seq_symbols(s), t)
+            assert ll_rel(s, t) == oracle(s.symbols, t)
 
 
 class TestTextSyntax:

@@ -24,6 +24,7 @@ from relfork import (
     Not,
     Or,
     ParseError,
+    RelationError,
     UnboundVariableError,
     UndecidableCompositionError,
     Union,
@@ -210,6 +211,18 @@ class TestEvaluation:
         assert eval_formula(parse_formula("x <= 1"), {"x": a}, model)
         assert not eval_formula(parse_formula("x = 0"), {"x": a}, model)
         assert eval_formula(parse_formula("x = 0 -> x = 1"), {"x": a}, model)
+
+    def test_binding_outside_the_carrier_refused(self):
+        # (0, 1) lies in the base of the product but in none of its elements,
+        # so x + ~x = 1, true of every element, must not read false.
+        model = direct_product(full_pra(1), full_pra(1))
+        outside = FiniteRelation.from_pairs(2, [(0, 1)])
+        formula = parse_formula("x + ~x = 1")
+        with pytest.raises(RelationError, match="binding 'x' is not an element"):
+            eval_formula(formula, {"x": outside}, model)
+        with pytest.raises(RelationError):
+            eval_term(parse_term("x"), {"x": outside}, model)
+        assert all(eval_formula(formula, {"x": rel}, model) for rel in model.carrier)
 
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariableError) as exc:
