@@ -135,12 +135,15 @@ def cantor_unpair(m: int) -> Pair:
 
 
 def _checked_members(s_members: Iterable[int]) -> Tuple[int, ...]:
+    """The sorted distinct members; each must be an ``int``, not a bool, and >= 0."""
     try:
-        values = sorted(set(int(u) for u in s_members))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConstructionError(f"members must be a list of integers: {exc}") from None
-    if values and values[0] < 0:
-        raise ConstructionError("members must be non-negative")
+        members = tuple(s_members)
+    except TypeError:
+        raise ConstructionError(f"members must be a list of naturals, got {s_members!r}") from None
+    for u in members:  # before any sort or hash, which a wrong type could break
+        if type(u) is not int or u < 0:
+            raise ConstructionError(f"members must be naturals, got {u!r}")
+    values = sorted(set(members))
     if len(values) > MAX_MEMBERS:
         raise ConstructionError(f"at most {MAX_MEMBERS} members supported")
     return tuple(values)
@@ -455,7 +458,7 @@ def build_from_config(config: Mapping) -> PairingFunction:
         raise ConstructionError(f"unknown config keys: {sorted(unknown)}")
     kind = config.get("kind")
     members = config.get("S", [])
-    if not isinstance(members, list) or not all(type(u) is int and u >= 0 for u in members):
+    if not isinstance(members, list):
         raise ConstructionError(f"S must be a list of naturals, got {members!r}")
     control = config.get("control")
     if kind == "basic":

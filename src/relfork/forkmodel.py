@@ -7,24 +7,26 @@ on urelements, the values outside the range of ``star``).
 Relations over this base are lazy: a membership predicate, optionally
 an exact finite support, optionally a complete successor enumerator
 (``witnesses``) and optionally a window ``recipe`` that builds the
-restriction to [0, n) from the operands' windows.  Operations propagate
-support and witnesses whenever the result stays enumerable; a
-composition whose left operand offers neither a support nor witnesses
-and whose right operand has no support is rejected as undecidable.
+restriction to [0, n) from the operands' windows.  Only
+``LazyRelation.from_support`` makes a support, always with witnesses,
+and a combinator returns it whenever its result is finite.  Otherwise
+witnesses propagate while the result stays enumerable; a composition
+whose left operand offers neither a support nor witnesses and whose
+right operand has no support is rejected as undecidable.
 
 ``window(rel, n)`` refuses n above ``errors.WINDOW_CAP``, then takes
 the first path the relation offers: its witnesses (n enumerations),
-its recipe, and only then n² ``contains`` calls.  Every relation this
-module gives a support also gets witnesses, so it takes the first
-path.  The combinators attach recipes, and so does ``UNIVERSAL``, so
-every term of the term language is windowed without the n² scan; that
-scan remains only for a bare ``LazyRelation(contains)``.  Complement,
-meet, union and converse are pointwise in their operands' windows.
-Column b of a fork's window meets column c of r's and column d of s's
-when unstar(b) = (c, d) lies in the window, as it does on every
-default cell of a built pairing; other columns take n ``contains``
-calls.  Row a of a composition whose left operand has witnesses ORs
-the right operand's window rows at a's witnesses.
+its recipe, and only then n² ``contains`` calls.  A supported relation
+takes the first path.  The combinators' other results carry recipes,
+and so does ``UNIVERSAL``, so every term of the term language is
+windowed without the n² scan; that scan remains only for a bare
+``LazyRelation(contains)``.  Complement, meet, union and converse are
+pointwise in their operands' windows.  Column b of a fork's window
+meets column c of r's and column d of s's when unstar(b) = (c, d) lies
+in the window, as it does on every default cell of a built pairing;
+other columns take n ``contains`` calls.  Row a of a composition whose
+left operand has witnesses ORs the right operand's window rows at a's
+witnesses.
 
 A control is a binary tree or a projection sequence, and its image is
 a partial function on the naturals: a tree t sends u to
@@ -105,13 +107,12 @@ Certificate = Tuple[str, List[Tuple[Pair, Pair]], Optional[int]]
 class LazyRelation(Node):
     """A relation on the naturals given by a membership predicate.
 
-    ``support_hint`` is the exact extension when finite.  ``witnesses``
-    enumerates all successors of a left element; when present it is
-    sound and complete for ``contains``, and ``from_support`` and the
-    combinators attach it wherever they attach a support.  ``recipe``
-    maps n to the exact restriction to [0, n), built from other
-    windows.  ``window`` tries the witnesses, then the recipe, before it
-    falls back to ``contains``.
+    ``support_hint`` is the exact extension when finite; only
+    ``from_support`` sets it, always with ``witnesses``.  ``witnesses``
+    enumerates all successors of a left element, sound and complete for
+    ``contains``.  ``recipe`` maps n to the exact restriction to [0, n),
+    built from other windows.  ``window`` tries the witnesses, then the
+    recipe, before it falls back to ``contains``.
     """
 
     __slots__ = ("contains", "support_hint", "witnesses", "recipe")
@@ -155,27 +156,24 @@ IDENTITY = LazyRelation(lambda a, b: a == b, witnesses=lambda a: (a,))
 
 
 def union_rel(r: LazyRelation, s: LazyRelation) -> LazyRelation:
-    support = None
     if r.support_hint is not None and s.support_hint is not None:
-        support = r.support_hint | s.support_hint
+        return LazyRelation.from_support(r.support_hint | s.support_hint)
     witnesses = None
     if r.witnesses is not None and s.witnesses is not None:
         rw, sw = r.witnesses, s.witnesses
         witnesses = lambda a: tuple(dict.fromkeys(tuple(rw(a)) + tuple(sw(a))))
     return LazyRelation(
         contains=lambda a, b: r.contains(a, b) or s.contains(a, b),
-        support_hint=support,
         witnesses=witnesses,
         recipe=lambda n: window(r, n).union(window(s, n)),
     )
 
 
 def meet_rel(r: LazyRelation, s: LazyRelation) -> LazyRelation:
-    support = None
     if r.support_hint is not None:
-        support = frozenset(p for p in r.support_hint if s.contains(*p))
-    elif s.support_hint is not None:
-        support = frozenset(p for p in s.support_hint if r.contains(*p))
+        return LazyRelation.from_support(p for p in r.support_hint if s.contains(*p))
+    if s.support_hint is not None:
+        return LazyRelation.from_support(p for p in s.support_hint if r.contains(*p))
     witnesses = None
     if r.witnesses is not None:
         rw = r.witnesses
@@ -185,7 +183,6 @@ def meet_rel(r: LazyRelation, s: LazyRelation) -> LazyRelation:
         witnesses = lambda a: tuple(b for b in sw(a) if r.contains(a, b))
     return LazyRelation(
         contains=lambda a, b: r.contains(a, b) and s.contains(a, b),
-        support_hint=support,
         witnesses=witnesses,
         recipe=lambda n: window(r, n).meet(window(s, n)),
     )
@@ -258,6 +255,11 @@ def fork(r: LazyRelation, s: LazyRelation, pf: PairingFunction) -> LazyRelation:
     """The fork of r and s: pairs (a, star(x, y)) with a r x and a s y."""
     unstar = pf.unstar
     star = pf.star
+    if r.support_hint is not None and s.support_hint is not None:
+        by_left = _successors(s.support_hint)
+        return LazyRelation.from_support(
+            (a, star(x, y)) for a, x in r.support_hint for y in by_left.get(a, ())
+        )
 
     def contains(a: int, b: int) -> bool:
         decoded = unstar(b)
@@ -266,14 +268,6 @@ def fork(r: LazyRelation, s: LazyRelation, pf: PairingFunction) -> LazyRelation:
         x, y = decoded
         return r.contains(a, x) and s.contains(a, y)
 
-    support = None
-    if r.support_hint is not None and s.support_hint is not None:
-        by_left = _successors(s.support_hint)
-        support = frozenset(
-            (a, star(x, y))
-            for a, x in r.support_hint
-            for y in by_left.get(a, ())
-        )
     witnesses = None
     if r.witnesses is not None and s.witnesses is not None:
         rw, sw = r.witnesses, s.witnesses
@@ -298,9 +292,7 @@ def fork(r: LazyRelation, s: LazyRelation, pf: PairingFunction) -> LazyRelation:
                 cols.append(_bits(n, lambda a: r.contains(a, x) and s.contains(a, y)))
         return FiniteRelation(n, tuple(cols)).converse()
 
-    return LazyRelation(
-        contains=contains, support_hint=support, witnesses=witnesses, recipe=recipe
-    )
+    return LazyRelation(contains=contains, witnesses=witnesses, recipe=recipe)
 
 
 def projections(pf: PairingFunction) -> Tuple[LazyRelation, LazyRelation]:
@@ -504,18 +496,13 @@ def conjugate(pf: PairingFunction, perm: Dict[int, int]) -> PairingFunction:
 def transport(rel: LazyRelation, perm: Dict[int, int]) -> LazyRelation:
     """Image of rel under the permutation on both coordinates."""
     fwd, bwd = _permutation_maps(perm)
-    support = None
     if rel.support_hint is not None:
-        support = frozenset((fwd(a), fwd(b)) for a, b in rel.support_hint)
+        return LazyRelation.from_support((fwd(a), fwd(b)) for a, b in rel.support_hint)
     witnesses = None
     if rel.witnesses is not None:
         rw = rel.witnesses
         witnesses = lambda a: tuple(fwd(b) for b in rw(bwd(a)))
-    return LazyRelation(
-        contains=lambda a, b: rel.contains(bwd(a), bwd(b)),
-        support_hint=support,
-        witnesses=witnesses,
-    )
+    return LazyRelation(contains=lambda a, b: rel.contains(bwd(a), bwd(b)), witnesses=witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +588,8 @@ class ForkBackend:
     """The operations of the term language over a pairing function.
 
     Equality and containment of lazy relations are undecidable; with a
-    window n they compare the restrictions of both sides to [0, n).  It
+    window n of at least 1 they compare the restrictions of both sides
+    to [0, n), so that no comparison passes on two empty windows.  It
     evaluates one assignment at a time: a batch of one, whose mask
     ``full`` is 1.
     """
@@ -614,6 +602,8 @@ class ForkBackend:
     converse = staticmethod(converse_rel)
 
     def __init__(self, pf: PairingFunction, window: Optional[int] = None):
+        if window is not None and window < 1:
+            raise RelforkError(f"window must be at least 1, got {window}")
         self.pf = pf
         self.window_size = window
         pi, rho = projections(pf)

@@ -9,7 +9,9 @@ O(min(pairs, n²)) steps.
 
 An :class:`AlgebraModel` packages a carrier of relations together with
 its unit, identity and empty element.  ``full_pra(n)`` builds the full
-algebra over a base of size n (every subset of the unit ``n x n``).
+algebra over a base of size n (every subset of the unit ``n x n``).  Every
+model derives ``is_full``: its carrier holds distinct subsets of the unit,
+so it is full exactly when it has 2^(n*n) elements.
 Products, generated subalgebras, ideal elements and the classification
 into trivial / simple / prime live here as well.  Every model is checked,
 and subalgebras are generated, through its atoms (``AlgebraModel.atoms``),
@@ -191,7 +193,6 @@ class AlgebraModel:
         carrier: Sequence[FiniteRelation],
         unit: FiniteRelation,
         identity: FiniteRelation,
-        is_full: bool = False,
     ):
         if base_size > MAX_BASE:
             raise RelationError(f"base size {base_size} exceeds cap {MAX_BASE}")
@@ -204,7 +205,7 @@ class AlgebraModel:
         self.unit = unit
         self.identity = identity
         self.empty = FiniteRelation.empty(base_size)
-        self.is_full = is_full
+        self.is_full = len(self.carrier) == 1 << (base_size * base_size)
         self._carrier_set = frozenset(rel.rows for rel in self.carrier)
         self._validate()
 
@@ -222,8 +223,6 @@ class AlgebraModel:
                 raise RelationError("carrier element not contained in the unit")
         n = self.base_size
         if self.is_full:
-            if len(self.carrier) != 1 << (n * n):
-                raise RelationError("full model must contain every subset of the unit")
             atoms = [_relation(n, 1 << q) for q in range(n * n)]
         else:
             atoms = self._closed_atoms()
@@ -281,7 +280,6 @@ def full_pra(n: int) -> AlgebraModel:
         [_relation(n, code) for code in range(size)],
         unit=FiniteRelation.full(n),
         identity=FiniteRelation.identity(n),
-        is_full=True,
     )
 
 
@@ -328,8 +326,8 @@ def direct_product(m1: AlgebraModel, m2: AlgebraModel) -> AlgebraModel:
     """Direct product realized on the disjoint union of the two bases.
 
     An element is the union of a component of m1 with a shifted component
-    of m2; the unit is the union of the two units, so the product is not
-    full even when both factors are.
+    of m2; the unit is the union of the two units, so the product is
+    full only when one factor has base 0 and the other is full.
     """
     n1, n2 = m1.base_size, m2.base_size
     n = n1 + n2
@@ -351,7 +349,6 @@ def direct_product(m1: AlgebraModel, m2: AlgebraModel) -> AlgebraModel:
         carrier,
         unit=combine(m1.unit, m2.unit),
         identity=combine(m1.identity, m2.identity),
-        is_full=False,
     )
 
 
@@ -405,7 +402,6 @@ def generate_subalgebra(base_size: int, generators: Iterable[FiniteRelation]) ->
         [_relation(base_size, code) for code in codes],
         unit=unit,
         identity=identity,
-        is_full=len(blocks) == base_size * base_size,
     )
 
 
@@ -466,7 +462,10 @@ def model_from_dict(data: dict) -> AlgebraModel:
             identity = FiniteRelation.from_pairs(base_size, pairs_from_json(identity_field))
     except (KeyError, TypeError) as exc:
         raise RelationError(f"malformed model data: {exc}") from exc
-    return AlgebraModel(base_size, carrier, unit=unit, identity=identity, is_full=full)
+    model = AlgebraModel(base_size, carrier, unit=unit, identity=identity)
+    if full and not model.is_full:
+        raise RelationError("full model must contain every subset of the unit")
+    return model
 
 
 def save_model(model: AlgebraModel, path: str) -> None:

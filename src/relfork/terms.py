@@ -606,14 +606,17 @@ def check_budget(formulas, size: int) -> None:
 def sample_count(strategy) -> Optional[int]:
     """The trial count of ``("sampled", count)``, or None for ``"exhaustive"``.
 
-    Refuses, before any work, an unknown strategy and a count below 1 or
-    above ``DEFAULT_ASSIGNMENT_CAP``.
+    Refuses, before any work, an unknown strategy, a count that is not
+    an ``int`` (bools included) and a count below 1 or above
+    ``DEFAULT_ASSIGNMENT_CAP``.
     """
     if strategy == "exhaustive":
         return None
     if not (isinstance(strategy, tuple) and len(strategy) == 2 and strategy[0] == "sampled"):
         raise EvalError(f"unknown strategy {strategy!r}")
-    count = int(strategy[1])
+    count = strategy[1]
+    if type(count) is not int:
+        raise EvalError(f"sampled count must be an integer, got {count!r}")
     if count < 1:
         raise EvalError(f"sampled count must be at least 1, got {count}")
     if count > DEFAULT_ASSIGNMENT_CAP:

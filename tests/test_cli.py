@@ -771,6 +771,8 @@ MALFORMED = {
     "config-float-member": ({"kind": "basic", "S": [1.7]}, ["build", "--config", "in.json"]),
     "config-digit-string-members": ({"kind": "basic", "S": "12"}, ["build", "--config", "in.json"]),
     "config-bool-member": ({"kind": "basic", "S": [True]}, ["build", "--config", "in.json"]),
+    "config-mixed-members": ({"kind": "basic", "S": [1, "a"]}, ["build", "--config", "in.json"]),
+    "config-list-member": ({"kind": "basic", "S": [[1]]}, ["build", "--config", "in.json"]),
     "model-float-base-size": ({"base_size": 2.9, "full": True}, [*CHECK_MODEL, "in.json"]),
     "model-string-base-size": ({"base_size": "2", "full": "false"}, [*CHECK_MODEL, "in.json"]),
     "model-string-full": ({"base_size": 2, "full": "false"}, [*CHECK_MODEL, "in.json"]),

@@ -123,6 +123,12 @@ class TestLayoutArithmetic:
         with pytest.raises(ConstructionError):
             build_star_basic(range(MAX_MEMBERS + 1))
 
+    @pytest.mark.parametrize("members", [[1.7], [True], ["1"], [1, "a"], [[1]], "12", 5])
+    def test_members_must_be_naturals(self, members):
+        # Each member's type is checked before any sort or hash of the list.
+        with pytest.raises(ConstructionError, match="members must be"):
+            build_star_basic(members)
+
     @pytest.mark.parametrize("reserved", [(4, 0), (3, 3), (0, 2, 2, 5), (-1, 2)])
     def test_reserved_must_be_strictly_increasing_and_non_negative(self, reserved):
         with pytest.raises(ConstructionError, match="strictly increasing"):

@@ -27,6 +27,7 @@ from relfork import (
     compose_rel,
     conjugate,
     converse_rel,
+    eval_formula,
     eval_term,
     fix_members,
     fix_proj_members,
@@ -34,6 +35,7 @@ from relfork import (
     fix_tree_members,
     fork,
     meet_rel,
+    parse_formula,
     parse_seq,
     parse_term,
     pretty_term,
@@ -56,6 +58,7 @@ from helpers import (
     fork_pairs,
     random_pairs,
     random_seq,
+    random_term,
     random_tree,
     window_by_contains,
 )
@@ -222,6 +225,9 @@ RECIPE_PAIRINGS = {
     "seq-power": {"kind": "seq", "S": [2], "control": "pi.pi"},
 }
 BUILT = {name: build_from_config(config) for name, config in RECIPE_PAIRINGS.items()}
+BUILT["conjugate"] = conjugate(BUILT["tree"], {0: 7, 7: 0, 3: 4, 4: 3})
+# The permutation that ``transport`` moves supported windows through.
+MOVE = {0: 5, 5: 0, 2: 9, 9: 2}
 
 fork_terms = st.recursive(
     st.sampled_from([terms.Var("x"), terms.Var("y")])
@@ -266,8 +272,62 @@ def enumerable(t) -> str:
     raise UndecidableCompositionError()
 
 
+def subterms(t):
+    yield t
+    for name in ("arg", "left", "right"):
+        if hasattr(t, name):
+            yield from subterms(getattr(t, name))
+
+
+def support_pairs(t, env, backend) -> set:
+    """The support of a term that ``enumerable`` calls "support", from pair sets.
+
+    A meet keeps the pairs of its supported operand that the other
+    operand contains, asked through that operand's own relation.
+    """
+    if isinstance(t, terms.Var):
+        return set(env[t.name].support_hint)
+    if isinstance(t, terms.Const):  # zero, the only supported constant
+        return set()
+    if isinstance(t, terms.Converse):
+        return converse_pairs(support_pairs(t.arg, env, backend))
+    if isinstance(t, terms.Meet):
+        kept, other = (t.left, t.right) if enumerable(t.left) == "support" else (t.right, t.left)
+        other = eval_term(other, env, backend)
+        return {p for p in support_pairs(kept, env, backend) if other.contains(*p)}
+    left, right = support_pairs(t.left, env, backend), support_pairs(t.right, env, backend)
+    if isinstance(t, terms.Union):
+        return left | right
+    if isinstance(t, terms.Compose):
+        return compose_pairs(left, right)
+    return fork_pairs(left, right, backend.pf.star)
+
+
+def check_subterm_windows(term, env, backend, n: int) -> None:
+    """Every subterm's window against n^2 membership tests.
+
+    A subterm has a support exactly when ``enumerable`` says so; then
+    the support equals ``support_pairs``, comes with witnesses, and
+    ``transport`` keeps it.
+    """
+    fwd = lambda x: MOVE.get(x, x)
+    for sub in subterms(term):
+        rel = eval_term(sub, env, backend)
+        text = pretty_term(sub)
+        assert window(rel, n) == window_by_contains(rel, n), text
+        assert (rel.support_hint is not None) == (enumerable(sub) == "support"), text
+        if rel.support_hint is None:
+            continue
+        expected = support_pairs(sub, env, backend)
+        assert rel.support_hint == frozenset(expected), text
+        assert rel.witnesses is not None, text
+        moved = transport(rel, MOVE)
+        assert moved.support_hint == frozenset((fwd(a), fwd(b)) for a, b in expected), text
+        assert window(moved, n) == window_by_contains(moved, n), text
+
+
 class TestWindowRecipes:
-    """Every window path against n^2 membership tests, on every kind."""
+    """Every window path against n^2 membership tests, on every kind and a conjugate."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -294,8 +354,22 @@ class TestWindowRecipes:
             with pytest.raises(UndecidableCompositionError):
                 eval_term(term, env, backend)
             return
-        rel = eval_term(term, env, backend)
-        assert window(rel, n) == window_by_contains(rel, n), pretty_term(term)
+        check_subterm_windows(term, env, backend, n)
+
+    @pytest.mark.parametrize("kind", ["basic", "tree", "seq", "conjugate"])
+    def test_random_terms_over_supported_variables(self, kind):
+        rng = random.Random(19)
+        backend = ForkBackend(BUILT[kind])
+        for _ in range(60):
+            term = random_term(rng, rng.randrange(1, 4))
+            env = {v: LazyRelation.from_support(random_pairs(rng, 10, 0.2)) for v in "xyz"}
+            try:
+                enumerable(term)
+            except UndecidableCompositionError:
+                with pytest.raises(UndecidableCompositionError):
+                    eval_term(term, env, backend)
+                continue
+            check_subterm_windows(term, env, backend, 12)
 
     @pytest.mark.parametrize(
         "text", ["~(pi # rho)", "1u;1", "~(pi;1)", "(~(pi # rho))^", "~pi # rho", "1 # 1"]
@@ -610,6 +684,13 @@ class TestForkBackend:
             rel = eval_term(parse_term("pi # rho"), {}, ForkBackend(pf))
             got = rel_window_pairs(rel, 60)
             assert got == {(a, a) for a in range(60) if pf.unstar(a) is not None}
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_window_below_one_refused(self, size):
+        # Two empty windows are equal, so "pi = rho" would pass vacuously.
+        with pytest.raises(RelforkError, match=f"window must be at least 1, got {size}"):
+            ForkBackend(BASIC, window=size)
+        assert not eval_formula(parse_formula("pi = rho"), {}, ForkBackend(BASIC, window=1))
 
     def test_comparisons_rejected(self):
         backend = ForkBackend(BASIC)

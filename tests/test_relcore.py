@@ -366,6 +366,26 @@ class TestSerialization:
         assert back.carrier == m.carrier
         assert back.unit == m.unit and back.identity == m.identity
 
+    @pytest.mark.parametrize(
+        "model, full",
+        [
+            # All 16 relations on {0, 1}, though not built by full_pra.
+            (power(full_pra(2), 1), True),
+            (direct_product(full_pra(0), full_pra(2)), True),
+            (direct_product(full_pra(1), full_pra(1)), False),
+        ],
+    )
+    def test_fullness_is_derived_from_the_carrier(self, model, full):
+        assert model.is_full is full and model_to_dict(model)["full"] is full
+
+    def test_full_flag_on_a_partial_carrier_refused(self):
+        unit = [[a, b] for a in range(2) for b in range(2)]
+        carrier = [[], [[0, 0], [1, 1]], [[0, 1], [1, 0]], unit]
+        data = {"base_size": 2, "full": True, "carrier": carrier, "unit": unit}
+        assert not model_from_dict({**data, "full": False}).is_full
+        with pytest.raises(RelationError, match="full model must contain every subset"):
+            model_from_dict(data)
+
     def test_full_round_trip_file(self, tmp_path):
         m = full_pra(2)
         path = tmp_path / "model.json"

@@ -297,6 +297,12 @@ class TestCheckFormula:
         with pytest.raises(EvalError, match="at least 1"):
             check_formula("x = x", full_pra(1), strategy=("sampled", count))
 
+    @pytest.mark.parametrize("count", [2.7, True, "5", None])
+    def test_sampled_count_must_be_an_int(self, count):
+        # Formerly int() turned 2.7 into 2 trials, True into 1 and "5" into 5.
+        with pytest.raises(EvalError, match="sampled count must be an integer"):
+            check_formula("x = x", full_pra(1), strategy=("sampled", count))
+
     def test_assignment_cap(self):
         assert terms.DEFAULT_ASSIGNMENT_CAP == 512**3
 
