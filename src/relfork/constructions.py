@@ -87,6 +87,19 @@ this module imports the other.
   ``forkmodel.cfa_axiom_check`` accepts a pairing only when they are.
   So the certificate speaks of the very functions the pairing runs,
   and no scan of N is needed to tie the two together.
+* The range.  For any non-nil control over a table kind, every
+  fixpoint u of the control's image lies in the range of ``star``, and
+  that range lies inside the table's values and block 0's cells at
+  offsets >= 1.  A tree's image at u is a ``star`` value, and ``star``
+  returns a table value or ``encode_rest(...)``, a block-0 cell at
+  offset >= 1 by the lemma.  A sequence's chase begins with
+  ``unstar(u)``, which is ``None`` unless u is a table value or
+  ``decode_rest(u)`` is defined, on block 0 at offsets >= 1 only.
+  ``ConstructionLayout.star_values`` lists that set in an interval,
+  about |table| + sqrt(2n) values below n, and
+  ``forkmodel.fix_members`` evaluates the image only there when the
+  pairing runs the layout's own ``star`` and ``unstar`` (the tie).
+  ``basic``'s ``star`` is onto, so its scan skips nothing.
 """
 
 from __future__ import annotations
@@ -240,6 +253,26 @@ class ConstructionLayout:
             return None
         return pair
 
+    def star_values(self, start: int, stop: int) -> List[int]:
+        """A sorted superset of star's range in [start, stop): table values and default cells.
+
+        The default cells are block 0 at offsets >= 1; those in
+        [start, stop) are found from a lower bound on their first offset,
+        so the cost is |table| plus the cells in the interval.
+        """
+        values = {w for w in self.table.values() if start <= w < stop}
+        # The cell at offset k is the residual element of rank k(k + 3) / 2, at
+        # most |reserved| above its rank: start at the last offset whose rank is
+        # at most start - |reserved|.
+        k = max(1, (math.isqrt(8 * max(0, start - self.shift) + 9) - 3) // 2)
+        w = self.block_element(0, k)
+        while w < stop:
+            if w >= start:
+                values.add(w)
+            k += 1
+            w = self.block_element(0, k)
+        return sorted(values)
+
     def certify(self) -> Certificate:
         """Why star is injective, its collisions and its first urelement, from the table.
 
@@ -267,6 +300,8 @@ class ConstructionLayout:
 
 class BasicLayout(ConstructionLayout):
     """The layout of ``basic``: no table, and star a bijection by construction."""
+
+    star_values = None  # star is onto N: no element is outside its range
 
     def star(self, u: int, v: int) -> int:
         if u != v:

@@ -40,7 +40,14 @@ nil as the identity, and a sequence becomes a loop over its coordinate
 indices, so an element makes the ``star`` or ``unstar`` calls of the
 definition and nothing more.  Plain fixpoints star(u, u) = u are those
 of ``bin nil nil``, and projection fixpoints those of the one-step
-sequences ``pi`` and ``rho``.
+sequences ``pi`` and ``rho``.  A fixpoint is a value of ``star``
+(a tree's image is one, and a sequence's chase starts by unstarring
+it), so ``fix_members`` skips the elements of a ``range`` region that
+lie outside a built pairing's range: a table kind's layout lists a
+superset of it, about |table| + sqrt(2n) values below n (see the
+``constructions`` docstring), and only those are scanned.  ``basic``'s
+star is onto and is scanned in full, as is any pairing that does not
+run its meta's own ``star`` and ``unstar``.
 
 The fork axioms hold in such a model exactly when the pairing is an
 exact one: cfa2 iff ``star`` is injective, cfa1 and cfa3 iff moreover
@@ -98,6 +105,26 @@ class PairingFunction:
     meta: object = None
 
 
+def _unwrapped(fn: Callable) -> Callable:
+    """fn without the wrappers that name it as ``__wrapped__`` (``functools.wraps``)."""
+    while hasattr(fn, "__wrapped__"):
+        fn = fn.__wrapped__
+    return fn
+
+
+def _own_meta(pf: PairingFunction) -> object:
+    """pf's meta when pf runs the meta's own star and unstar, else None.
+
+    Only then does what the meta proves or lists speak of pf's functions.
+    """
+    meta = pf.meta
+    own = (
+        _unwrapped(pf.star) == getattr(meta, "star", None)
+        and _unwrapped(pf.unstar) == getattr(meta, "unstar", None)
+    )
+    return meta if own else None
+
+
 # What a pairing's ``meta.certify()`` proves exactly over N: why star is
 # injective, the pairs of cells that star sends to one value, and an element
 # outside star's range (None when star is onto).
@@ -128,7 +155,18 @@ class LazyRelation(Node):
 
     @classmethod
     def from_support(cls, pairs: Iterable[Pair]) -> "LazyRelation":
-        support = frozenset((int(a), int(b)) for a, b in pairs)
+        """The finite relation of the (a, b) pairs; each an ``int``, not a bool, >= 0."""
+        checked = []
+        for pair in pairs:
+            try:
+                a, b = pair
+            except (TypeError, ValueError):
+                raise RelforkError(f"a support holds (a, b) pairs, got {pair!r}") from None
+            for x in (a, b):  # before any hash, which a wrong type could break
+                if type(x) is not int or x < 0:
+                    raise RelforkError(f"support coordinates must be naturals, got {x!r}")
+            checked.append((a, b))
+        support = frozenset(checked)
         by_left = _successors(support)
         return cls(
             contains=lambda a, b: (a, b) in support,
@@ -386,11 +424,18 @@ def fix_members(
     """Fixpoints image(u) = u of a non-nil control inside the region.
 
     The default control ``bin nil nil`` gives the plain fixpoints
-    star(u, u) = u.
+    star(u, u) = u.  Every fixpoint lies in star's range, so when pf
+    runs its meta's own star and unstar and the meta lists a superset
+    of that range (``star_values``), a region ``range(start, stop)``
+    of step 1 is read by its bounds and only those values are scanned.
+    Any other region, or pairing, is scanned element by element.
     """
     if isinstance(control, Nil):
         raise NilControlError()
     image = _image(control, pf)
+    star_values = getattr(_own_meta(pf), "star_values", None)
+    if star_values is not None and isinstance(region, range) and region.step == 1:
+        region = star_values(region.start, region.stop)
     return tuple([u for u in region if image(u) == u])
 
 
@@ -421,6 +466,8 @@ def window(rel: LazyRelation, n: int) -> FiniteRelation:
     Refuses n above ``WINDOW_CAP``.  Takes the witnesses, else the
     recipe, else n² ``contains`` calls.
     """
+    if type(n) is not int:
+        raise RelforkError(f"window size must be an integer, got {n!r}")
     if n > WINDOW_CAP:
         raise RelforkError(f"window size {n} exceeds cap {WINDOW_CAP}")
     if n < 0:
@@ -533,22 +580,10 @@ _CFA_AXIOMS = (
 )
 
 
-def _unwrapped(fn: Callable) -> Callable:
-    """fn without the wrappers that name it as ``__wrapped__`` (``functools.wraps``)."""
-    while hasattr(fn, "__wrapped__"):
-        fn = fn.__wrapped__
-    return fn
-
-
 def _certificate(pf: PairingFunction) -> Certificate:
     """The certificate of pf's meta, when pf runs the meta's own star and unstar."""
-    meta = pf.meta
-    certify = getattr(meta, "certify", None)
-    if (
-        certify is None
-        or _unwrapped(pf.star) != getattr(meta, "star", None)
-        or _unwrapped(pf.unstar) != getattr(meta, "unstar", None)
-    ):
+    certify = getattr(_own_meta(pf), "certify", None)
+    if certify is None:
         raise RelforkError(
             "the fork axioms are certified only for a pairing whose star and unstar "
             "are its meta's own: a built pairing or a conjugate of one"
@@ -602,8 +637,11 @@ class ForkBackend:
     converse = staticmethod(converse_rel)
 
     def __init__(self, pf: PairingFunction, window: Optional[int] = None):
-        if window is not None and window < 1:
-            raise RelforkError(f"window must be at least 1, got {window}")
+        if window is not None:
+            if type(window) is not int:
+                raise RelforkError(f"window must be an integer, got {window!r}")
+            if window < 1:
+                raise RelforkError(f"window must be at least 1, got {window}")
         self.pf = pf
         self.window_size = window
         pi, rho = projections(pf)

@@ -32,6 +32,7 @@ from relfork import (
     layout_report,
     parse_seq,
     parse_tree,
+    tree_map,
 )
 from relfork import constructions
 from relfork.constructions import MAX_MEMBERS, BasicLayout
@@ -521,6 +522,137 @@ class TestFlattenedArithmetic:
         assert (min(urelements) < top) if config["kind"] != "basic" else not urelements
         report = cfa_axiom_check(pf, include_urelement_axiom=True)
         assert passed(report) == cfa_scan_oracle(pf, 30, 1500)
+
+
+def traced(pf):
+    """pf behind counting wrappers that name its star and unstar as ``__wrapped__``,
+    as a tracer's do, so the pairing still runs its layout's own methods."""
+    calls = {"star": 0, "unstar": 0}
+
+    def star(u, v):
+        calls["star"] += 1
+        return pf.star(u, v)
+
+    def unstar(w):
+        calls["unstar"] += 1
+        return pf.unstar(w)
+
+    star.__wrapped__, unstar.__wrapped__ = pf.star, pf.unstar
+    return PairingFunction(star, unstar, pf.meta), calls
+
+
+def untied(pf) -> PairingFunction:
+    """pf's functions behind plain wrappers: no longer its meta's own, so scanned in full."""
+    return PairingFunction(lambda u, v: pf.star(u, v), lambda w: pf.unstar(w), pf.meta)
+
+
+def squared(control):
+    """The control's image composed with itself: a doubled sequence, or t[nil := t]."""
+    if isinstance(control, Seq):
+        return Seq(control.symbols * 2)
+    return tree_map(control, Bin, control)
+
+
+@st.composite
+def regions(draw, layout):
+    """A region of every shape fix_members meets, up to 3,000 elements."""
+    shape = draw(st.sampled_from(["range(n)", "range(a, b)", "empty", "list", "above"]))
+    a, b = sorted(draw(st.lists(st.integers(0, 3000), min_size=2, max_size=2)))
+    if shape == "range(n)":
+        return range(b)
+    if shape == "range(a, b)":
+        return range(a, b)
+    if shape == "empty":
+        return draw(st.sampled_from([range(0), range(a, a), range(b, a)]))
+    if shape == "list":
+        return draw(st.permutations(list(layout.s_values) + list(range(a, a + 60, 7))))
+    top = max(layout.reserved) + 1
+    start = draw(st.sampled_from([top, top + a, 10**12 + a]))
+    return range(start, start + b - a)
+
+
+class TestRangeOfStar:
+    """fix_members scans a table layout's star values only, with the same result."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pf=built_pairings(max_members=8, max_value=59), data=st.data())
+    def test_star_values_are_the_table_values_and_default_cells(self, pf, data):
+        layout = pf.meta
+        if layout.kind == "basic":
+            assert layout.star_values is None  # star is onto: nothing to skip
+            return
+        start = data.draw(st.sampled_from([0, 1, 5, 100, 2999, 10**12, 10**30]))
+        stop = start + data.draw(st.integers(0, 3000))
+        want = [
+            w
+            for w in range(start, stop)
+            if w in layout.table.values() or layout.decode_rest(w) is not None
+        ]
+        assert layout.star_values(start, stop) == want
+        assert layout.star_values(stop, start) == []
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "tree", "control": "bin (bin nil nil) nil"},
+            {"kind": "tree", "control": "bin (bin nil nil) (bin nil nil)"},
+            {"kind": "pi"},
+            {"kind": "rho"},
+            {"kind": "seq", "control": "pi.rho"},
+            {"kind": "seq", "control": "rho.rho"},
+        ],
+    )
+    def test_star_values_hold_every_star_value(self, config):
+        pf = build_from_config({**config, "S": [1, 5, 17, 40]})
+        grid = [(u, v) for u in range(60) for v in range(60)] + list(pf.meta.table)
+        n = 2000
+        values = set(pf.meta.star_values(0, n))
+        assert {w for w in (pf.star(u, v) for u, v in grid) if w < n} <= values
+        assert len(values) < n // 10
+
+    @settings(max_examples=150, deadline=None)
+    @given(pf=built_pairings(max_members=8, max_value=59), data=st.data())
+    def test_narrowed_scan_equals_the_plain_scan(self, pf, data):
+        own = pf.meta.control
+        control = data.draw(
+            st.one_of(st.just(own), st.just(squared(own)), CONTROL_TREES, CONTROL_SEQS)
+        )
+        region = data.draw(regions(pf.meta))
+        want = fix_members(untied(pf), region, control)  # image(u) == u at every u
+        assert fix_members(pf, region, control) == want
+        wrapped, _ = traced(pf)
+        assert fix_members(wrapped, region, control) == want
+
+    MEMBERS = list(range(0, 1024, 2))
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"kind": "tree", "control": "bin (bin nil nil) nil"}, {"kind": "seq", "control": "pi.rho"}],
+    )
+    def test_scan_evaluates_the_star_values_only(self, config):
+        # A traced pairing still runs its layout's methods, so it is narrowed.
+        pf = build_from_config({**config, "S": self.MEMBERS})
+        wrapped, calls = traced(pf)
+        n = 1 << 14
+        assert fix_members(wrapped, range(n), pf.meta.control) == tuple(self.MEMBERS)
+        values = pf.meta.star_values(0, n)
+        # Each scanned element makes two star calls, or one or two unstar calls.
+        assert len(values) <= calls["star"] + calls["unstar"] <= 2 * len(values)
+        assert len(values) < n // 10
+
+    def test_basic_is_scanned_in_full(self):
+        wrapped, calls = traced(build_star_basic(self.MEMBERS))
+        assert fix_members(wrapped, range(4096)) == tuple(self.MEMBERS)
+        assert calls["star"] == 4096
+
+    def test_a_layout_meta_with_another_star_is_scanned_in_full(self):
+        pf = build_star_tree(parse_tree("bin nil nil"), [1, 5])
+        layout = pf.meta
+        outside = next(u for u in range(100) if u not in layout.star_values(0, 100))
+        star = lambda u, v: u if u == v == outside else layout.star(u, v)
+        other = PairingFunction(star, layout.unstar, layout)
+        assert fix_members(other, range(100)) == tuple(sorted([1, 5, outside]))
+        assert fix_members(pf, range(100)) == (1, 5)
 
 
 class TestCfaCertificate:

@@ -87,6 +87,18 @@ class TestLazyRelation:
         assert tuple(r.witnesses(0)) == (1, 2)
         assert tuple(r.witnesses(5)) == ()
 
+    @pytest.mark.parametrize(
+        "pairs", [[(1.7, True)], [("3", 2)], [(True, 1)], [(1, -1)], [(0, 1), ([1], 2)], [(0, None)]]
+    )
+    def test_from_support_takes_naturals_only(self, pairs):
+        with pytest.raises(RelforkError, match="support coordinates must be naturals"):
+            LazyRelation.from_support(pairs)
+
+    @pytest.mark.parametrize("pairs", [[(1, 2, 3)], [5], [(0, 1), (2,)]])
+    def test_from_support_takes_pairs_only(self, pairs):
+        with pytest.raises(RelforkError, match="a support holds"):
+            LazyRelation.from_support(pairs)
+
     def test_from_predicate(self):
         r = LazyRelation(lambda a, b: a + b == 4)
         assert r.contains(1, 3) and not r.contains(1, 1)
@@ -208,6 +220,12 @@ class TestWindow:
         with pytest.raises(ValueError):
             window(IDENTITY, WINDOW_CAP + 1)
         assert window(IDENTITY, WINDOW_CAP).count() == WINDOW_CAP
+
+    @pytest.mark.parametrize("size", [2.5, True, "3"])
+    def test_window_size_must_be_an_int(self, size):
+        # True used to give a FiniteRelation whose size is True.
+        with pytest.raises(RelforkError, match=f"window size must be an integer, got {size!r}"):
+            window(IDENTITY, size)
 
 
 # One pairing of every kind.  The two power controls have their tables built
@@ -691,6 +709,13 @@ class TestForkBackend:
         with pytest.raises(RelforkError, match=f"window must be at least 1, got {size}"):
             ForkBackend(BASIC, window=size)
         assert not eval_formula(parse_formula("pi = rho"), {}, ForkBackend(BASIC, window=1))
+
+    @pytest.mark.parametrize("size", [2.5, True, "3"])
+    def test_window_must_be_an_int(self, size):
+        # A float used to fail at the first comparison with a bare TypeError,
+        # and True was taken as a window of 1.
+        with pytest.raises(RelforkError, match=f"window must be an integer, got {size!r}"):
+            ForkBackend(BASIC, window=size)
 
     def test_comparisons_rejected(self):
         backend = ForkBackend(BASIC)
