@@ -29,6 +29,18 @@ PINNED = {
     "check-pi-3,4": (
         "check_cfau_pi", 0, ["check", "--star", "pi", "--S", "3,4", "--suite", "cfau"]
     ),
+    "check-full2-exhaustive": (
+        "check_full2_equational", 0, ["check", "--model", "full:2", "--suite", "cr_equational"]
+    ),
+    "check-full2-sampled": (
+        "check_full2_tarski_sampled", 0,
+        ["check", "--model", "full:2", "--suite", "cr_tarski", "--sampled", "50", "--seed", "3"],
+    ),
+    "eval-full2": ("eval_full2", 0, ["eval", "--model", "full:2", "--formula", "1' <= 1"]),
+    "eval-basic-window": (
+        "eval_basic_window", 1,
+        ["eval", "--star", "basic", "--S", "1,2", "--formula", "pi = rho", "--window", "64"],
+    ),
 }
 
 
