@@ -19,6 +19,7 @@ _EXPORTS = {
     "btree": """BT BTC Bin HOLE Hole NIL Nil TreeSyntaxError bt_lt format_tree
         is_tree node_count parse_tree strict_subtrees substitute tree_map variants""",
     "errors": "RelforkError",
+    "node": "Scope",
     "seqs": "PI RHO Seq SeqSyntaxError format_seq ll_rel parse_seq seq_concat",
     "relcore": """AlgebraModel Classification FiniteRelation RelationError classify
         direct_product full_pra generate_subalgebra ideal_elements load_model
@@ -32,8 +33,7 @@ _EXPORTS = {
         NoFiniteSupportError PairingFunction UndecidableCompositionError
         cfa_axiom_check complement_rel compose_rel conjugate converse_rel
         fix_members fix_proj_members fix_seq_members fix_tree_members fork
-        meet_rel projections si_member transport underline union_rel
-        urelement_relations window""",
+        meet_rel projections si_member transport underline union_rel window""",
     "constructions": """ConstructionError ConstructionLayout build_from_config
         build_star_basic build_star_proj build_star_seq build_star_tree
         cantor_pair cantor_unpair layout_report""",

@@ -17,6 +17,9 @@ Subcommands:
 
 All randomness is seeded; stdout for a fixed seed is byte-stable.  The
 elapsed wall time goes to stderr so it never disturbs captured output.
+A command returns its payload, exit code and verdict's ``Scope``, whose
+``label()`` the headers and JSON ``scope``/``mode`` print.  A stdout that
+cannot be written, a closed pipe included, exits 2 like any other error.
 
 Every run is a fresh process, so each command imports only what it uses:
 the pairing modules (``forkmodel``, ``constructions``) load on the
@@ -30,12 +33,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from . import relcore, terms
 from .errors import SCAN_CAP, WINDOW_CAP, RelforkError
+from .node import Scope
 
 if TYPE_CHECKING:
     from . import forkmodel
@@ -74,12 +79,8 @@ def _resolve_model(spec: str) -> relcore.AlgebraModel:
 
 
 def _read_json_object(path: str, what: str) -> Dict:
-    """The JSON object in the named file; UsageError on any other content."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except ValueError as exc:
-            raise UsageError(f"invalid {what} file {path}: {exc}") from None
+    """The JSON object in the named file; a RelforkError on any other content."""
+    data = relcore.read_json(path, what)
     if not isinstance(data, dict):
         raise UsageError(f"{what} file must hold a JSON object")
     return data
@@ -154,7 +155,7 @@ def _check_args(args) -> None:
 # Subcommands
 
 
-def _cmd_check(args) -> Tuple[Dict, int]:
+def _cmd_check(args) -> Tuple[Dict, int, Scope]:
     suite = args.suite
     if args.model:
         seed = 0 if args.seed is None else args.seed
@@ -193,7 +194,7 @@ def _cmd_check(args) -> Tuple[Dict, int]:
             "results": results,
             "all_valid": all_valid,
         }
-        return payload, 0 if all_valid else 1
+        return payload, 0 if all_valid else 1, reports[0].scope
 
     if suite not in ("cfa", "cfau"):
         raise UsageError(f"suite {suite!r} needs a finite model target; use --model")
@@ -205,7 +206,7 @@ def _cmd_check(args) -> Tuple[Dict, int]:
         "target": _star_name(config),
         "suite": suite,
         "config_sha256": _config_digest(config),
-        "scope": report.scope,
+        "scope": report.scope.label(),
         "results": [
             {
                 "name": r.name,
@@ -218,10 +219,10 @@ def _cmd_check(args) -> Tuple[Dict, int]:
         ],
         "all_valid": report.all_passed,
     }
-    return payload, 0 if report.all_passed else 1
+    return payload, 0 if report.all_passed else 1, report.scope
 
 
-def _cmd_eval(args) -> Tuple[Dict, int]:
+def _cmd_eval(args) -> Tuple[Dict, int, Scope]:
     formula = terms.parse_formula(args.formula)
     data = _read_json_object(args.bind, "bindings") if args.bind else {}
     bindings = {name: relcore.pairs_from_json(pairs) for name, pairs in data.items()}
@@ -232,7 +233,7 @@ def _cmd_eval(args) -> Tuple[Dict, int]:
             for name, pairs in bindings.items()
         }
         value = terms.eval_formula(formula, env, model)
-        mode = "exact"
+        scope = Scope("exact", None)
         target = f"model:{args.model}"
     else:
         from . import forkmodel
@@ -244,18 +245,18 @@ def _cmd_eval(args) -> Tuple[Dict, int]:
         }
         window = 200 if args.window is None else args.window
         value = terms.eval_formula(formula, env, forkmodel.ForkBackend(pf, window=window))
-        mode = f"window[0,{window})"
+        scope = Scope("window", window)
         target = _star_name(config)
     payload = {
         "formula": terms.pretty_formula(formula),
         "target": target,
-        "mode": mode,
+        "mode": scope.label(),
         "value": value,
     }
-    return payload, 0 if value else 1
+    return payload, 0 if value else 1, scope
 
 
-def _cmd_fix(args) -> Tuple[Dict, int]:
+def _cmd_fix(args) -> Tuple[Dict, int, Scope]:
     from . import forkmodel
 
     pf, config = _resolve_star(args)
@@ -272,44 +273,36 @@ def _cmd_fix(args) -> Tuple[Dict, int]:
         "candidates": list(candidates),
         "matches_candidates": matches,
     }
-    return payload, 0 if matches else 1
+    return payload, 0 if matches else 1, Scope("window", window)
 
 
-def _cmd_build(args) -> Tuple[Dict, int]:
+def _cmd_build(args) -> Tuple[Dict, int, None]:
     from . import constructions
 
     pf, config = _resolve_star(args)
     payload = constructions.layout_report(pf)
     payload["config"] = config
     payload["config_sha256"] = _config_digest(config)
-    return payload, 0
+    return payload, 0, None
 
 
-def _cmd_export(args) -> Tuple[Dict, int]:
+def _cmd_export(args) -> Tuple[Dict, int, None]:
     model = _resolve_model(args.model)
     if args.out:
         relcore.save_model(model, args.out)
-        return {"written": args.out, "base_size": model.base_size}, 0
-    return relcore.model_to_dict(model), 0
+        return {"written": args.out, "base_size": model.base_size}, 0, None
+    return relcore.model_to_dict(model), 0, None
 
 
 # ---------------------------------------------------------------------------
 # Rendering and argument wiring
 
 
-def _check_scope(payload: Dict, args) -> str:
-    """What a check covered, for its text header."""
-    if "scope" in payload:
-        return payload["scope"]
-    if args.sampled is None:
-        return "exhaustive"
-    return f"sampled({args.sampled}), seed {payload['seed']}"
-
-
-def _render_text(payload: Dict, args) -> str:
+def _render_text(payload: Dict, scope: Optional[Scope]) -> str:
     lines = []
     if "results" in payload:
-        lines.append(f"{payload['suite']} on {payload['target']}  [{_check_scope(payload, args)}]")
+        seed = f", seed {payload['seed']}" if scope.kind == "sampled" else ""
+        lines.append(f"{payload['suite']} on {payload['target']}  [{scope.label()}{seed}]")
         for entry in payload["results"]:
             mark = "ok  " if entry.get("valid", entry.get("passed")) else "FAIL"
             label = entry.get("axiom", entry.get("description", ""))
@@ -322,10 +315,10 @@ def _render_text(payload: Dict, args) -> str:
         verdict = "pass" if payload["all_valid"] else "FAIL"
         lines.append(f"result: {verdict}")
     elif "value" in payload:
-        lines.append(f"{payload['formula']}  [{payload['mode']}]")
+        lines.append(f"{payload['formula']}  [{scope.label()}]")
         lines.append("true" if payload["value"] else "false")
     elif "fixpoints" in payload:
-        lines.append(f"{payload['target']} window [0,{payload['window']})")
+        lines.append(f"{payload['target']} window [0,{scope.bound})")
         lines.append(f"fixpoints:  {payload['fixpoints']}")
         lines.append(f"candidates: {payload['candidates']}")
         lines.append(
@@ -345,13 +338,6 @@ def _render_text(payload: Dict, args) -> str:
     else:
         lines.append(json.dumps(payload, indent=2, sort_keys=True))
     return "\n".join(lines)
-
-
-def _emit(payload: Dict, args) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(_render_text(payload, args))
 
 
 def _add_target_args(parser: argparse.ArgumentParser, with_model: bool = True) -> None:
@@ -436,11 +422,18 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         _check_args(args)
-        payload, code = args.func(args)
+        payload, code, scope = args.func(args)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True), flush=True)
+        else:
+            print(_render_text(payload, scope), flush=True)
     except (RelforkError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The reader has gone: the interpreter's flush at exit writes
+            # what is still buffered to the null device, not to the pipe.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args)
     print(f"elapsed-seconds: {time.monotonic() - started:.3f}", file=sys.stderr)
     return code
 

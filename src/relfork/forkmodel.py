@@ -71,7 +71,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .btree import BT, NIL, Bin, Nil, tree_map
 from .errors import WINDOW_CAP, RelforkError
-from .node import Node
+from .node import Node, Scope
 from .relcore import FiniteRelation
 from .seqs import PI, Seq
 
@@ -352,19 +352,6 @@ def _projection(unstar: Callable[[int], Optional[Pair]], coordinate: int) -> Laz
     return LazyRelation(contains=contains, witnesses=witnesses)
 
 
-def urelement_relations(pf: PairingFunction) -> Tuple[LazyRelation, LazyRelation]:
-    """The partial identity on urelements and the all-urelement-pairs unit."""
-    unstar = pf.unstar
-    id_u = LazyRelation(
-        contains=lambda u, v: u == v and unstar(u) is None,
-        witnesses=lambda u: (u,) if unstar(u) is None else (),
-    )
-    u1u = LazyRelation(
-        contains=lambda u, v: unstar(u) is None and unstar(v) is None,
-    )
-    return id_u, u1u
-
-
 def _identity(u: int) -> int:
     return u
 
@@ -563,7 +550,8 @@ class AxiomResult(Node):
 
 
 class CfaReport(Node):
-    """The axiom results of one ``cfa_axiom_check``, in check order, and their scope."""
+    """The axiom results of one ``cfa_axiom_check``, in check order, and their
+    ``Scope``: "exact over N", or "exact over N (conjugate)" for a conjugate."""
 
     __slots__ = ("results", "scope")
 
@@ -609,10 +597,10 @@ def cfa_axiom_check(pf: PairingFunction, include_urelement_axiom: bool = False) 
         "cfa3": (True, "exact over N: star inverts unstar", None),
         "cfau": (urelement is not None, outside, urelement),
     }
-    scope = "exact over N (conjugate)" if isinstance(pf.meta, Conjugate) else "exact over N"
+    kind = "exact over N (conjugate)" if isinstance(pf.meta, Conjugate) else "exact over N"
     axioms = _CFA_AXIOMS if include_urelement_axiom else _CFA_AXIOMS[:3]
     results = tuple(AxiomResult(name, text, *verdicts[name]) for name, text in axioms)
-    return CfaReport(results, scope)
+    return CfaReport(results, Scope(kind, None))
 
 
 # ---------------------------------------------------------------------------
@@ -645,13 +633,17 @@ class ForkBackend:
         self.pf = pf
         self.window_size = window
         pi, rho = projections(pf)
+        unstar = pf.unstar
         self._consts = {
             "zero": EMPTY,
             "one": UNIVERSAL,
             "id": IDENTITY,
             "pi": pi,
             "rho": rho,
-            "urid": urelement_relations(pf)[0],
+            "urid": LazyRelation(  # the partial identity on urelements
+                contains=lambda u, v: u == v and unstar(u) is None,
+                witnesses=lambda u: (u,) if unstar(u) is None else (),
+            ),
         }
 
     def const(self, kind: str) -> LazyRelation:

@@ -5,7 +5,8 @@ positional constructor, equality by type and fields, a hash over the
 fields and a ``repr`` in the form ``Var(name='x')``.  A field cannot be
 assigned or deleted after construction, and a subclass validates its
 fields in ``_check``.  Defining such a class costs far less at import
-than a frozen dataclass, which every CLI process would pay.
+than a frozen dataclass, which every CLI process would pay.  ``Scope``,
+defined here, names what a verdict covers; every report carries one.
 """
 
 from __future__ import annotations
@@ -66,3 +67,17 @@ class Node:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Scope(Node):
+    """What a verdict covers: ``"exhaustive"``, ``"exact"``, ``"exact over N"``
+    or ``"exact over N (conjugate)"`` with ``bound`` None, K seeded assignments
+    as ``("sampled", K)``, or the window [0, n) as ``("window", n)``."""
+
+    __slots__ = ("kind", "bound")
+
+    def label(self) -> str:
+        """The scope as headers and JSON print it: the kind, ``sampled(K)`` or ``window[0,n)``."""
+        if self.bound is None:
+            return self.kind
+        return f"sampled({self.bound})" if self.kind == "sampled" else f"window[0,{self.bound})"

@@ -474,10 +474,14 @@ def save_model(model: AlgebraModel, path: str) -> None:
         handle.write("\n")
 
 
-def load_model(path: str) -> AlgebraModel:
+def read_json(path: str, what: str):
+    """The JSON value in the named file; RelationError on invalid or too deeply nested text."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
-        except ValueError as exc:
-            raise RelationError(f"invalid model file {path}: {exc}") from exc
-    return model_from_dict(data)
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise RelationError(f"invalid {what} file {path}: {exc}") from exc
+
+
+def load_model(path: str) -> AlgebraModel:
+    return model_from_dict(read_json(path, "model"))

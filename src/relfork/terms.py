@@ -32,7 +32,7 @@ from operator import and_, invert, or_, xor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import MAX_NESTING, PositionedError, RelforkError
-from .node import Node
+from .node import Node, Scope
 from .relcore import AlgebraModel, FiniteRelation, RelationError, _code, _relation
 
 
@@ -575,10 +575,11 @@ def eval_formula(f, env: Dict[str, object], model) -> bool:
 
 
 class CheckReport(Node):
-    """The verdict on one formula: ``checked`` counts the assignments
-    evaluated, and ``counterexample`` is the first failing one or None."""
+    """The verdict on one formula: ``scope`` is ``Scope("exhaustive", None)``
+    or ``Scope("sampled", K)``, ``checked`` counts the assignments evaluated,
+    and ``counterexample`` is the first failing one or None."""
 
-    __slots__ = ("formula", "strategy", "valid", "checked", "counterexample")
+    __slots__ = ("formula", "scope", "valid", "checked", "counterexample")
 
     def counterexample_text(self) -> Optional[Dict[str, list]]:
         if self.counterexample is None:
@@ -723,7 +724,7 @@ def check_suite(
     carrier = model.carrier
     if count is None:
         check_budget(formulas, len(carrier))
-    label = "exhaustive" if count is None else f"sampled({count})"
+    scope = Scope("exhaustive", None) if count is None else Scope("sampled", count)
     texts = [pretty_formula(f) for f in formulas]
     names = [free_variables(f) for f in formulas]
     sliced = _Sliced(model)
@@ -749,14 +750,14 @@ def check_suite(
                     name: carrier[i] for name, i in zip(names[k], assignment(failure))
                 }
                 reports[k] = CheckReport(
-                    texts[k], label, False, checked + failure + 1, counterexample
+                    texts[k], scope, False, checked + failure + 1, counterexample
                 )
             checked += width
             live = running
             if not live:
                 break
         for k in live:
-            reports[k] = CheckReport(texts[k], label, True, checked, None)
+            reports[k] = CheckReport(texts[k], scope, True, checked, None)
     return reports
 
 

@@ -2,11 +2,15 @@
 
 import dataclasses
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import relfork
 from relfork import constructions, relcore, terms
 from relfork.cli import main
 
@@ -770,7 +774,8 @@ MODEL_FILE = {"base_size": 2, "carrier": [[], IDENT2, DIV2, UNIT2], "unit": UNIT
 TREE_STAR = ["build", "--star", "tree", "--S", "0", "--t"]
 EVAL_FULL1 = ["eval", "--model", "full:1", "--formula"]
 
-# name: (content of in.json or None, argv); a_dir is a directory.
+DEEP = "[" * 100_000
+# name: (content of in.json, its raw text if a str, or None; argv); a_dir is a directory.
 MALFORMED = {
     "bind-short-pair": ({"x": [[0]]}, [*EVAL_X, "in.json"]),
     "bind-not-a-list": ({"x": 5}, [*EVAL_X, "in.json"]),
@@ -809,6 +814,12 @@ MALFORMED = {
     "formula-non-ascii-digit": (None, [*EVAL_FULL1, "x² = 0"]),
     "tree-3000-parens": (None, [*TREE_STAR, "(" * 3000 + "nil" + ")" * 3000]),
     "tree-3000-bins": (None, [*TREE_STAR, "bin " * 3000 + "nil " * 3001]),
+    "config-100000-brackets": (DEEP, ["build", "--config", "in.json"]),
+    "config-members-100000-deep": (
+        '{"kind": "basic", "S": ' + DEEP, ["build", "--config", "in.json"]
+    ),
+    "bind-100000-brackets": (DEEP, [*EVAL_X, "in.json"]),
+    "model-100000-brackets": (DEEP, [*CHECK_MODEL, "in.json"]),
 }
 
 
@@ -818,8 +829,39 @@ class TestMalformedInput:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "a_dir").mkdir()
         if content is not None:
-            (tmp_path / "in.json").write_text(json.dumps(content))
+            text = content if isinstance(content, str) else json.dumps(content)
+            (tmp_path / "in.json").write_text(text)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert "error:" in err and "Traceback" not in err
         assert out == ""
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--model", "full:1", "--formula", "1 = 1"],
+            ["--format", "json", "check", "--model", "full:1", "--suite", "cr_equational"],
+        ],
+    )
+    def test_exits_two_without_traceback(self, argv):
+        # The pipe's read end is closed before the run starts, so the first
+        # flush of stdout fails whatever the timing.
+        src = str(pathlib.Path(relfork.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "relfork.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=path),
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert "error:" in done.stderr and "Traceback" not in done.stderr

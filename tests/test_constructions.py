@@ -15,6 +15,7 @@ from relfork import (
     RHO,
     PairingFunction,
     RelforkError,
+    Scope,
     Seq,
     build_from_config,
     build_star_basic,
@@ -662,7 +663,7 @@ class TestCfaCertificate:
     @given(pf=built_pairings(max_members=8, max_value=39))
     def test_agrees_with_scan_oracle(self, pf):
         exact = cfa_axiom_check(pf, include_urelement_axiom=True)
-        assert exact.scope == "exact over N"
+        assert exact.scope == Scope("exact over N", None)
         top = scan_top(pf.meta)
         oracle = cfa_scan_oracle(pf, top + 1, top + 1000)
         assert passed(exact) == oracle
@@ -686,7 +687,7 @@ class TestCfaCertificate:
     def assert_fails(self, pf, witnesses):
         """Exactly the named axioms fail, with these witnesses, as on the scan oracle."""
         report = cfa_axiom_check(pf, include_urelement_axiom=True)
-        assert report.scope == "exact over N"
+        assert report.scope == Scope("exact over N", None)
         assert {r.name: r.witness for r in report.results if not r.passed} == witnesses
         top = scan_top(pf.meta)
         oracle = cfa_scan_oracle(pf, top + 1, top + 1000)
@@ -742,7 +743,7 @@ class TestCfaCertificate:
 
     def test_bijective_basic_has_no_urelement(self):
         report = cfa_axiom_check(build_star_basic([1, 2]), include_urelement_axiom=True)
-        assert report.scope == "exact over N"
+        assert report.scope == Scope("exact over N", None)
         assert passed(report) == {"cfa1": True, "cfa2": True, "cfa3": True, "cfau": False}
         assert report.results[3].detail == "exact over N: star is a bijection"
 
@@ -760,7 +761,7 @@ class TestCfaCertificate:
         move = lambda x: perm.get(x, x)
         own = cfa_axiom_check(pf, include_urelement_axiom=True)
         moved = cfa_axiom_check(conjugate(pf, perm), include_urelement_axiom=True)
-        assert moved.scope == "exact over N (conjugate)"
+        assert moved.scope.label() == "exact over N (conjugate)"
         assert passed(moved) == passed(own)
         for got, want in zip(moved.results, own.results):
             if want.name == "cfau":
@@ -812,7 +813,7 @@ class TestCfaCertificate:
             config["control"] = "bin nil nil"
         pf = build_from_config(config)
         report = cfa_axiom_check(pf, include_urelement_axiom=True)
-        assert report.scope == "exact over N"
+        assert report.scope == Scope("exact over N", None)
         assert passed(report) == cfa_scan_oracle(pf, 40, 2000)
 
 

@@ -28,6 +28,7 @@ from relfork import (
     PI,
     RHO,
     RelforkError,
+    Scope,
     Seq,
     Union,
     Var,
@@ -88,7 +89,7 @@ class TestImmutability:
             NIL.extra = 1
 
     def test_report_is_immutable(self):
-        report = CheckReport("x = x", "exhaustive", True, 16, None)
+        report = CheckReport("x = x", Scope("exhaustive", None), True, 16, None)
         with pytest.raises(AttributeError):
             report.valid = False
 

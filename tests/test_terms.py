@@ -25,6 +25,7 @@ from relfork import (
     Or,
     ParseError,
     RelationError,
+    Scope,
     UnboundVariableError,
     UndecidableCompositionError,
     Union,
@@ -68,7 +69,7 @@ FINITE_MODELS = {
 
 
 def report_tuple(report):
-    return report.strategy, report.valid, report.checked, report.counterexample
+    return report.scope.label(), report.valid, report.checked, report.counterexample
 
 
 class TestParsing:
@@ -265,7 +266,7 @@ class TestCheckFormula:
         assert report.valid
         assert report.checked == 16 * 16
         assert report.counterexample is None
-        assert report.strategy == "exhaustive"
+        assert report.scope == Scope("exhaustive", None)
 
     def test_counterexample_is_first_in_canonical_order(self):
         model = full_pra(1)
@@ -286,7 +287,7 @@ class TestCheckFormula:
         a = check_formula("x;(y;z) = (x;y);z", model, strategy=("sampled", 100), seed=5)
         b = check_formula("x;(y;z) = (x;y);z", model, strategy=("sampled", 100), seed=5)
         assert a.valid and b.valid and a.checked == b.checked == 100
-        assert a.strategy == "sampled(100)"
+        assert a.scope == Scope("sampled", 100) and a.scope.label() == "sampled(100)"
 
     def test_sampled_finds_failure(self):
         report = check_formula("x = 0", full_pra(1), strategy=("sampled", 50), seed=1)
