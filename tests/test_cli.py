@@ -45,6 +45,23 @@ PINNED = {
         "eval_basic_window", 1,
         ["eval", "--star", "basic", "--S", "1,2", "--formula", "pi = rho", "--window", "64"],
     ),
+    # Block elements and star grids on both sides of the top reserved value.
+    "build-tree-3,7,20": (
+        "build_tree_3_7_20", 0,
+        ["build", "--star", "tree", "--S", "3,7,20", "--t", "bin (bin nil nil) nil"],
+    ),
+    "build-pi-3,4": ("build_pi_3_4", 0, ["build", "--star", "pi", "--S", "3,4"]),
+    # A certificate whose top lies far above every cell it decodes.
+    "check-seq-huge_member": (
+        "check_cfau_seq_huge", 0,
+        ["check", "--star", "seq", "--S", "99999999999999999999999", "--s", "pi.rho",
+         "--suite", "cfau"],
+    ),
+    # basic's unstar through the projections.
+    "eval-basic-projections": (
+        "eval_basic_projections", 0,
+        ["eval", "--star", "basic", "--S", "1,2", "--formula", "pi # rho = 1'", "--window", "64"],
+    ),
 }
 
 
