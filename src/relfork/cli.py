@@ -189,7 +189,7 @@ def _cmd_check(args) -> Tuple[Dict, int, Scope]:
         payload = {
             "target": f"model:{args.model}",
             "suite": suite,
-            "strategy": str(strategy),
+            "strategy": reports[0].scope.label(),
             "seed": seed,
             "results": results,
             "all_valid": all_valid,

@@ -49,15 +49,17 @@ proves these facts from the layout's table alone;
 this module imports the other.
 
 * Lemma.  The residual element of rank j is j plus the number of
-  reserved values at or below it, and the rank of a residual element u
-  is u minus the number of reserved values below it.  These are inverse
-  bijections between N and the residual, the Cantor pairing is a
-  bijection N x N -> N, and block i at offset k is the residual element
-  of rank ``cantor_pair(i, k)``.  Hence ``decode_rest(encode_rest(u, v)) =
-  (u, v)`` and ``encode_rest(decode_rest(w)) = w`` wherever
-  ``decode_rest`` is defined, which is exactly on block 0 at offsets
-  >= 1.  The offset is ``cantor_pair(u, v) + 1 > max(u, v)``, so the
-  default cell lies strictly above both coordinates.
+  reserved values at or below it, and ``rank(u)``, the rank of a
+  residual element u, is u minus the number of reserved values below
+  it.  These are inverse bijections between N and the residual,
+  ``cantor_pair`` is a bijection N x N -> N with inverse
+  ``cantor_unpair``, and ``block_element(i, k)`` is the residual
+  element of rank ``cantor_pair(i, k)``.  ``encode_rest`` takes these
+  steps forward, ``decode_rest`` takes them back from ``rank``, so
+  ``decode_rest(encode_rest(u, v)) = (u, v)`` and
+  ``encode_rest(decode_rest(w)) = w`` wherever ``decode_rest`` is
+  defined, which is exactly on block 0 at offsets >= 1.  The offset is
+  ``cantor_pair(u, v) + 1 > max(u, v)``, so the cell lies above u and v.
 * Table kinds (``tree``, ``pi``, ``rho``, ``seq``).  Suppose the table's
   values are distinct and no value is the default cell of an unpinned
   pair.  Then ``star`` is injective: two pinned cells differ by the
@@ -94,7 +96,7 @@ this module imports the other.
   returns a table value or ``encode_rest(...)``, a block-0 cell at
   offset >= 1 by the lemma.  A sequence's chase begins with
   ``unstar(u)``, which is ``None`` unless u is a table value or
-  ``decode_rest(u)`` is defined, on block 0 at offsets >= 1 only.
+  ``rank(u)`` unpairs to block 0 at an offset >= 1 (``decode_rest``).
   ``ConstructionLayout.star_values`` lists that set in an interval,
   about |table| + sqrt(2n) values below n, and
   ``forkmodel.fix_members`` evaluates the image only there when the
@@ -167,12 +169,11 @@ class ConstructionLayout:
 
     The layout computes its pairing: ``star`` and ``unstar`` are its
     methods, and ``pairing()`` hands them out once the table is filled.
-    ``reserved`` must be strictly increasing and non-negative.  Each of
-    ``encode_rest``, ``decode_rest`` and ``BasicLayout``'s ``star`` and
-    ``unstar`` does its Cantor and residual arithmetic in one body: the
-    Cantor steps by ``math.isqrt``, and each residual step by a bisect of
-    ``reserved`` below its top value and a shift by |reserved| from there
-    up.  So ``star`` and ``unstar`` cost O(log |reserved|) per call.
+    ``reserved`` must be strictly increasing and non-negative.  ``rank``
+    and ``block_element`` bisect it below its top value and shift by
+    |reserved| above, so ``star`` and ``unstar`` cost O(log |reserved|)
+    per call.  Each method takes the lemma's steps through them except
+    ``BasicLayout.star``, which ``fix`` calls per scanned element.
     """
 
     def __init__(
@@ -208,28 +209,23 @@ class ConstructionLayout:
     def block_element(self, i: int, k: int) -> int:
         """The element of block i at offset k: residual element cantor_pair(i, k)."""
         j = cantor_pair(i, k)
-        return j + bisect_right(self.gaps, j)
+        w = j + self.shift
+        return w if w >= self.top else j + bisect_right(self.gaps, j)
+
+    def rank(self, w: int) -> int:
+        """The rank of a residual element w: w minus the reserved values below it."""
+        return w - (self.shift if w >= self.top else bisect_left(self.reserved, w))
 
     def encode_rest(self, u: int, v: int) -> int:
         """Default cell: block 0 at offset cantor_pair(u, v) + 1, above both coordinates."""
-        d = u + v
-        k = d * (d + 1) // 2 + v + 1
-        j = k * (k + 3) // 2  # cantor_pair(0, k)
-        w = j + self.shift
-        return w if w >= self.top else j + bisect_right(self.gaps, j)
+        return self.block_element(0, cantor_pair(u, v) + 1)
 
     def decode_rest(self, w: int) -> Optional[Pair]:
         """The pair whose default cell is w; None off block 0's offsets >= 1."""
         if w in self.reserved_set:
             return None
-        j = w - (self.shift if w >= self.top else bisect_left(self.reserved, w))  # w's rank
-        d = (math.isqrt(8 * j + 1) - 1) // 2
-        if d == 0 or j != d * (d + 3) // 2:  # j = cantor_pair(0, d), d >= 1
-            return None
-        m = d - 1  # cantor_pair(u, v)
-        d = (math.isqrt(8 * m + 1) - 1) // 2
-        v = m - d * (d + 1) // 2
-        return (d - v, v)
+        i, k = cantor_unpair(self.rank(w))
+        return cantor_unpair(k - 1) if i == 0 and k >= 1 else None
 
     def pairing(self) -> PairingFunction:
         """The pairing this layout computes, once its table is filled."""
@@ -304,6 +300,7 @@ class BasicLayout(ConstructionLayout):
     star_values = None  # star is onto N: no element is outside its range
 
     def star(self, u: int, v: int) -> int:
+        """The lemma's steps fused in one body: ``fix`` over basic calls it per scanned element."""
         if u != v:
             if v > u:
                 v -= 1
@@ -321,18 +318,11 @@ class BasicLayout(ConstructionLayout):
     def unstar(self, w: int) -> Optional[Pair]:
         if w in self.reserved_set:
             return (w, w)
-        j = w - (self.shift if w >= self.top else bisect_left(self.reserved, w))
-        d = (math.isqrt(8 * j + 1) - 1) // 2
-        k = j - d * (d + 1) // 2  # w is at block d - k, offset k
-        if k == d:  # block 0: k is the off-diagonal code
-            d = (math.isqrt(8 * k + 1) - 1) // 2
-            v = k - d * (d + 1) // 2
-            u = d - v
+        i, k = cantor_unpair(self.rank(w))
+        if i == 0:  # k is the off-diagonal code
+            u, v = cantor_unpair(k)
             return (u, v if v < u else v + 1)
-        j -= d  # block d - k - 1 at offset k
-        u = j + self.shift
-        if u < self.top:
-            u = j + bisect_right(self.gaps, j)
+        u = self.block_element(i - 1, k)
         return (u, u)
 
     def certify(self) -> Certificate:

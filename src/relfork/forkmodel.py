@@ -357,15 +357,11 @@ def _identity(u: int) -> int:
 
 
 def _fork_image(star: Callable[[int, int], int]):
-    """The image of bin l r from the images of l and r, with nil's identity inlined."""
+    """The image of bin l r from the images of l and r."""
 
     def image(left: Callable[[int], int], right: Callable[[int], int]) -> Callable[[int], int]:
-        if left is _identity:
-            if right is _identity:
-                return lambda u: star(u, u)
-            return lambda u: star(u, right(u))
-        if right is _identity:
-            return lambda u: star(left(u), u)
+        if left is _identity and right is _identity:  # basic's scan runs it per element
+            return lambda u: star(u, u)
         return lambda u: star(left(u), right(u))
 
     return image
@@ -441,7 +437,10 @@ def fix_seq_members(s: Seq, pf: PairingFunction, region: Iterable[int]) -> Tuple
 
 
 def si_member(a: LazyRelation, bound_rel: LazyRelation) -> bool:
-    """True when a is a subidentity below bound_rel (meet with identity)."""
+    """True when a is a subidentity below bound_rel (meet with identity).
+
+    API: acceptance criterion 09 checks through it that ``transport`` keeps subidentities.
+    """
     if a.support_hint is None:
         raise NoFiniteSupportError("subidentity test needs a finitely supported relation")
     return all(u == v and bound_rel.contains(u, u) for u, v in a.support_hint)

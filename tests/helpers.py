@@ -21,8 +21,6 @@ from relfork import (
     PI,
     RHO,
     Seq,
-    cantor_pair,
-    cantor_unpair,
 )
 from relfork import terms
 
@@ -86,12 +84,35 @@ def residual_rank_linear(reserved: Tuple[int, ...], u: int) -> int:
     return u - sum(1 for r in reserved if r < u)
 
 
+def _triangle(d: int) -> int:
+    return d * (d + 1) // 2
+
+
+def pair_ref(a: int, b: int) -> int:
+    """The Cantor pairing: the pairs before diagonal a + b, plus b."""
+    return _triangle(a + b) + b
+
+
+def unpair_ref(m: int) -> Pair:
+    """The inverse of ``pair_ref``: the diagonal found by bisection, not by a square root."""
+    lo, hi = 0, 1
+    while _triangle(hi) <= m:
+        hi *= 2
+    while hi - lo > 1:  # the last diagonal starting at or below m lies in [lo, hi)
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _triangle(mid) <= m else (lo, mid)
+    b = m - _triangle(lo)
+    return (lo - b, b)
+
+
 class ChainArithmetic:
-    """A layout's pairing computed step by step, the reference for its flattened bodies.
+    """A layout's pairing computed step by step, the reference for the library's arithmetic.
 
     Each cell goes through separate Cantor and residual steps: the
-    residual element and rank by bisection, or by the linear scans above
-    when ``linear``, then block, offset, default cell and pinned table.
+    Cantor steps by ``pair_ref`` and ``unpair_ref``, independent of the
+    library's, the residual element and rank by bisection, or by the
+    linear scans above when ``linear``, then block, offset, default cell
+    and pinned table.
     """
 
     def __init__(self, layout, linear: bool = False):
@@ -113,27 +134,27 @@ class ChainArithmetic:
         return u - bisect_left(self.reserved, u)
 
     def block_element(self, i: int, k: int) -> int:
-        return self.residual_element(cantor_pair(i, k))
+        return self.residual_element(pair_ref(i, k))
 
     def block_of(self, u: int) -> Optional[Pair]:
         """Block index and offset of a residual element, None on reserved."""
         if u in self.reserved_set:
             return None
-        return cantor_unpair(self.residual_rank(u))
+        return unpair_ref(self.residual_rank(u))
 
     def encode_rest(self, u: int, v: int) -> int:
-        return self.block_element(0, cantor_pair(u, v) + 1)
+        return self.block_element(0, pair_ref(u, v) + 1)
 
     def decode_rest(self, w: int) -> Optional[Pair]:
         place = self.block_of(w)
         if place is None or place[0] != 0 or place[1] == 0:
             return None
-        return cantor_unpair(place[1] - 1)
+        return unpair_ref(place[1] - 1)
 
     def star(self, u: int, v: int) -> int:
         if self.layout.kind == "basic":
             if u != v:
-                return self.block_element(0, cantor_pair(u, v if v < u else v - 1))
+                return self.block_element(0, pair_ref(u, v if v < u else v - 1))
             if u in self.reserved_set:
                 return u
             i, k = self.block_of(u)
@@ -147,7 +168,7 @@ class ChainArithmetic:
                 return (w, w)
             i, k = self.block_of(w)
             if i == 0:
-                u, v = cantor_unpair(k)
+                u, v = unpair_ref(k)
                 return (u, v if v < u else v + 1)
             u = self.block_element(i - 1, k)
             return (u, u)

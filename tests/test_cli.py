@@ -52,7 +52,7 @@ PINNED = {
     ),
     "build-pi-3,4": ("build_pi_3_4", 0, ["build", "--star", "pi", "--S", "3,4"]),
     # A certificate whose top lies far above every cell it decodes.
-    "check-seq-huge_member": (
+    "check-seq-huge-member": (
         "check_cfau_seq_huge", 0,
         ["check", "--star", "seq", "--S", "99999999999999999999999", "--s", "pi.rho",
          "--suite", "cfau"],
@@ -243,13 +243,14 @@ class TestCheckModel:
         assert out.splitlines()[0] == header
 
     def test_json_scope_fields_unchanged(self, capsys):
+        # The JSON strategy is the scope's label, as the text header prints it.
         code, out, _ = run(
             capsys, "--format", "json", "check",
             "--model", "full:2", "--suite", "cr_equational", "--sampled", "5", "--seed", "3",
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["strategy"] == "('sampled', 5)" and payload["seed"] == 3
+        assert payload["strategy"] == "sampled(5)" and payload["seed"] == 3
 
 
 def unclosed_model(path, size=1025):

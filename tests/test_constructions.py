@@ -44,6 +44,7 @@ from helpers import (
     cfa_scan_oracle,
     residual_element_linear,
     residual_rank_linear,
+    unpair_ref,
 )
 
 
@@ -67,6 +68,7 @@ class TestCantor:
         assert [cantor_pair(a, b) for a, b in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]] == [
             0, 1, 2, 3, 4, 5,
         ]
+        assert [unpair_ref(m) for m in range(6)] == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
     @given(st.integers(0, 10**6), st.integers(0, 10**6))
     def test_round_trip(self, a, b):
@@ -76,6 +78,11 @@ class TestCantor:
     def test_surjective(self, m):
         a, b = cantor_unpair(m)
         assert cantor_pair(a, b) == m
+
+    @given(st.one_of(st.integers(0, 10**4), st.integers(0, 10**45)))
+    def test_unpair_matches_bisection(self, m):
+        # The layout decodes through cantor_unpair; the test chain has its own.
+        assert cantor_unpair(m) == unpair_ref(m)
 
 
 class TestLayoutArithmetic:
@@ -484,7 +491,12 @@ def assert_matches_chain(pf):
 
 
 class TestFlattenedArithmetic:
-    """Every kind's one-body cells against the helper chain they replaced."""
+    """Every kind's cells against the step-by-step chain of ``tests/helpers.py``.
+
+    The chain has its own Cantor steps, so it checks ``rank``,
+    ``block_element``, ``cantor_unpair`` and ``basic``'s one-body ``star``
+    alike.
+    """
 
     @settings(max_examples=40, deadline=None)
     @given(
