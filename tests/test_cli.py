@@ -17,7 +17,7 @@ from relfork.cli import main
 UNIT2 = [[0, 0], [0, 1], [1, 0], [1, 1]]
 IDENT2 = [[0, 0], [1, 1]]
 DIV2 = [[0, 1], [1, 0]]
-GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 CFAU_BASIC = ["check", "--star", "basic", "--suite", "cfau", "--trials", "10", "--seed", "7"]
 # Pinned stdout, by test id: golden file stem, exit code and argv after --format.
 PINNED = {
@@ -61,6 +61,17 @@ PINNED = {
     "eval-basic-projections": (
         "eval_basic_projections", 0,
         ["eval", "--star", "basic", "--S", "1,2", "--formula", "pi # rho = 1'", "--window", "64"],
+    ),
+    # A failing axiom's counterexample line; the model path is read from GOLDEN.
+    "check-product-1,1-tarski": (
+        "check_product_1_1_tarski", 1,
+        ["check", "--model", "product_1_1.json", "--suite", "cr_tarski"],
+    ),
+    # The urelements' partial identity beside the first projection.
+    "eval-tree-urelements": (
+        "eval_tree_urelements", 0,
+        ["eval", "--star", "tree", "--S", "1,2", "--t", "bin (bin nil nil) nil",
+         "--formula", "1u;1 <= ~(pi;1)", "--window", "64"],
     ),
 }
 
@@ -391,8 +402,11 @@ class TestCheckStar:
 
     @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
     @pytest.mark.parametrize("golden, exit_code, argv", PINNED.values(), ids=PINNED.keys())
-    def test_stdout_bytes_are_pinned(self, capsys, golden, exit_code, argv, fmt, suffix):
+    def test_stdout_bytes_are_pinned(
+        self, capsys, monkeypatch, golden, exit_code, argv, fmt, suffix
+    ):
         # The key order, the details, the scope labels and the control text.
+        monkeypatch.chdir(GOLDEN)
         code, out, _ = run(capsys, "--format", fmt, *argv)
         assert code == exit_code
         assert out == (GOLDEN / f"{golden}.{suffix}").read_text(encoding="utf-8")
@@ -839,6 +853,41 @@ MALFORMED = {
     "bind-100000-brackets": (DEEP, [*EVAL_X, "in.json"]),
     "model-100000-brackets": (DEEP, [*CHECK_MODEL, "in.json"]),
 }
+
+# name: (content of in.json or None, argv, the one line on stderr).
+REFUSED = {
+    "model-spec-full-x": (
+        None, ["eval", "--model", "full:x", "--formula", "1 = 1"],
+        "bad model spec 'full:x'; expected full:N or a path",
+    ),
+    "bind-list": ([[0, 1]], [*EVAL_X, "in.json"], "bindings file must hold a JSON object"),
+    "complement-of-formula": (
+        None, [*EVAL_FULL1, "~(1=1)"], "'~' takes terms, found a formula (at position 0)"
+    ),
+    "tree-digit": (
+        None, ["build", "--star", "tree", "--S", "1", "--t", "bin nil 7"],
+        "unexpected character '7' (at position 8)",
+    ),
+    "model-base-size-17": (
+        {**MODEL_FILE, "base_size": 17}, [*CHECK_MODEL, "in.json"],
+        "base size 17 outside [0, 16]",
+    ),
+    "model-without-unit": (
+        {key: MODEL_FILE[key] for key in ("base_size", "carrier")}, [*CHECK_MODEL, "in.json"],
+        "malformed model data: 'unit'",
+    ),
+}
+
+
+class TestRefusalMessages:
+    @pytest.mark.parametrize("content, argv, message", REFUSED.values(), ids=REFUSED.keys())
+    def test_exits_two_with_one_error_line(
+        self, capsys, tmp_path, monkeypatch, content, argv, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        if content is not None:
+            (tmp_path / "in.json").write_text(json.dumps(content))
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 class TestMalformedInput:

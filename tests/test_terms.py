@@ -134,6 +134,63 @@ class TestParsing:
             parse(text)
         assert exc.value.pos == pos
 
+    # Edge inputs of the scanner: text -> its tree, or (position, message) of
+    # its ParseError.
+    SCANNED = {
+        "1uv": (2, "trailing input, found 'v'"),
+        "01": (1, "trailing input, found '1'"),
+        "0'0'": (2, 'trailing input, found "0\'"'),
+        "10'": (1, 'trailing input, found "0\'"'),
+        "1uu": (2, "trailing input, found 'u'"),
+        "1u'": (2, 'unknown token "\'"'),
+        "0''": (2, 'unknown token "\'"'),
+        "1 u": (2, "trailing input, found 'u'"),
+        "1 '": (2, 'unknown token "\'"'),
+        "x->y": (1, "'->' takes formulas, found a term"),
+        "x<y": (1, "unknown token '<'"),
+        "x<": (1, "unknown token '<'"),
+        "x =< y": (3, "unknown token '<'"),
+        "x <- y": (2, "unknown token '<'"),
+        "x - y": (2, "unknown token '-'"),
+        "x/y": (1, "unknown token '/'"),
+        "x/\\y": (1, "'/\\\\' takes formulas, found a term"),
+        "x\\/": (1, "'\\\\/' takes formulas, found a term"),
+        "rsum": (4, "expected '(' but input ended"),
+        "pi.rho": (2, "unknown token '.'"),
+        "é": (0, "unknown token 'é'"),
+        "x²": (1, "unknown token '²'"),
+        "ǆ": (0, "unknown token 'ǆ'"),
+        "rsum(x,y)": Complement(Compose(Complement(Var("x")), Complement(Var("y")))),
+        "rsum (x ,y)": Complement(Compose(Complement(Var("x")), Complement(Var("y")))),
+        "pix": Var("pix"),
+        "rhox": Var("rhox"),
+        "x_1+y2": Union(Var("x_1"), Var("y2")),
+        "x\xa0=\u2003y": Eq(Var("x"), Var("y")),
+        "x\t;\ny": Compose(Var("x"), Var("y")),
+        "1": Const("one"),
+        "0": Const("zero"),
+        "pi": Const("pi"),
+        "rho": Const("rho"),
+        "1u;1'": Compose(Const("urid"), Const("id")),
+        "0';1u": Compose(Complement(Const("id")), Const("urid")),
+        "pi#rho": Fork(Const("pi"), Const("rho")),
+        "x^^;~~y": Compose(Converse(Converse(Var("x"))), Complement(Complement(Var("y")))),
+        "!x=y": Not(Eq(Var("x"), Var("y"))),
+        "x<=y->y<=x": Implies(Leq(Var("x"), Var("y")), Leq(Var("y"), Var("x"))),
+        "x=y/\\y=z": And(Eq(Var("x"), Var("y")), Eq(Var("y"), Var("z"))),
+        "x=y\\/y=z": Or(Eq(Var("x"), Var("y")), Eq(Var("y"), Var("z"))),
+    }
+
+    @pytest.mark.parametrize("text, want", SCANNED.items(), ids=list(SCANNED))
+    def test_scanner_edges(self, text, want):
+        if isinstance(want, tuple):
+            pos, message = want
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert (exc.value.pos, str(exc.value)) == (pos, f"{message} (at position {pos})")
+        else:
+            assert parse(text) == want
+
     # Formulas nesting n levels: n - 1 levels around, or n links of, a comparison.
     DEEP = {
         "parens": lambda n: "(" * (n - 1) + "x" + ")" * (n - 1) + " = 0",
