@@ -28,7 +28,7 @@ _EXPORTS = {
         EvalError Fork Implies Leq Meet NoForkStructureError Not Or ParseError
         UnboundVariableError Union Var axiom_suite check_formula check_suite
         compile_formula compile_term eval_formula eval_term free_variables parse
-        parse_formula parse_term pretty pretty_formula pretty_term""",
+        parse_formula parse_term pretty""",
     "forkmodel": """CfaReport ForkBackend LazyRelation NilControlError
         NoFiniteSupportError PairingFunction UndecidableCompositionError
         cfa_axiom_check complement_rel compose_rel conjugate converse_rel

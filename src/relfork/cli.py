@@ -248,7 +248,7 @@ def _cmd_eval(args) -> Tuple[Dict, int, Scope]:
         scope = Scope("window", window)
         target = _star_name(config)
     payload = {
-        "formula": terms.pretty_formula(formula),
+        "formula": terms.pretty(formula),
         "target": target,
         "mode": scope.label(),
         "value": value,

@@ -40,14 +40,14 @@ nil as the identity, and a sequence becomes a loop over its coordinate
 indices, so an element makes the ``star`` or ``unstar`` calls of the
 definition and nothing more.  Plain fixpoints star(u, u) = u are those
 of ``bin nil nil``, and projection fixpoints those of the one-step
-sequences ``pi`` and ``rho``.  A fixpoint is a value of ``star``
-(a tree's image is one, and a sequence's chase starts by unstarring
-it), so ``fix_members`` skips the elements of a ``range`` region that
-lie outside a built pairing's range: a table kind's layout lists a
-superset of it, about |table| + sqrt(2n) values below n (see the
-``constructions`` docstring), and only those are scanned.  ``basic``'s
-star is onto and is scanned in full, as is any pairing that does not
-run its meta's own ``star`` and ``unstar``.
+sequences ``pi`` and ``rho``, whose underlines are the ``projections``.
+A fixpoint is a value of ``star`` (a tree's image is one, and a
+sequence's chase starts by unstarring it), so ``fix_members`` skips the
+elements of a ``range`` region that lie outside a built pairing's range:
+a table kind's layout lists a superset of it, about |table| + sqrt(2n)
+values below n (see the ``constructions`` docstring), and only those
+are scanned.  ``basic``'s star is onto and is scanned in full, as is any
+pairing that does not run its meta's own ``star`` and ``unstar``.
 
 The fork axioms hold in such a model exactly when the pairing is an
 exact one: cfa2 iff ``star`` is injective, cfa1 and cfa3 iff moreover
@@ -73,7 +73,7 @@ from .btree import BT, NIL, Bin, Nil, tree_map
 from .errors import WINDOW_CAP, RelforkError
 from .node import Node, Scope
 from .relcore import FiniteRelation
-from .seqs import PI, Seq
+from .seqs import PI, RHO, Seq
 
 Pair = Tuple[int, int]
 Control = BT | Seq
@@ -333,25 +333,6 @@ def fork(r: LazyRelation, s: LazyRelation, pf: PairingFunction) -> LazyRelation:
     return LazyRelation(contains=contains, witnesses=witnesses, recipe=recipe)
 
 
-def projections(pf: PairingFunction) -> Tuple[LazyRelation, LazyRelation]:
-    """First and second projection relations induced by star."""
-    return _projection(pf.unstar, 0), _projection(pf.unstar, 1)
-
-
-def _projection(unstar: Callable[[int], Optional[Pair]], coordinate: int) -> LazyRelation:
-    """The relation from u to the given coordinate of unstar(u)."""
-
-    def contains(u: int, x: int) -> bool:
-        decoded = unstar(u)
-        return decoded is not None and decoded[coordinate] == x
-
-    def witnesses(u: int):
-        decoded = unstar(u)
-        return () if decoded is None else (decoded[coordinate],)
-
-    return LazyRelation(contains=contains, witnesses=witnesses)
-
-
 def _identity(u: int) -> int:
     return u
 
@@ -399,6 +380,11 @@ def underline(control: Control, pf: PairingFunction) -> LazyRelation:
         return () if v is None else (v,)
 
     return LazyRelation(contains=lambda u, v: image(u) == v, witnesses=witnesses)
+
+
+def projections(pf: PairingFunction) -> Tuple[LazyRelation, LazyRelation]:
+    """pi and rho: the relations of the one-step sequences ``pi`` and ``rho``."""
+    return underline(Seq((PI,)), pf), underline(Seq((RHO,)), pf)
 
 
 def fix_members(

@@ -6,8 +6,9 @@ are variables (``[a-z][a-z0-9_]*``), the constants ``0``, ``1``, ``1'``,
 ``0'``, ``pi``, ``rho`` and ``1u`` (the partial identity on urelements),
 and ``rsum(a, b)``, which abbreviates ``~(~a;~b)`` as ``0'`` does ``~1'``.
 Each operator's precedence, associativity, sorts and spelling are in the
-table ``_OPERATORS``, which both the parser and the printer read.  Text
-may nest at most ``errors.MAX_NESTING`` levels.
+table ``_OPERATORS``, which the scanner (with ``_CONST_TOKENS``, longest
+spelling first), the parser and the printer ``pretty`` read.  Text may
+nest at most ``errors.MAX_NESTING`` levels.
 
 One walk, ``compile_term``/``compile_formula``, turns a term or formula
 into closures over a model's operations: ``const``, ``union``, ``meet``,
@@ -153,7 +154,6 @@ _ATOM_LEVEL = 11
 _BY_NODE = {op.node: op for op in _OPERATORS}
 _PREFIX = {op.spelling: op for op in _OPERATORS if op.fixity == "prefix"}
 _INFIX = {op.spelling.strip(): op for op in _OPERATORS if op.fixity != "prefix"}
-_SYMBOLS = {"(", ")", ","} | {op.spelling.strip() for op in _OPERATORS}
 
 
 def _op_of(node) -> Optional[_Op]:
@@ -177,8 +177,18 @@ def _sort(node) -> str:
 _NAME_START = frozenset("abcdefghijklmnopqrstuvwxyz")
 _NAME_CHARS = _NAME_START | frozenset("0123456789_")
 
+# Every spelling but a variable's, with its token kind: "const" or itself.
+_TOKEN_KINDS = {text: "const" for text in (*_CONST_TOKENS, "0'")}
+_TOKEN_KINDS.update((text, text) for text in ("(", ")", ",", "rsum", *_PREFIX, *_INFIX))
+# The spellings that do not start a name, by first character, longest first.
+_MARKS = {
+    c: sorted((text for text in _TOKEN_KINDS if text[0] == c), key=len, reverse=True)
+    for c in {text[0] for text in _TOKEN_KINDS} - _NAME_START
+}
+
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
+    """(kind, text, position) of each token: a whole name, else the longest mark."""
     tokens = []
     i = 0
     n = len(text)
@@ -187,30 +197,20 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
         if c.isspace():
             i += 1
             continue
-        if c in "01":
-            word = text[i : i + 2] if text[i : i + 2] in ("0'", "1'", "1u") else c
-            tokens.append(("const", word, i))
-            i += len(word)
-            continue
         if c in _NAME_START:
             j = i + 1
             while j < n and text[j] in _NAME_CHARS:
                 j += 1
-            word = text[i:j]
-            if word in ("pi", "rho"):
-                tokens.append(("const", word, i))
-            elif word == "rsum":
-                tokens.append(("rsum", word, i))
+        else:
+            for mark in _MARKS.get(c, ()):
+                if text.startswith(mark, i):
+                    j = i + len(mark)
+                    break
             else:
-                tokens.append(("var", word, i))
-            i = j
-            continue
-        symbol = text[i : i + 2] if text[i : i + 2] in _SYMBOLS else c
-        if symbol in _SYMBOLS:
-            tokens.append((symbol, symbol, i))
-            i += len(symbol)
-            continue
-        raise ParseError(f"unknown token {c!r}", i)
+                raise ParseError(f"unknown token {c!r}", i)
+        word = text[i:j]
+        tokens.append((_TOKEN_KINDS.get(word, "var"), word, i))
+        i = j
     return tokens
 
 
@@ -352,20 +352,6 @@ def _operand_text(node, level: int) -> str:
     op = _op_of(node)
     text = pretty(node)
     return f"({text})" if (_ATOM_LEVEL if op is None else op.level) < level else text
-
-
-def _pretty_sort(node, sort: str) -> str:
-    if _sort(node) != sort:
-        raise TypeError(f"not a {sort}: {node!r}")
-    return pretty(node)
-
-
-def pretty_term(t) -> str:
-    return _pretty_sort(t, _TERM)
-
-
-def pretty_formula(f) -> str:
-    return _pretty_sort(f, _FORMULA)
 
 
 def _nodes(node):
@@ -725,7 +711,7 @@ def check_suite(
     if count is None:
         check_budget(formulas, len(carrier))
     scope = Scope("exhaustive", None) if count is None else Scope("sampled", count)
-    texts = [pretty_formula(f) for f in formulas]
+    texts = [pretty(f) for f in formulas]
     names = [free_variables(f) for f in formulas]
     sliced = _Sliced(model)
     runs = [compile_formula(f, sliced) for f in formulas]

@@ -39,7 +39,7 @@ from relfork import (
     parse_formula,
     parse_seq,
     parse_term,
-    pretty_term,
+    pretty,
     projections,
     si_member,
     transport,
@@ -331,7 +331,7 @@ def check_subterm_windows(term, env, backend, n: int) -> None:
     fwd = lambda x: MOVE.get(x, x)
     for sub in subterms(term):
         rel = eval_term(sub, env, backend)
-        text = pretty_term(sub)
+        text = pretty(sub)
         assert window(rel, n) == window_by_contains(rel, n), text
         assert (rel.support_hint is not None) == (enumerable(sub) == "support"), text
         if rel.support_hint is None:

@@ -35,7 +35,7 @@ from relfork import (
     parse_formula,
     parse_seq,
     parse_tree,
-    pretty_formula,
+    pretty,
 )
 
 X, Y = Var("x"), Var("y")
@@ -141,6 +141,6 @@ class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(FORMULAS)
     def test_parse_of_pretty_is_the_formula(self, f):
-        back = parse_formula(pretty_formula(f))
+        back = parse_formula(pretty(f))
         assert back == f
         assert hash(back) == hash(f)

@@ -43,8 +43,7 @@ from relfork import (
     parse,
     parse_formula,
     parse_term,
-    pretty_formula,
-    pretty_term,
+    pretty,
 )
 from relfork import terms
 from relfork.errors import MAX_NESTING
@@ -205,7 +204,7 @@ class TestParsing:
     @pytest.mark.parametrize("shape", DEEP)
     def test_nesting_bound(self, shape):
         f = parse_formula(self.DEEP[shape](MAX_NESTING))
-        assert parse_formula(pretty_formula(f)) == f
+        assert parse_formula(pretty(f)) == f
         deeper = self.DEEP[shape](MAX_NESTING + 1)
         with pytest.raises(ParseError, match="nesting deeper than") as exc:
             parse_formula(deeper)
@@ -219,22 +218,22 @@ class TestParsing:
 
 class TestPretty:
     def test_examples(self):
-        assert pretty_term(parse_term("x + y & z")) == "x + y & z"
-        assert pretty_term(parse_term("(x + y) & z")) == "(x + y) & z"
-        assert pretty_term(parse_term("~(x;y)^")) == "~(x;y)^"
-        assert pretty_formula(parse_formula("x = y -> y = x")) == "x = y -> y = x"
+        assert pretty(parse_term("x + y & z")) == "x + y & z"
+        assert pretty(parse_term("(x + y) & z")) == "(x + y) & z"
+        assert pretty(parse_term("~(x;y)^")) == "~(x;y)^"
+        assert pretty(parse_formula("x = y -> y = x")) == "x = y -> y = x"
 
     def test_round_trip_random_terms(self):
         rng = random.Random(7)
         for _ in range(500):
             t = random_term(rng, depth=4)
-            assert parse_term(pretty_term(t)) == t
+            assert parse_term(pretty(t)) == t
 
     def test_round_trip_random_formulas(self):
         rng = random.Random(8)
         for _ in range(500):
             f = random_formula(rng, depth=3)
-            assert parse_formula(pretty_formula(f)) == f
+            assert parse_formula(pretty(f)) == f
 
 
 class TestEvaluation:
@@ -416,7 +415,7 @@ class TestBitslicedChecker:
                 seed = rng.randrange(1000)
                 got = check_formula(f, model, strategy=strategy, seed=seed)
                 want = check_formula_pairs(f, model, strategy=strategy, seed=seed)
-                assert report_tuple(got) == want, (pretty_formula(f), strategy, seed)
+                assert report_tuple(got) == want, (pretty(f), strategy, seed)
 
     @pytest.mark.parametrize("name", FINITE_MODELS)
     def test_matches_reference(self, name):
@@ -468,7 +467,7 @@ class TestCheckSuite:
                 got = check_suite(fs, model, strategy=strategy, seed=seed)
                 want = [check_formula_pairs(f, model, strategy=strategy, seed=seed) for f in fs]
                 assert list(map(report_tuple, got)) == want, (
-                    [pretty_formula(f) for f in fs], strategy, seed
+                    [pretty(f) for f in fs], strategy, seed
                 )
                 seen |= {(len(free_variables(f)), r.valid) for f, r in zip(fs, got)}
         return seen
