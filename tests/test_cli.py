@@ -67,6 +67,17 @@ PINNED = {
         "check_product_1_1_tarski", 1,
         ["check", "--model", "product_1_1.json", "--suite", "cr_tarski"],
     ),
+    # Seeded draw order: every arity group's trials, and a sampled counterexample.
+    "check-full3-equational-sampled": (
+        "check_full3_equational_sampled", 0,
+        ["check", "--model", "full:3", "--suite", "cr_equational",
+         "--sampled", "20000", "--seed", "11"],
+    ),
+    "check-product-1,1-tarski-sampled": (
+        "check_product_1_1_tarski_sampled", 1,
+        ["check", "--model", "product_1_1.json", "--suite", "cr_tarski",
+         "--sampled", "3000", "--seed", "4"],
+    ),
     # The urelements' partial identity beside the first projection.
     "eval-tree-urelements": (
         "eval_tree_urelements", 0,
