@@ -17,8 +17,9 @@ into closures over a model's operations: ``const``, ``union``, ``meet``,
 bitsliced (see ``_Sliced``): a term's value over a batch of assignments
 holds one int per cell, whose bit i says whether the cell is in the value
 under assignment i, and a formula's value is one int with a bit per
-assignment.  ``check_suite`` runs whole batches, exhaustive or seeded,
-and the formulas of one arity share each batch; ``check_formula`` is a
+assignment.  ``check_suite`` runs whole batches, exhaustive or seeded;
+the formulas of one arity share each batch, and the arities of a sampled
+suite read one seeded stream of carrier indices.  ``check_formula`` is a
 suite of one, and ``eval_term``/``eval_formula`` run a batch of one.
 Over a pairing function the operations are ``ForkBackend``'s, always a
 batch of one.
@@ -29,7 +30,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import reduce
-from operator import and_, invert, or_, xor
+from operator import and_, invert, itemgetter, or_, xor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import MAX_NESTING, PositionedError, RelforkError
@@ -526,10 +527,13 @@ class _Sliced:
             self._members = [_cell_text(rel) for rel in self.model.carrier]
         if len(indices) == 1:
             return _cells(self._members[indices[0]], self.full)
-        text = "".join(map(self._members.__getitem__, reversed(indices)))
-        widen = {ord("0"): "0" * stretch, ord("1"): "1" * stretch}
+        text = "".join(itemgetter(*indices[::-1])(self._members))
         nn = self.n * self.n
-        return [int(text[q::nn].translate(widen) * reps, 2) for q in range(nn)]
+        cells = [text[q::nn] for q in range(nn)]
+        if stretch > 1:
+            widen = {ord("0"): "0" * stretch, ord("1"): "1" * stretch}
+            cells = [cell.translate(widen) for cell in cells]
+        return [int(cell * reps, 2) for cell in cells]
 
     def env(self, env: Dict[str, FiniteRelation]) -> Dict[str, List[int]]:
         """A width-1 batch of one assignment of relations."""
@@ -668,19 +672,77 @@ def _exhaustive_batches(sliced: _Sliced, nvars: int):
             yield width, columns, assignment
 
 
-def _sampled_batches(sliced: _Sliced, nvars: int, count: int, seed: int):
+def _randrange_chunks(size: int, seed, words: int):
+    """Lists of ``random.Random(seed).randrange(size)``'s values, in order,
+    each from one bulk draw of ``words`` 32-bit Mersenne Twister words.
+
+    CPython's ``randrange(size)`` keeps the top k = ``size.bit_length()``
+    bits of one word and draws again while they are ``size`` or more, and
+    ``getrandbits(32 * m)`` returns the next m words with the first in the
+    low bits.  So the words of one bulk draw, each cut to its top k bits
+    and kept while below ``size``, are the values ``randrange`` would give
+    one call at a time.  Both steps run on the whole draw as one int: a
+    shift and a mask cut every word, and a value v is kept when adding
+    2**k - size to it carries nothing into bit k (k <= 17, since a carrier
+    has at most ``relcore.MAX_CARRIER`` elements, so no word overflows).
+    The stream test in ``tests/test_terms.py`` compares this with
+    ``randrange``, so a later CPython that draws ``randrange`` another way
+    fails it instead of changing the trials.
+    """
+    import struct  # only a sampled check loads it
+
+    rng = random.Random(seed)
+    k = size.bit_length()
+    nbytes = 4 * words
+    ones = int.from_bytes(b"\1\0\0\0" * words, "little")  # bit 0 of every word
+    low = ones * ((1 << k) - 1)
+    lift = ones * ((1 << k) - size)
+    unpack = struct.Struct(f"<{words}I").unpack
+    while True:
+        values = rng.getrandbits(32 * words) >> (32 - k) & low
+        keep = ((values + lift) >> k & ones ^ ones).to_bytes(nbytes, "little")[::4]
+        yield list(itertools.compress(unpack(values.to_bytes(nbytes, "little")), keep))
+
+
+class _Draws:
+    """The seeded carrier indices of one sampled suite, read by position.
+
+    Position p holds the p-th value of ``random.Random(seed).randrange``
+    over the carrier.  Values are drawn a chunk of ``SAMPLE_BATCH`` words
+    at a time, as reads reach them, and forgotten once ``drop`` passes them.
+    """
+
+    def __init__(self, size: int, seed):
+        self.chunks = _randrange_chunks(size, seed, SAMPLE_BATCH)
+        self.values: List[int] = []
+        self.start = 0  # the position of values[0]
+
+    def read(self, begin: int, end: int) -> List[int]:
+        """The values at positions [begin, end); begin is not before ``start``."""
+        while self.start + len(self.values) < end:
+            self.values += next(self.chunks)
+        return self.values[begin - self.start : end - self.start]
+
+    def drop(self, before: int) -> None:
+        """Forget the values before position ``before``."""
+        del self.values[: before - self.start]
+        self.start = before
+
+
+def _sampled_batches(sliced: _Sliced, nvars: int, count: int, draws: _Draws):
     """Batches of ``count`` seeded trials of nvars carrier indices each.
 
-    Trials are drawn one by one, variables in order, as a one-at-a-time
-    checker would draw them: the same seed gives the same trials.
+    Trial t reads positions [nvars*t, nvars*t + nvars) of the suite's one
+    stream ``draws``, variables in order: the values a one-at-a-time
+    checker gets from one ``randrange`` per variable per trial after
+    seeding.  So the same seed gives the same trials whether the formula
+    is checked alone or in a suite.
     """
-    draw = random.Random(seed).randrange
-    size = len(sliced.model.carrier)
     done = 0
     while done < count:
         width = min(count - done, SAMPLE_BATCH, sliced.width_cap)
         sliced.full = (1 << width) - 1
-        drawn = [draw(size) for _ in range(width * nvars)]
+        drawn = draws.read(done * nvars, (done + width) * nvars)
         columns = [sliced.column(drawn[j::nvars]) for j in range(nvars)]
         yield width, columns, lambda i, drawn=drawn: drawn[i * nvars : (i + 1) * nvars]
         done += width
@@ -698,12 +760,22 @@ def check_suite(
     variables are enumerated in sorted name order, assignments in the
     carrier's canonical order or in seeded draw order, and its first
     failing assignment is reported.  Formulas with the same number of
-    variables share one batch stream: each batch is enumerated or drawn,
-    and its columns built, once, and every formula that has not yet failed
+    variables share each batch: it is enumerated or drawn, and its
+    columns built, once, and every formula that has not yet failed
     runs on it (see ``_Sliced``).  So each report is the one the formula
     would get if checked alone.  The exhaustive strategy refuses the whole
     list if one formula has more than ``DEFAULT_ASSIGNMENT_CAP``
     assignments, and the sampled one a count above that cap.
+
+    A sampled suite draws one seeded stream of carrier indices, the
+    values of ``random.Random(seed).randrange`` (see ``_randrange_chunks``),
+    and trial t of a formula with k variables reads its values
+    [k*t, k*t + k), as if the formula were checked alone after seeding.
+    One loop runs the next batch of whichever arity is furthest behind in
+    the stream, and first forgets the values before it, so the stream
+    holds at most (largest arity) * ``SAMPLE_BATCH`` values plus one
+    chunk.  Exhaustive groups run through the same loop, since the order
+    of the groups changes no report.
     """
     formulas = [parse_formula(f) if isinstance(f, str) else f for f in formulas]
     count = sample_count(strategy)
@@ -719,31 +791,37 @@ def check_suite(
     groups: Dict[int, List[int]] = {}
     for k, formula_names in enumerate(names):
         groups.setdefault(len(formula_names), []).append(k)
-    for nvars, live in groups.items():
-        if count is None:
-            batches = _exhaustive_batches(sliced, nvars)
-        else:
-            batches = _sampled_batches(sliced, nvars, count, seed)
-        checked = 0
-        for width, columns, assignment in batches:
-            running = []
+    draws = None if count is None else _Draws(len(carrier), seed)
+    batches = {
+        nvars: _exhaustive_batches(sliced, nvars)
+        if draws is None
+        else _sampled_batches(sliced, nvars, count, draws)
+        for nvars in groups
+    }
+    checked = dict.fromkeys(groups, 0)
+    while groups:
+        nvars = min(groups, key=lambda v: checked[v] * v)
+        if draws is not None:
+            draws.drop(checked[nvars] * nvars)
+        live = groups.pop(nvars)
+        batch = next(batches[nvars], None)
+        if batch is None:
             for k in live:
-                failure = _first_failure(runs[k](dict(zip(names[k], columns))), sliced.full)
-                if failure is None:
-                    running.append(k)
-                    continue
-                counterexample = {
-                    name: carrier[i] for name, i in zip(names[k], assignment(failure))
-                }
-                reports[k] = CheckReport(
-                    texts[k], scope, False, checked + failure + 1, counterexample
-                )
-            checked += width
-            live = running
-            if not live:
-                break
+                reports[k] = CheckReport(texts[k], scope, True, checked[nvars], None)
+            continue
+        width, columns, assignment = batch
         for k in live:
-            reports[k] = CheckReport(texts[k], scope, True, checked, None)
+            failure = _first_failure(runs[k](dict(zip(names[k], columns))), sliced.full)
+            if failure is None:
+                groups.setdefault(nvars, []).append(k)
+                continue
+            counterexample = {
+                name: carrier[i] for name, i in zip(names[k], assignment(failure))
+            }
+            reports[k] = CheckReport(
+                texts[k], scope, False, checked[nvars] + failure + 1, counterexample
+            )
+        checked[nvars] += width
     return reports
 
 

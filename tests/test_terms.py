@@ -498,25 +498,26 @@ class TestCheckSuite:
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        """The arguments of every ``random.Random.randrange`` call."""
-        calls = []
-        randrange = random.Random.randrange
+        """The stream positions handed out by every ``terms._Draws.read``."""
+        positions = set()
+        read = terms._Draws.read
 
-        def counting(self, *args):
-            calls.append(args)
-            return randrange(self, *args)
+        def counting(self, begin, end):
+            positions.update(range(begin, end))
+            return read(self, begin, end)
 
-        monkeypatch.setattr(random.Random, "randrange", counting)
-        return calls
+        monkeypatch.setattr(terms._Draws, "read", counting)
+        return positions
 
-    def test_one_arity_draws_once(self, draws):
-        # cr_tarski has arities 0 to 3 over 16 formulas whose arities sum to 31.
+    def test_one_stream_per_suite(self, draws):
+        # cr_tarski has arities 0 to 3 over 16 formulas whose arities sum to
+        # 31; every arity reads a prefix of one stream of 3 * 500 values.
         formulas = axiom_suite("cr_tarski")
         assert sorted({len(free_variables(f)) for f in formulas}) == [0, 1, 2, 3]
         assert sum(len(free_variables(f)) for f in formulas) == 31
         reports = check_suite(formulas, full_pra(2), strategy=("sampled", 500), seed=9)
         assert all(r.valid and r.checked == 500 for r in reports)
-        assert len(draws) == 6 * 500
+        assert len(draws) == 3 * 500
 
     def test_failed_formula_retires_and_stops_its_draws(self, draws, monkeypatch):
         # Over 16 elements, x = 0 and y = 1 each fail within the first batch
@@ -549,3 +550,42 @@ class TestCheckSuite:
         assert check_suite(["x = x"], full_pra(1), strategy=("sampled", 40))[0].valid
         with pytest.raises(EvalError, match="sampled count 41 exceeds cap 40"):
             check_formula("x = x", full_pra(1), strategy=("sampled", 41))
+
+    def test_stream_stays_within_its_bound(self, monkeypatch):
+        # The arity furthest behind reads next, so the stream holds at most
+        # (largest arity) * SAMPLE_BATCH values plus one chunk.
+        monkeypatch.setattr(terms, "SAMPLE_BATCH", 5)
+        held = []
+        read = terms._Draws.read
+
+        def recording(self, begin, end):
+            values = read(self, begin, end)
+            held.append(len(self.values))
+            return values
+
+        monkeypatch.setattr(terms._Draws, "read", recording)
+        formulas = ["~1 = 0", "x^^ = x", "(x;y)^ = y^;x^", "x;(y;z) = (x;y);z", "x = 0"]
+        reports = check_suite(formulas, full_pra(2), strategy=("sampled", 300), seed=5)
+        assert [r.valid for r in reports] == [True] * 4 + [False]
+        assert all(r.checked == 300 for r in reports[:4])
+        assert len(held) >= 3 * 300 // 5 and max(held) <= 3 * 5 + 5
+
+    def test_sampled_check_on_one_element_ends(self):
+        # randrange(1) throws away every word whose top bit is set.
+        model = full_pra(0)
+        assert len(model.carrier) == 1
+        reports = check_suite(["x = y", "x;1 = x"], model, strategy=("sampled", 5000), seed=2)
+        assert all(r.valid and r.checked == 5000 for r in reports)
+
+
+class TestSampleStream:
+    """The bulk seeded stream against ``random.Random.randrange``."""
+
+    @pytest.mark.parametrize("seed", [11, -4, "suite"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 255, 256, 257, 512, 32768, 65535, 65536])
+    def test_matches_randrange(self, size, seed):
+        chunks = terms._randrange_chunks(size, seed, 700)
+        got = [value for _ in range(3) for value in next(chunks)]
+        rng = random.Random(seed)
+        assert got == [rng.randrange(size) for _ in got]
+        assert len(got) > 700
