@@ -311,7 +311,9 @@ def _render_text(payload: Dict, scope: Optional[Scope]) -> str:
             if counterexample is not None and not entry.get(
                 "valid", entry.get("passed")
             ):
-                lines.append(f"       counterexample: {counterexample}")
+                lines.append(
+                    f"       counterexample: {json.dumps(counterexample, sort_keys=True)}"
+                )
         verdict = "pass" if payload["all_valid"] else "FAIL"
         lines.append(f"result: {verdict}")
     elif "value" in payload:
