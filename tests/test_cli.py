@@ -1,6 +1,5 @@
 """Command line interface: exit codes, output shape, stdout stability."""
 
-import dataclasses
 import json
 import os
 import pathlib
@@ -13,6 +12,7 @@ import pytest
 import relfork
 from relfork import constructions, relcore, terms
 from relfork.cli import main
+from relfork.forkmodel import PairingFunction
 
 UNIT2 = [[0, 0], [0, 1], [1, 0], [1, 1]]
 IDENT2 = [[0, 0], [1, 1]]
@@ -597,8 +597,8 @@ class TestFix:
         def with_extra_fixpoint(config):
             pf = build(config)
             star = pf.star
-            return dataclasses.replace(
-                pf, star=lambda u, v: 9 if u == v == 9 else star(u, v)
+            return PairingFunction(
+                lambda u, v: 9 if u == v == 9 else star(u, v), pf.unstar, pf.meta
             )
 
         monkeypatch.setattr(constructions, "build_from_config", with_extra_fixpoint)

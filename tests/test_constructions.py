@@ -1,6 +1,5 @@
 """Star constructions: block layout arithmetic and pinned fixpoint sets."""
 
-import dataclasses
 import functools
 
 import pytest
@@ -811,8 +810,8 @@ class TestCfaCertificate:
         def traced(fn):
             return functools.wraps(fn)(lambda *args: fn(*args))
 
-        pf = dataclasses.replace(
-            self.TREE, star=traced(self.TREE.star), unstar=traced(traced(self.TREE.unstar))
+        pf = PairingFunction(
+            traced(self.TREE.star), traced(traced(self.TREE.unstar)), self.TREE.meta
         )
         report = cfa_axiom_check(pf, include_urelement_axiom=True)
         assert report == cfa_axiom_check(self.TREE, include_urelement_axiom=True)
