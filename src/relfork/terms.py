@@ -700,6 +700,7 @@ def _randrange_chunks(size: int, seed, words: int):
     unpack = struct.Struct(f"<{words}I").unpack
     while True:
         values = rng.getrandbits(32 * words) >> (32 - k) & low
+        # One byte per word: 1 where its value is below size.
         keep = ((values + lift) >> k & ones ^ ones).to_bytes(nbytes, "little")[::4]
         yield list(itertools.compress(unpack(values.to_bytes(nbytes, "little")), keep))
 
