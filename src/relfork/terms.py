@@ -18,9 +18,11 @@ bitsliced (see ``_Sliced``): a term's value over a batch of assignments
 holds one int per cell, whose bit i says whether the cell is in the value
 under assignment i, and a formula's value is one int with a bit per
 assignment.  ``check_suite`` runs whole batches, exhaustive or seeded;
-the formulas of one arity share each batch, and the arities of a sampled
-suite read one seeded stream of carrier indices.  ``check_formula`` is a
-suite of one, and ``eval_term``/``eval_formula`` run a batch of one.
+the formulas of one arity share each batch.  In a sampled suite each
+arity draws from its own ``random.Random(seed)``, and a carrier index is
+the top m bits of one 32-bit word: a carrier is a Boolean algebra, so it
+has 2**m elements and no word is redrawn.  ``check_formula`` is a suite
+of one, and ``eval_term``/``eval_formula`` run a batch of one.
 Over a pairing function the operations are ``ForkBackend``'s, always a
 batch of one.
 """
@@ -672,78 +674,33 @@ def _exhaustive_batches(sliced: _Sliced, nvars: int):
             yield width, columns, assignment
 
 
-def _randrange_chunks(size: int, seed, words: int):
-    """Lists of ``random.Random(seed).randrange(size)``'s values, in order,
-    each from one bulk draw of ``words`` 32-bit Mersenne Twister words.
+def _sampled_batches(sliced: _Sliced, nvars: int, count: int, seed):
+    """Batches of ``count`` seeded trials of nvars carrier indices each.
 
-    CPython's ``randrange(size)`` keeps the top k = ``size.bit_length()``
-    bits of one word and draws again while they are ``size`` or more, and
-    ``getrandbits(32 * m)`` returns the next m words with the first in the
-    low bits.  So the words of one bulk draw, each cut to its top k bits
-    and kept while below ``size``, are the values ``randrange`` would give
-    one call at a time.  Both steps run on the whole draw as one int: a
-    shift and a mask cut every word, and a value v is kept when adding
-    2**k - size to it carries nothing into bit k (k <= 17, since a carrier
-    has at most ``relcore.MAX_CARRIER`` elements, so no word overflows).
-    The stream test in ``tests/test_terms.py`` compares this with
-    ``randrange``, so a later CPython that draws ``randrange`` another way
-    fails it instead of changing the trials.
+    The group draws from its own ``random.Random(seed)``, and trial t
+    reads its words [nvars*t, nvars*t + nvars), variables in order.  The
+    carrier has 2**m elements (every carrier is a Boolean algebra), so an
+    index is the top m bits of one 32-bit word, ``getrandbits(m)`` when
+    m >= 1, and no word is redrawn.  A batch is one bulk draw:
+    ``getrandbits(32 * words)`` holds the next words, the first in the
+    low bits, so one shift and one mask cut every word at once.  The
+    trials are the same whether the formula is checked alone or in a
+    suite, and at any ``SAMPLE_BATCH`` or ``SLICE_BITS``.
     """
     import struct  # only a sampled check loads it
 
     rng = random.Random(seed)
-    k = size.bit_length()
-    nbytes = 4 * words
-    ones = int.from_bytes(b"\1\0\0\0" * words, "little")  # bit 0 of every word
-    low = ones * ((1 << k) - 1)
-    lift = ones * ((1 << k) - size)
-    unpack = struct.Struct(f"<{words}I").unpack
-    while True:
-        values = rng.getrandbits(32 * words) >> (32 - k) & low
-        # One byte per word: 1 where its value is below size.
-        keep = ((values + lift) >> k & ones ^ ones).to_bytes(nbytes, "little")[::4]
-        yield list(itertools.compress(unpack(values.to_bytes(nbytes, "little")), keep))
-
-
-class _Draws:
-    """The seeded carrier indices of one sampled suite, read by position.
-
-    Position p holds the p-th value of ``random.Random(seed).randrange``
-    over the carrier.  Values are drawn a chunk of ``SAMPLE_BATCH`` words
-    at a time, as reads reach them, and forgotten once ``drop`` passes them.
-    """
-
-    def __init__(self, size: int, seed):
-        self.chunks = _randrange_chunks(size, seed, SAMPLE_BATCH)
-        self.values: List[int] = []
-        self.start = 0  # the position of values[0]
-
-    def read(self, begin: int, end: int) -> List[int]:
-        """The values at positions [begin, end); begin is not before ``start``."""
-        while self.start + len(self.values) < end:
-            self.values += next(self.chunks)
-        return self.values[begin - self.start : end - self.start]
-
-    def drop(self, before: int) -> None:
-        """Forget the values before position ``before``."""
-        del self.values[: before - self.start]
-        self.start = before
-
-
-def _sampled_batches(sliced: _Sliced, nvars: int, count: int, draws: _Draws):
-    """Batches of ``count`` seeded trials of nvars carrier indices each.
-
-    Trial t reads positions [nvars*t, nvars*t + nvars) of the suite's one
-    stream ``draws``, variables in order: the values a one-at-a-time
-    checker gets from one ``randrange`` per variable per trial after
-    seeding.  So the same seed gives the same trials whether the formula
-    is checked alone or in a suite.
-    """
+    m = len(sliced.model.carrier).bit_length() - 1
+    # The low m bits of each word of the first batch, the widest, mask every batch.
+    widest = min(count, SAMPLE_BATCH, sliced.width_cap) * nvars
+    low = int.from_bytes(b"\1\0\0\0" * widest, "little") * ((1 << m) - 1)
     done = 0
     while done < count:
         width = min(count - done, SAMPLE_BATCH, sliced.width_cap)
         sliced.full = (1 << width) - 1
-        drawn = draws.read(done * nvars, (done + width) * nvars)
+        words = width * nvars
+        values = rng.getrandbits(32 * words) >> (32 - m) & low
+        drawn = struct.unpack(f"<{words}I", values.to_bytes(4 * words, "little"))
         columns = [sliced.column(drawn[j::nvars]) for j in range(nvars)]
         yield width, columns, lambda i, drawn=drawn: drawn[i * nvars : (i + 1) * nvars]
         done += width
@@ -763,20 +720,16 @@ def check_suite(
     failing assignment is reported.  Formulas with the same number of
     variables share each batch: it is enumerated or drawn, and its
     columns built, once, and every formula that has not yet failed
-    runs on it (see ``_Sliced``).  So each report is the one the formula
-    would get if checked alone.  The exhaustive strategy refuses the whole
-    list if one formula has more than ``DEFAULT_ASSIGNMENT_CAP``
+    runs on it (see ``_Sliced``).  A group stops at its last batch or
+    once all its formulas have failed.  So each report is the one the
+    formula would get if checked alone.  The exhaustive strategy refuses
+    the whole list if one formula has more than ``DEFAULT_ASSIGNMENT_CAP``
     assignments, and the sampled one a count above that cap.
 
-    A sampled suite draws one seeded stream of carrier indices, the
-    values of ``random.Random(seed).randrange`` (see ``_randrange_chunks``),
-    and trial t of a formula with k variables reads its values
-    [k*t, k*t + k), as if the formula were checked alone after seeding.
-    One loop runs the next batch of whichever arity is furthest behind in
-    the stream, and first forgets the values before it, so the stream
-    holds at most (largest arity) * ``SAMPLE_BATCH`` values plus one
-    chunk.  Exhaustive groups run through the same loop, since the order
-    of the groups changes no report.
+    In a sampled suite every group draws from its own
+    ``random.Random(seed)``, one word per carrier index (see
+    ``_sampled_batches``): trial t of a formula with k variables reads
+    words [k*t, k*t + k), as if the formula were checked alone.
     """
     formulas = [parse_formula(f) if isinstance(f, str) else f for f in formulas]
     count = sample_count(strategy)
@@ -792,37 +745,31 @@ def check_suite(
     groups: Dict[int, List[int]] = {}
     for k, formula_names in enumerate(names):
         groups.setdefault(len(formula_names), []).append(k)
-    draws = None if count is None else _Draws(len(carrier), seed)
-    batches = {
-        nvars: _exhaustive_batches(sliced, nvars)
-        if draws is None
-        else _sampled_batches(sliced, nvars, count, draws)
-        for nvars in groups
-    }
-    checked = dict.fromkeys(groups, 0)
-    while groups:
-        nvars = min(groups, key=lambda v: checked[v] * v)
-        if draws is not None:
-            draws.drop(checked[nvars] * nvars)
-        live = groups.pop(nvars)
-        batch = next(batches[nvars], None)
-        if batch is None:
+    for nvars, live in groups.items():
+        if count is None:
+            batches = _exhaustive_batches(sliced, nvars)
+        else:
+            batches = _sampled_batches(sliced, nvars, count, seed)
+        checked = 0
+        for width, columns, assignment in batches:
+            passing = []
             for k in live:
-                reports[k] = CheckReport(texts[k], scope, True, checked[nvars], None)
-            continue
-        width, columns, assignment = batch
+                failure = _first_failure(runs[k](dict(zip(names[k], columns))), sliced.full)
+                if failure is None:
+                    passing.append(k)
+                    continue
+                counterexample = {
+                    name: carrier[i] for name, i in zip(names[k], assignment(failure))
+                }
+                reports[k] = CheckReport(
+                    texts[k], scope, False, checked + failure + 1, counterexample
+                )
+            live = passing
+            checked += width
+            if not live:
+                break
         for k in live:
-            failure = _first_failure(runs[k](dict(zip(names[k], columns))), sliced.full)
-            if failure is None:
-                groups.setdefault(nvars, []).append(k)
-                continue
-            counterexample = {
-                name: carrier[i] for name, i in zip(names[k], assignment(failure))
-            }
-            reports[k] = CheckReport(
-                texts[k], scope, False, checked[nvars] + failure + 1, counterexample
-            )
-        checked[nvars] += width
+            reports[k] = CheckReport(texts[k], scope, True, checked, None)
     return reports
 
 

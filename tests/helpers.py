@@ -381,7 +381,8 @@ def check_formula_pairs(formula, model, strategy="exhaustive", seed: int = 0):
 
     Returns (strategy label, valid, checked, counterexample) with the same
     assignment order: ``itertools.product`` over the carrier, or per trial
-    one seeded draw per variable in name order.
+    one seeded 32-bit word per variable in name order, whose top m bits
+    index the carrier of 2**m elements.
     """
     names = terms.free_variables(formula)
     carrier = model.carrier
@@ -391,9 +392,10 @@ def check_formula_pairs(formula, model, strategy="exhaustive", seed: int = 0):
     else:
         count = strategy[1]
         rng = random.Random(seed)
+        m = len(carrier).bit_length() - 1
         label = f"sampled({count})"
         assignments = (
-            tuple(carrier[rng.randrange(len(carrier))] for _ in names) for _ in range(count)
+            tuple(carrier[rng.getrandbits(32) >> (32 - m)] for _ in names) for _ in range(count)
         )
     checked = 0
     for combo in assignments:

@@ -1,6 +1,7 @@
 """Term language: parsing, printing, evaluation, and formula checking."""
 
 import random
+import types
 
 import pytest
 
@@ -498,26 +499,31 @@ class TestCheckSuite:
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        """The stream positions handed out by every ``terms._Draws.read``."""
-        positions = set()
-        read = terms._Draws.read
+        """The words of each bulk draw, one list per seeded generator."""
+        generators = []
 
-        def counting(self, begin, end):
-            positions.update(range(begin, end))
-            return read(self, begin, end)
+        class Counting(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.words = []
+                generators.append(self.words)
 
-        monkeypatch.setattr(terms._Draws, "read", counting)
-        return positions
+            def getrandbits(self, k):
+                self.words.append(k // 32)
+                return super().getrandbits(k)
 
-    def test_one_stream_per_suite(self, draws):
+        monkeypatch.setattr(terms, "random", types.SimpleNamespace(Random=Counting))
+        return generators
+
+    def test_each_arity_draws_one_word_per_variable_per_trial(self, draws):
         # cr_tarski has arities 0 to 3 over 16 formulas whose arities sum to
-        # 31; every arity reads a prefix of one stream of 3 * 500 values.
+        # 31; each arity draws k * 500 words from its own generator.
         formulas = axiom_suite("cr_tarski")
         assert sorted({len(free_variables(f)) for f in formulas}) == [0, 1, 2, 3]
         assert sum(len(free_variables(f)) for f in formulas) == 31
         reports = check_suite(formulas, full_pra(2), strategy=("sampled", 500), seed=9)
         assert all(r.valid and r.checked == 500 for r in reports)
-        assert len(draws) == 3 * 500
+        assert sorted(map(sum, draws)) == [0, 500, 1000, 1500]
 
     def test_failed_formula_retires_and_stops_its_draws(self, draws, monkeypatch):
         # Over 16 elements, x = 0 and y = 1 each fail within the first batch
@@ -526,11 +532,11 @@ class TestCheckSuite:
         model = full_pra(2)
         failing = check_suite(["x = 0", "y = 1"], model, strategy=("sampled", 800), seed=1)
         assert [r.valid for r in failing] == [False, False]
-        assert len(draws) == 8
+        assert sum(map(sum, draws)) == 8
         draws.clear()
         mixed = check_suite(["x = 0", "y = y"], model, strategy=("sampled", 800), seed=1)
         assert mixed[0] == failing[0] and mixed[1].valid
-        assert len(draws) == 800
+        assert sum(map(sum, draws)) == 800
 
     def test_budget_refuses_the_whole_list_before_any_work(self, monkeypatch):
         monkeypatch.setattr(terms, "DEFAULT_ASSIGNMENT_CAP", 16**2)
@@ -551,27 +557,18 @@ class TestCheckSuite:
         with pytest.raises(EvalError, match="sampled count 41 exceeds cap 40"):
             check_formula("x = x", full_pra(1), strategy=("sampled", 41))
 
-    def test_stream_stays_within_its_bound(self, monkeypatch):
-        # The arity furthest behind reads next, so the stream holds at most
-        # (largest arity) * SAMPLE_BATCH values plus one chunk.
+    def test_each_draw_is_at_most_one_batch_of_words(self, draws, monkeypatch):
+        # A k-variable group draws k * SAMPLE_BATCH words per batch.
         monkeypatch.setattr(terms, "SAMPLE_BATCH", 5)
-        held = []
-        read = terms._Draws.read
-
-        def recording(self, begin, end):
-            values = read(self, begin, end)
-            held.append(len(self.values))
-            return values
-
-        monkeypatch.setattr(terms._Draws, "read", recording)
         formulas = ["~1 = 0", "x^^ = x", "(x;y)^ = y^;x^", "x;(y;z) = (x;y);z", "x = 0"]
         reports = check_suite(formulas, full_pra(2), strategy=("sampled", 300), seed=5)
         assert [r.valid for r in reports] == [True] * 4 + [False]
         assert all(r.checked == 300 for r in reports[:4])
-        assert len(held) >= 3 * 300 // 5 and max(held) <= 3 * 5 + 5
+        got = sorted((sum(words), max(words), len(words)) for words in draws)
+        assert got == [(0, 0, 60), (300, 5, 60), (600, 10, 60), (900, 15, 60)]
 
     def test_sampled_check_on_one_element_ends(self):
-        # randrange(1) throws away every word whose top bit is set.
+        # m = 0: every index is 0, and each trial still draws its words.
         model = full_pra(0)
         assert len(model.carrier) == 1
         reports = check_suite(["x = y", "x;1 = x"], model, strategy=("sampled", 5000), seed=2)
@@ -579,13 +576,24 @@ class TestCheckSuite:
 
 
 class TestSampleStream:
-    """The bulk seeded stream against ``random.Random.randrange``."""
+    """Each sampled index is the top m bits of one seeded 32-bit word."""
 
     @pytest.mark.parametrize("seed", [11, -4, "suite"])
-    @pytest.mark.parametrize("size", [1, 2, 3, 255, 256, 257, 512, 32768, 65535, 65536])
-    def test_matches_randrange(self, size, seed):
-        chunks = terms._randrange_chunks(size, seed, 700)
-        got = [value for _ in range(3) for value in next(chunks)]
+    @pytest.mark.parametrize("size", [1 << m for m in range(17)])
+    def test_indices_are_the_top_bits_of_one_word(self, monkeypatch, size, seed):
+        # Three batches of two-variable trials over a carrier of 2**m indices.
+        monkeypatch.setattr(terms, "SAMPLE_BATCH", 250)
+        m = size.bit_length() - 1
+        sliced = types.SimpleNamespace(
+            model=types.SimpleNamespace(carrier=range(size)),
+            width_cap=1 << 20,
+            full=1,
+            column=list,
+        )
+        got = []
+        for width, columns, assignment in terms._sampled_batches(sliced, 2, 700, seed):
+            trials = [assignment(i) for i in range(width)]
+            assert columns == [[t[0] for t in trials], [t[1] for t in trials]]
+            got += [index for trial in trials for index in trial]
         rng = random.Random(seed)
-        assert got == [rng.randrange(size) for _ in got]
-        assert len(got) > 700
+        assert got == [rng.getrandbits(32) >> (32 - m) for _ in range(2 * 700)]
