@@ -13,12 +13,14 @@ from relfork import (
     RelationError,
     classify,
     direct_product,
+    eval_formula,
     full_pra,
     generate_subalgebra,
     ideal_elements,
     load_model,
     model_from_dict,
     model_to_dict,
+    parse_formula,
     power,
     save_model,
 )
@@ -312,6 +314,13 @@ class TestIdealsAndClassification:
         assert not classify(p).simple
         assert classify(p).label == "not simple"
 
+    def test_display(self):
+        assert repr(full_pra(1)) == "AlgebraModel(base=1, carrier=2, full)"
+        assert repr(generate_subalgebra(2, [])) == "AlgebraModel(base=2, carrier=4, proper)"
+        c = classify(full_pra(0))
+        assert c.label == "trivial"
+        assert repr(c) == "Classification(ideals=1, carrier=1, label='trivial')"
+
     def test_power(self):
         m1 = full_pra(1)
         assert len(power(m1, 0).carrier) == 1
@@ -319,6 +328,64 @@ class TestIdealsAndClassification:
             model = power(m1, exponent)
             assert len(model.carrier) == 2 ** exponent
             assert len(ideal_elements(model)) == 2 ** exponent
+
+
+EMPTY1, FULL1, FULL2 = FiniteRelation.empty(1), FiniteRelation.full(1), FiniteRelation.full(2)
+MAX_BASE, MAX_CARRIER = relcore.MAX_BASE, relcore.MAX_CARRIER
+# name: (refused call, error type, message); every refusal before any work.
+REFUSALS = {
+    "from-pairs-negative-base": (
+        lambda: FiniteRelation.from_pairs(-1, []),
+        RelationError, "base size must be nonnegative, got -1",
+    ),
+    "model-base-cap": (
+        lambda: AlgebraModel(MAX_BASE + 1, [], FULL1, FULL1),
+        RelationError, f"base size {MAX_BASE + 1} exceeds cap {MAX_BASE}",
+    ),
+    "model-carrier-cap": (
+        lambda: AlgebraModel(1, [EMPTY1] * (MAX_CARRIER + 1), FULL1, FULL1),
+        RelationError, f"carrier size {MAX_CARRIER + 1} exceeds cap {MAX_CARRIER}",
+    ),
+    "distinguished-on-another-base": (
+        lambda: AlgebraModel(1, [EMPTY1, FULL1], FULL2, FULL1),
+        RelationError, "unit has base size 2, expected 1",
+    ),
+    "full-carrier-size-negative": (
+        lambda: relcore.full_carrier_size(-1),
+        RelationError, "base size must be nonnegative",
+    ),
+    "product-base-cap": (
+        lambda: direct_product(generate_subalgebra(9, []), generate_subalgebra(8, [])),
+        RelationError, f"product base size 17 exceeds cap {MAX_BASE}",
+    ),
+    "product-carrier-cap": (
+        lambda: direct_product(full_pra(3), full_pra(3)),
+        RelationError, "product carrier exceeds size cap",
+    ),
+    "power-negative-exponent": (
+        lambda: power(full_pra(1), -1),
+        RelationError, "exponent must be nonnegative",
+    ),
+    "generate-base-cap": (
+        lambda: generate_subalgebra(MAX_BASE + 1, []),
+        RelationError, f"base size {MAX_BASE + 1} exceeds cap {MAX_BASE}",
+    ),
+    "generator-on-another-base": (
+        lambda: generate_subalgebra(2, [FULL1]),
+        RelationError, "generator has wrong base size",
+    ),
+    "eval-binding-on-another-base": (
+        lambda: eval_formula(parse_formula("x = x"), {"x": FULL1}, full_pra(2)),
+        RelationError, "base-size mismatch: 1 vs 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestGeneratedSubalgebra:
