@@ -67,10 +67,11 @@ def _full_base(spec: str) -> Optional[int]:
     """N for the spec ``full:N``, None for a model file path."""
     if not spec.startswith("full:"):
         return None
-    try:
-        return int(spec.split(":", 1)[1])
-    except ValueError:
-        raise UsageError(f"bad model spec {spec!r}; expected full:N or a path") from None
+    digits = spec[len("full:") :]
+    # int() would also take a sign, spaces, underscores and non-ASCII digits.
+    if not (digits.isascii() and digits.isdigit()):
+        raise UsageError(f"bad model spec {spec!r}; expected full:N or a path")
+    return int(digits)
 
 
 def _resolve_model(spec: str) -> relcore.AlgebraModel:

@@ -803,6 +803,15 @@ class TestArgumentErrors:
             main(["fix", "--star", "spiral"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "spec", ["full:+2", "full: 2", "full:2 ", "full:1_0", "full:\u0663", "full:-1", "full:"]
+    )
+    def test_full_base_is_ascii_digits_only(self, capsys, spec):
+        # int() takes each of these; the spec takes only ASCII decimal digits.
+        code, out, err = run_to_exit(capsys, "check", "--model", spec, "--suite", "cr_equational")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad model spec {spec!r}; expected full:N or a path\n"
+
     @pytest.mark.parametrize("flag", ["--support-bound", "--urelement-bound"])
     def test_bound_flags_removed(self, capsys, flag):
         # The sampled path's probe sizes are forkmodel constants.
