@@ -57,10 +57,14 @@ class UsageError(RelforkError):
 def _parse_members(text: Optional[str]) -> Tuple[int, ...]:
     if not text:
         return ()
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise UsageError(f"bad member list {text!r}: {exc}") from None
+    members = [part.strip() for part in text.split(",")]
+    for part in members:
+        # int() would also take a sign, underscores and non-ASCII digits.
+        if part and not (part.isascii() and part.isdigit()):
+            raise UsageError(
+                f"bad member list {text!r}: expected ASCII decimal digits, got {part!r}"
+            )
+    return tuple(int(part) for part in members if part)
 
 
 def _full_base(spec: str) -> Optional[int]:

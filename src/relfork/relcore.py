@@ -174,7 +174,12 @@ def _refine(blocks: List[int], splitters: Iterable[int], limit: int) -> List[int
 
 
 class AlgebraModel:
-    """A finite proper relation algebra given by its carrier of relations."""
+    """A finite proper relation algebra given by its carrier of relations.
+
+    ``carrier[i]`` is the union of ``atoms[j]`` over the set bits j of i:
+    both are sorted by ``rows``, and of two unions of atoms the greater is
+    the one holding the largest atom they do not share.
+    """
 
     __slots__ = (
         "base_size",

@@ -17,12 +17,13 @@ into closures over a model's operations: ``const``, ``union``, ``meet``,
 bitsliced (see ``_Sliced``): a term's value over a batch of assignments
 holds one int per cell, whose bit i says whether the cell is in the value
 under assignment i, and a formula's value is one int with a bit per
-assignment.  ``check_suite`` runs whole batches, exhaustive or seeded;
-the formulas of one arity share each batch.  In a sampled suite each
-arity draws from its own ``random.Random(seed)``, and a carrier index is
-the top m bits of one 32-bit word: a carrier is a Boolean algebra, so it
-has 2**m elements and no word is redrawn.  ``check_formula`` is a suite
-of one, and ``eval_term``/``eval_formula`` run a batch of one.
+assignment.  A carrier is a Boolean algebra of 2**m elements, and index
+i is the mask of the atoms below its element, so a carrier value enters a
+batch as m atom planes.  ``check_suite`` runs whole batches, exhaustive
+or seeded; the formulas of one arity share each batch.  A sampled arity
+draws from its own ``random.Random(seed)``, an index the top m bits of one
+32-bit word.  ``check_formula`` is a suite of one, and
+``eval_term``/``eval_formula`` run a batch of one.
 Over a pairing function the operations are ``ForkBackend``'s, always a
 batch of one.
 """
@@ -30,14 +31,15 @@ batch of one.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from functools import reduce
-from operator import and_, invert, itemgetter, or_, xor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from operator import and_, invert, or_, xor
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import MAX_NESTING, PositionedError, RelforkError
 from .node import Node, Scope
-from .relcore import AlgebraModel, FiniteRelation, RelationError, _code, _relation
+from .relcore import AlgebraModel, FiniteRelation, RelationError, _relation
 
 
 class ParseError(PositionedError):
@@ -437,19 +439,8 @@ def compile_formula(f, ops) -> Callable[[Dict[str, object]], int]:
 
 # A batch's term values take at most this many bits: width * n * n.
 SLICE_BITS = 1 << 22
-# Sampled trials drawn per batch, which bounds the lists of drawn indices.
+# Sampled trials drawn per batch, which bounds the bytes drawn per batch.
 SAMPLE_BATCH = 1 << 12
-
-
-def _cell_text(rel: FiniteRelation) -> str:
-    """The cells of rel as '0'/'1' characters, in the order of relcore's cell code."""
-    # The leading 1 keeps the width of an empty code.
-    return bin(_code(rel) | 1 << rel.base_size**2)[3:][::-1]
-
-
-def _cells(text: str, full: int) -> List[int]:
-    """A value constant over the batch, from its '0'/'1' cell text."""
-    return [full if bit == "1" else 0 for bit in text]
 
 
 class _Sliced:
@@ -460,27 +451,61 @@ class _Sliced:
     under assignment i.  ``equal`` and ``below`` give one int whose bit i
     is the comparison under assignment i.  ``full`` has one bit per
     assignment of the current batch and is set before each batch runs.
+
+    Carrier index i is an atom mask: ``carrier[i]`` is the union of the
+    ``atoms[p]`` with bit p set in i.  So a carrier value enters as m atom
+    planes, and cell q takes the plane of its atom (0 off the unit).
     """
 
+    # _BITS[k] maps a byte to b"1" where its bit k is set, else to b"0".
+    _BITS = [bytes(b"01"[x >> k & 1] for x in range(256)) for k in range(8)]
+
     def __init__(self, model: AlgebraModel):
-        n = model.base_size
-        self.n = n
+        self.n = n = model.base_size
         self.model = model
         self.full = 1
-        self.consts = {
-            "zero": "0" * (n * n),
-            "one": _cell_text(model.unit),
-            "id": _cell_text(model.identity),
-        }
+        self.m = m = len(model.atoms)
+        self.shift = 32 - m  # a carrier index is the top m bits of a 32-bit word
+        # The atom that holds each cell; m, the index of a zero plane, off the unit.
+        self.atom_of = [m] * (n * n)
+        for p, atom in enumerate(model.atoms):
+            for a, b in atom.pairs():
+                self.atom_of[a * n + b] = p
+        self.consts = {"zero": 0, "one": (1 << m) - 1, "id": self.index(model.identity)}
         self.transpose = [b * n + a for a in range(n) for b in range(n)]
         self.width_cap = max(1, SLICE_BITS // max(1, n * n))
-        self._members: Optional[List[str]] = None
+
+    def index(self, rel: FiniteRelation) -> int:
+        """The carrier index of rel: the mask of the atoms it contains."""
+        return reduce(or_, (1 << self.atom_of[a * self.n + b] for a, b in rel.pairs()), 0)
 
     def const(self, kind: str) -> List[int]:
-        text = self.consts.get(kind)
-        if text is None:
+        index = self.consts.get(kind)
+        if index is None:
             raise NoForkStructureError(f"constant {_CONST_TEXT[kind]!r}")
-        return _cells(text, self.full)
+        return self.constant(index)
+
+    def constant(self, index: int) -> List[int]:
+        """carrier[index] under every assignment of the batch."""
+        full = self.full
+        return self.value([full if index >> p & 1 else 0 for p in range(self.m)])
+
+    def value(self, planes: List[int]) -> List[int]:
+        """The value whose atom p holds under the assignments of planes[p]."""
+        return list(map([*planes, 0].__getitem__, self.atom_of))
+
+    def column(self, data: bytes, nvars: int = 1, j: int = 0, reps: int = 1) -> List[int]:
+        """Variable j, whose index under assignment i is the top m bits of
+        the little-endian 32-bit word i * nvars + j of data, tiled reps times.
+
+        Plane p is bit 32 - m + p of those words, read off their bytes as text.
+        """
+        stride = 4 * nvars
+        last = len(data) - stride + 4 * j
+        return self.value([
+            int(data[last + b // 8 :: -stride].translate(self._BITS[b % 8]) * reps, 2)
+            for b in range(self.shift, 32)
+        ])
 
     @staticmethod
     def union(v: List[int], w: List[int]) -> List[int]:
@@ -491,8 +516,8 @@ class _Sliced:
         return list(map(and_, v, w))
 
     def complement(self, v: List[int]) -> List[int]:
-        full = self.full
-        return [full ^ x if u == "1" else 0 for u, x in zip(self.consts["one"], v)]
+        full, m = self.full, self.m
+        return [full ^ x if p < m else 0 for p, x in zip(self.atom_of, v)]
 
     def compose(self, v: List[int], w: List[int]) -> List[int]:
         n = self.n
@@ -519,24 +544,6 @@ class _Sliced:
         """The relation of a width-1 value."""
         return _relation(self.n, sum(bit << q for q, bit in enumerate(cells)))
 
-    def column(self, indices: Sequence[int], stretch: int = 1, reps: int = 1):
-        """A variable taking carrier[indices[d]] on bits [d*stretch, (d+1)*stretch).
-
-        The pattern is tiled ``reps`` times; a single index gives a
-        constant over the current batch.
-        """
-        if self._members is None:
-            self._members = [_cell_text(rel) for rel in self.model.carrier]
-        if len(indices) == 1:
-            return _cells(self._members[indices[0]], self.full)
-        text = "".join(itemgetter(*indices[::-1])(self._members))
-        nn = self.n * self.n
-        cells = [text[q::nn] for q in range(nn)]
-        if stretch > 1:
-            widen = {ord("0"): "0" * stretch, ord("1"): "1" * stretch}
-            cells = [cell.translate(widen) for cell in cells]
-        return [int(cell * reps, 2) for cell in cells]
-
     def env(self, env: Dict[str, FiniteRelation]) -> Dict[str, List[int]]:
         """A width-1 batch of one assignment of relations."""
         for name, rel in env.items():
@@ -544,7 +551,7 @@ class _Sliced:
                 raise RelationError(f"base-size mismatch: {rel.base_size} vs {self.n}")
             if rel not in self.model:
                 raise RelationError(f"binding {name!r} is not an element of the model")
-        return {name: _cells(_cell_text(rel), 1) for name, rel in env.items()}
+        return {name: self.constant(self.index(rel)) for name, rel in env.items()}
 
 
 def eval_term(t, env: Dict[str, object], model):
@@ -634,7 +641,8 @@ def _exhaustive_batches(sliced: _Sliced, nvars: int):
     The trailing variables that fit the width span every batch, and their
     columns are built once; the leading ones are constant within a batch.
     When not even one variable fits, the last one is split into chunks of
-    the carrier.
+    the carrier.  A span is read as a sampled batch of one variable, with
+    each index ``stretch`` words.
     """
     size = len(sliced.model.carrier)
     spanned = 0
@@ -649,19 +657,18 @@ def _exhaustive_batches(sliced: _Sliced, nvars: int):
     for lead in itertools.product(range(size), repeat=nvars - len(blocks[0])):
         for block in blocks:
             ranges = tuple(range(i, i + 1) for i in lead) + block
-            width = 1
-            for indices in ranges:
-                width *= len(indices)
+            width = math.prod(map(len, ranges))
             sliced.full = (1 << width) - 1
             columns, stretch = [], width
             for j, indices in enumerate(ranges):
                 stretch //= len(indices)
                 if len(indices) == 1:
-                    columns.append(sliced.column(indices))
+                    columns.append(sliced.constant(indices[0]))
                     continue
                 if (j, indices) not in spans:
+                    words = [(i << sliced.shift).to_bytes(4, "little") * stretch for i in indices]
                     reps = width // (stretch * len(indices))
-                    spans[j, indices] = sliced.column(indices, stretch, reps)
+                    spans[j, indices] = sliced.column(b"".join(words), reps=reps)
                 columns.append(spans[j, indices])
 
             def assignment(i: int, ranges=ranges) -> List[int]:
@@ -678,31 +685,28 @@ def _sampled_batches(sliced: _Sliced, nvars: int, count: int, seed):
     """Batches of ``count`` seeded trials of nvars carrier indices each.
 
     The group draws from its own ``random.Random(seed)``, and trial t
-    reads its words [nvars*t, nvars*t + nvars), variables in order.  The
-    carrier has 2**m elements (every carrier is a Boolean algebra), so an
-    index is the top m bits of one 32-bit word, ``getrandbits(m)`` when
-    m >= 1, and no word is redrawn.  A batch is one bulk draw:
-    ``getrandbits(32 * words)`` holds the next words, the first in the
-    low bits, so one shift and one mask cut every word at once.  The
-    trials are the same whether the formula is checked alone or in a
+    reads its words [nvars*t, nvars*t + nvars), variables in order: an
+    index is the top m bits of one 32-bit word (``getrandbits(m)`` when
+    m >= 1), and no word is redrawn.  A batch is one bulk draw of the next
+    words, the first in the low bits, whose little-endian bytes
+    ``_Sliced.column`` reads.  The trials are the same alone or in a
     suite, and at any ``SAMPLE_BATCH`` or ``SLICE_BITS``.
     """
-    import struct  # only a sampled check loads it
-
     rng = random.Random(seed)
-    m = len(sliced.model.carrier).bit_length() - 1
-    # The low m bits of each word of the first batch, the widest, mask every batch.
-    widest = min(count, SAMPLE_BATCH, sliced.width_cap) * nvars
-    low = int.from_bytes(b"\1\0\0\0" * widest, "little") * ((1 << m) - 1)
+    shift = sliced.shift
     done = 0
     while done < count:
         width = min(count - done, SAMPLE_BATCH, sliced.width_cap)
         sliced.full = (1 << width) - 1
-        words = width * nvars
-        values = rng.getrandbits(32 * words) >> (32 - m) & low
-        drawn = struct.unpack(f"<{words}I", values.to_bytes(4 * words, "little"))
-        columns = [sliced.column(drawn[j::nvars]) for j in range(nvars)]
-        yield width, columns, lambda i, drawn=drawn: drawn[i * nvars : (i + 1) * nvars]
+        nbytes = 4 * width * nvars
+        data = rng.getrandbits(8 * nbytes).to_bytes(nbytes, "little")
+        columns = [sliced.column(data, nvars, j) for j in range(nvars)]
+
+        def assignment(i: int, data=data) -> List[int]:
+            row = range(4 * nvars * i, 4 * nvars * (i + 1), 4)
+            return [int.from_bytes(data[w : w + 4], "little") >> shift for w in row]
+
+        yield width, columns, assignment
         done += width
 
 
@@ -721,15 +725,11 @@ def check_suite(
     variables share each batch: it is enumerated or drawn, and its
     columns built, once, and every formula that has not yet failed
     runs on it (see ``_Sliced``).  A group stops at its last batch or
-    once all its formulas have failed.  So each report is the one the
+    once all its formulas have failed.  A sampled group draws from its own
+    generator (see ``_sampled_batches``), so each report is the one the
     formula would get if checked alone.  The exhaustive strategy refuses
     the whole list if one formula has more than ``DEFAULT_ASSIGNMENT_CAP``
     assignments, and the sampled one a count above that cap.
-
-    In a sampled suite every group draws from its own
-    ``random.Random(seed)``, one word per carrier index (see
-    ``_sampled_batches``): trial t of a formula with k variables reads
-    words [k*t, k*t + k), as if the formula were checked alone.
     """
     formulas = [parse_formula(f) if isinstance(f, str) else f for f in formulas]
     count = sample_count(strategy)

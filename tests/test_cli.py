@@ -896,6 +896,18 @@ REFUSED = {
         {key: MODEL_FILE[key] for key in ("base_size", "carrier")}, [*CHECK_MODEL, "in.json"],
         "malformed model data: 'unit'",
     ),
+    **{
+        f"members-{name}": (
+            None, ["build", "--star", "basic", "--S", members],
+            f"bad member list {members!r}: expected ASCII decimal digits, got {bad!r}",
+        )
+        for name, members, bad in [
+            ("underscore", "1_0", "1_0"),
+            ("sign", "+3", "+3"),
+            ("arabic-indic", "\u0661", "\u0661"),
+            ("letter", "1, x ,2", "x"),
+        ]
+    },
 }
 
 

@@ -294,6 +294,41 @@ class TestAtomsAgainstPairwiseOracles:
                 assert {rel.rows for rel in model.carrier} == expected
 
 
+@st.composite
+def algebras(draw):
+    """A full model, product, power or generated subalgebra, maybe read back
+    by ``model_from_dict`` from a shuffled carrier, as model files may hold it."""
+    source = draw(st.sampled_from(("full", "product", "power", "generated")))
+    if source == "full":
+        model = full_pra(draw(st.integers(0, 3)))
+    elif source == "product":
+        model = draw(st.sampled_from(PRODUCTS))
+    elif source == "power":
+        model = power(full_pra(draw(st.integers(1, 2))), draw(st.integers(0, 2)))
+    else:
+        n = draw(st.integers(1, 3))
+        model = generate_subalgebra(n, draw(st.lists(relations(n), max_size=2)))
+    if draw(st.booleans()):
+        data = model_to_dict(model)
+        draw(st.randoms(use_true_random=False)).shuffle(data["carrier"])
+        model = model_from_dict(data)
+    return model
+
+
+class TestCarrierOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(algebras())
+    def test_index_is_the_atom_mask(self, model):
+        # carrier[i] is the union of atoms[j] over the set bits j of i.
+        assert len(model.carrier) == 1 << len(model.atoms)
+        for i, rel in enumerate(model.carrier):
+            union = model.empty
+            for j, atom in enumerate(model.atoms):
+                if i >> j & 1:
+                    union = union.union(atom)
+            assert rel == union, i
+
+
 class TestIdealsAndClassification:
     def test_full_pra_ideals(self):
         m = full_pra(2)

@@ -1,5 +1,6 @@
 """Term language: parsing, printing, evaluation, and formula checking."""
 
+import functools
 import random
 import types
 
@@ -575,25 +576,31 @@ class TestCheckSuite:
         assert all(r.valid and r.checked == 5000 for r in reports)
 
 
+@functools.lru_cache(maxsize=None)
+def cyclic_algebra(k):
+    """The algebra the k-cycle generates on [0, k): 2**k elements, k atoms of k cells."""
+    return generate_subalgebra(k, [FiniteRelation.from_pairs(k, [(i, (i + 1) % k) for i in range(k)])])
+
+
 class TestSampleStream:
     """Each sampled index is the top m bits of one seeded 32-bit word."""
 
     @pytest.mark.parametrize("seed", [11, -4, "suite"])
     @pytest.mark.parametrize("size", [1 << m for m in range(17)])
     def test_indices_are_the_top_bits_of_one_word(self, monkeypatch, size, seed):
-        # Three batches of two-variable trials over a carrier of 2**m indices.
+        # Three batches of two-variable trials over a carrier of 2**m elements;
+        # bit i of each variable's cells is its element under trial i.
         monkeypatch.setattr(terms, "SAMPLE_BATCH", 250)
         m = size.bit_length() - 1
-        sliced = types.SimpleNamespace(
-            model=types.SimpleNamespace(carrier=range(size)),
-            width_cap=1 << 20,
-            full=1,
-            column=list,
-        )
+        model = cyclic_algebra(m)
+        assert len(model.carrier) == size
+        sliced = terms._Sliced(model)
         got = []
         for width, columns, assignment in terms._sampled_batches(sliced, 2, 700, seed):
-            trials = [assignment(i) for i in range(width)]
-            assert columns == [[t[0] for t in trials], [t[1] for t in trials]]
-            got += [index for trial in trials for index in trial]
+            for i in range(width):
+                trial = assignment(i)
+                decoded = [sliced.relation([cell >> i & 1 for cell in column]) for column in columns]
+                assert decoded == [model.carrier[index] for index in trial]
+                got += trial
         rng = random.Random(seed)
         assert got == [rng.getrandbits(32) >> (32 - m) for _ in range(2 * 700)]
