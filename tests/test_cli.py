@@ -78,6 +78,12 @@ PINNED = {
         ["check", "--model", "product_1_1.json", "--suite", "cr_tarski",
          "--sampled", "3000", "--seed", "4"],
     ),
+    # A sampled run over the 65,536 elements of full:4.
+    "check-full4-equational-sampled": (
+        "check_full4_equational_sampled", 0,
+        ["check", "--model", "full:4", "--suite", "cr_equational",
+         "--sampled", "2000", "--seed", "5"],
+    ),
     # The urelements' partial identity beside the first projection.
     "eval-tree-urelements": (
         "eval_tree_urelements", 0,
