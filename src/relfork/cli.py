@@ -175,7 +175,7 @@ def _cmd_check(args) -> Tuple[Dict, int, Scope]:
         # refused before the model is built; a model file must be read first.
         n = _full_base(args.model)
         model = relcore.load_model(args.model) if n is None else None
-        size = relcore.full_carrier_size(n) if model is None else len(model.carrier)
+        size = relcore.full_carrier_size(n) if model is None else 1 << len(model.atoms)
         if strategy == "exhaustive":
             terms.check_budget(formulas, size)
         if model is None:

@@ -7,15 +7,14 @@ each left row.  Converse walks the pairs of a sparse relation and reads
 the columns of a dense one off a single bit string, so it costs
 O(min(pairs, n²)) steps.
 
-An :class:`AlgebraModel` packages a carrier of relations together with
-its unit, identity and empty element.  ``full_pra(n)`` builds the full
-algebra over a base of size n (every subset of the unit ``n x n``).  Every
-model derives ``is_full``: its carrier holds distinct subsets of the unit,
-so it is full exactly when it has 2^(n*n) elements.
-Products, generated subalgebras, ideal elements and the classification
-into trivial / simple / prime live here as well.  Every model is checked,
-and subalgebras are generated, through its atoms (``AlgebraModel.atoms``),
-found by partition refinement of the unit's cells.
+An :class:`AlgebraModel` is a Boolean algebra with operators, stored as
+its atoms with its unit, identity and empty element; its carrier of 2^k
+relations is built only when read.  ``full_pra(n)``, the full algebra
+over a base of size n, has the n*n single cells as atoms, and a model is
+full (``is_full``) exactly when it has n*n atoms.  Products, generated
+subalgebras, ideal elements and the classification into trivial /
+simple / prime live here as well.  A carrier from outside is checked, and
+subalgebras are generated, by partition refinement of the unit's cells.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from operator import and_, or_
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import RelforkError
 from .node import Node
@@ -174,23 +173,17 @@ def _refine(blocks: List[int], splitters: Iterable[int], limit: int) -> List[int
 
 
 class AlgebraModel:
-    """A finite proper relation algebra given by its carrier of relations.
+    """A finite proper relation algebra stored as its atoms, sorted by ``rows``.
 
-    ``carrier[i]`` is the union of ``atoms[j]`` over the set bits j of i:
-    both are sorted by ``rows``, and of two unions of atoms the greater is
-    the one holding the largest atom they do not share.
+    ``element(i)`` is the union of the atoms at the set bits of i, and
+    ``index(rel)`` is rel's atom mask, or None when rel is not an element.
+    Of two unions of atoms the greater by ``rows`` holds the largest atom
+    they do not share, so ``carrier``, every element in index order and
+    built on first read, is sorted by ``rows``.  The constructor checks a
+    carrier from outside; ``of_atoms`` takes atoms closed by construction.
     """
 
-    __slots__ = (
-        "base_size",
-        "carrier",
-        "unit",
-        "identity",
-        "empty",
-        "is_full",
-        "atoms",
-        "_carrier_set",
-    )
+    __slots__ = ("base_size", "unit", "identity", "empty", "is_full", "atoms", "_carrier")
 
     def __init__(
         self,
@@ -205,63 +198,96 @@ class AlgebraModel:
             raise RelationError(
                 f"carrier size {len(carrier)} exceeds cap {MAX_CARRIER}"
             )
+        elements = {rel.rows: rel for rel in carrier}
+        empty = FiniteRelation.empty(base_size)
+        for name, rel in (("unit", unit), ("identity", identity), ("empty", empty)):
+            if rel.base_size != base_size:
+                raise RelationError(f"{name} has base size {rel.base_size}, expected {base_size}")
+            if rel.rows not in elements:
+                raise RelationError(f"distinguished element {name} not in carrier")
+        for rel in elements.values():
+            if not rel.is_subset(unit):
+                raise RelationError("carrier element not contained in the unit")
+        if len(elements) == 1 << (base_size * base_size):
+            atoms = full_pra(base_size).atoms
+        else:
+            atoms = _closed_atoms(elements, unit)
+        self._adopt(base_size, atoms, unit, identity)
+
+    @classmethod
+    def of_atoms(cls, base_size: int, atoms, unit, identity) -> "AlgebraModel":
+        """The model of ``atoms``, which are closed by how they were built."""
+        model = cls.__new__(cls)
+        model._adopt(base_size, atoms, unit, identity)
+        return model
+
+    def _adopt(self, base_size, atoms, unit, identity) -> None:
         self.base_size = base_size
-        self.carrier = tuple(sorted(set(carrier), key=lambda rel: rel.rows))
+        self.atoms = tuple(sorted(atoms, key=lambda rel: rel.rows))
         self.unit = unit
         self.identity = identity
         self.empty = FiniteRelation.empty(base_size)
-        self.is_full = len(self.carrier) == 1 << (base_size * base_size)
-        self._carrier_set = frozenset(rel.rows for rel in self.carrier)
-        self._validate()
+        self.is_full = len(self.atoms) == base_size * base_size
+        self._carrier = None
+
+    def element(self, i: int) -> FiniteRelation:
+        """The union of the atoms at the set bits of i."""
+        return _relation(self.base_size, sum(_code(a) for p, a in enumerate(self.atoms) if i >> p & 1))
+
+    def index(self, rel: FiniteRelation) -> Optional[int]:
+        """rel's atom mask, or None when rel is not a union of atoms."""
+        if rel.base_size != self.base_size:
+            return None
+        code, mask = _code(rel), 0
+        for p, cells in enumerate(map(_code, self.atoms)):
+            if code & cells == cells:
+                code ^= cells
+                mask |= 1 << p
+        return None if code else mask
 
     def __contains__(self, rel: FiniteRelation) -> bool:
-        return rel.base_size == self.base_size and rel.rows in self._carrier_set
+        return self.index(rel) is not None
 
-    def _validate(self) -> None:
-        for name, rel in (("unit", self.unit), ("identity", self.identity), ("empty", self.empty)):
-            if rel.base_size != self.base_size:
-                raise RelationError(f"{name} has base size {rel.base_size}, expected {self.base_size}")
-            if rel not in self:
-                raise RelationError(f"distinguished element {name} not in carrier")
-        for rel in self.carrier:
-            if not rel.is_subset(self.unit):
-                raise RelationError("carrier element not contained in the unit")
-        n = self.base_size
-        if self.is_full:
-            atoms = [_relation(n, 1 << q) for q in range(n * n)]
-        else:
-            atoms = self._closed_atoms()
-        self.atoms = tuple(sorted(atoms, key=lambda rel: rel.rows))
-
-    def _closed_atoms(self) -> List[FiniteRelation]:
-        """The atoms; RelationError unless the carrier is a subalgebra.
-
-        The carrier is a Boolean algebra under the unit iff its 2^k elements
-        are the unions of the k blocks its elements split the unit into.  A
-        Boolean algebra with operators is closed under them iff its atoms
-        are (Jonsson and Tarski 1951), so O(c.k + k^2) work replaces O(c^2).
-        """
-        size = len(self.carrier)
-        k = size.bit_length() - 1
-        not_boolean = "carrier is not a Boolean algebra under the unit: "
-        if size != 1 << k:
-            raise RelationError(not_boolean + f"its size {size} is not a power of two")
-        cells = _code(self.unit)
-        blocks = _refine([cells] if cells else [], map(_code, self.carrier), k)
-        if len(blocks) > k:
-            raise RelationError(not_boolean + f"its elements split the unit into more than {k} atoms")
-        atoms = [_relation(self.base_size, b) for b in blocks]
-        if any(_code(a.converse()) not in blocks for a in atoms):
-            raise RelationError("carrier not closed under converse")
-        if any(a.compose(b) not in self for a in atoms for b in atoms):
-            raise RelationError("carrier not closed under composition")
-        return atoms
+    @property
+    def carrier(self) -> Tuple[FiniteRelation, ...]:
+        """Every element in index order: ``carrier[i] == element(i)``."""
+        if self._carrier is None:
+            codes = [0]
+            for cells in map(_code, self.atoms):
+                codes += [code | cells for code in codes]
+            self._carrier = tuple(_relation(self.base_size, code) for code in codes)
+        return self._carrier
 
     def __repr__(self) -> str:
         shape = "full" if self.is_full else "proper"
         return (
-            f"AlgebraModel(base={self.base_size}, carrier={len(self.carrier)}, {shape})"
+            f"AlgebraModel(base={self.base_size}, carrier={1 << len(self.atoms)}, {shape})"
         )
+
+
+def _closed_atoms(elements: Dict[Tuple[int, ...], FiniteRelation], unit: FiniteRelation):
+    """The atoms of ``elements``, keyed by rows; RelationError unless a subalgebra.
+
+    The carrier is a Boolean algebra under the unit iff its 2^k elements
+    are the unions of the k blocks its elements split the unit into.  A
+    Boolean algebra with operators is closed under them iff its atoms
+    are (Jonsson and Tarski 1951), so O(c.k + k^2) work replaces O(c^2).
+    """
+    size = len(elements)
+    k = size.bit_length() - 1
+    not_boolean = "carrier is not a Boolean algebra under the unit: "
+    if size != 1 << k:
+        raise RelationError(not_boolean + f"its size {size} is not a power of two")
+    cells = _code(unit)
+    blocks = _refine([cells] if cells else [], map(_code, elements.values()), k)
+    if len(blocks) > k:
+        raise RelationError(not_boolean + f"its elements split the unit into more than {k} atoms")
+    atoms = [_relation(unit.base_size, b) for b in blocks]
+    if any(_code(a.converse()) not in blocks for a in atoms):
+        raise RelationError("carrier not closed under converse")
+    if any(a.compose(b).rows not in elements for a in atoms for b in atoms):
+        raise RelationError("carrier not closed under composition")
+    return atoms
 
 
 def full_carrier_size(n: int) -> int:
@@ -279,10 +305,10 @@ def full_carrier_size(n: int) -> int:
 
 def full_pra(n: int) -> AlgebraModel:
     """The full proper relation algebra over a base of n elements."""
-    size = full_carrier_size(n)
-    return AlgebraModel(
+    full_carrier_size(n)
+    return AlgebraModel.of_atoms(
         n,
-        [_relation(n, code) for code in range(size)],
+        [_relation(n, 1 << q) for q in range(n * n)],
         unit=FiniteRelation.full(n),
         identity=FiniteRelation.identity(n),
     )
@@ -324,34 +350,30 @@ class Classification:
 
 
 def classify(model: AlgebraModel) -> Classification:
-    return Classification(len(ideal_elements(model)), len(model.carrier))
+    return Classification(len(ideal_elements(model)), 1 << len(model.atoms))
 
 
 def direct_product(m1: AlgebraModel, m2: AlgebraModel) -> AlgebraModel:
     """Direct product realized on the disjoint union of the two bases.
 
-    An element is the union of a component of m1 with a shifted component
-    of m2; the unit is the union of the two units, so the product is
-    full only when one factor has base 0 and the other is full.
+    Its atoms are m1's atoms and m2's atoms shifted by m1's base, and its
+    unit is the union of the two units, so the product is full only when
+    one factor has base 0 and the other is full.
     """
     n1, n2 = m1.base_size, m2.base_size
     n = n1 + n2
     if n > MAX_BASE:
         raise RelationError(f"product base size {n} exceeds cap {MAX_BASE}")
-    if len(m1.carrier) * len(m2.carrier) > MAX_CARRIER:
+    if 1 << (len(m1.atoms) + len(m2.atoms)) > MAX_CARRIER:
         raise RelationError("product carrier exceeds size cap")
 
-    def shift(rel: FiniteRelation) -> Tuple[int, ...]:
-        return tuple(row << n1 for row in rel.rows)
-
     def combine(r1: FiniteRelation, r2: FiniteRelation) -> FiniteRelation:
-        rows2 = shift(r2)
-        return FiniteRelation(n, tuple(r1.rows) + rows2)
+        return FiniteRelation(n, r1.rows + tuple(row << n1 for row in r2.rows))
 
-    carrier = [combine(r1, r2) for r1 in m1.carrier for r2 in m2.carrier]
-    return AlgebraModel(
+    atoms = [combine(a, m2.empty) for a in m1.atoms] + [combine(m1.empty, a) for a in m2.atoms]
+    return AlgebraModel.of_atoms(
         n,
-        carrier,
+        atoms,
         unit=combine(m1.unit, m2.unit),
         identity=combine(m1.identity, m2.identity),
     )
@@ -372,8 +394,8 @@ def generate_subalgebra(base_size: int, generators: Iterable[FiniteRelation]) ->
 
     Its atoms are the blocks of the coarsest partition of the unit that
     the generators and the identity split, and that converses and
-    compositions of its own blocks split no further.  The carrier, every
-    union of the k atoms, is built only once 2^k is known to fit ``MAX_CARRIER``.
+    compositions of its own blocks split no further.  The model is made
+    from its k atoms only once 2^k is known to fit ``MAX_CARRIER``.
     """
     if base_size > MAX_BASE:
         raise RelationError(f"base size {base_size} exceeds cap {MAX_BASE}")
@@ -398,16 +420,7 @@ def generate_subalgebra(base_size: int, generators: Iterable[FiniteRelation]) ->
         raise RelationError(
             f"generated carrier of at least 2**{len(blocks)} elements exceeds cap {MAX_CARRIER}"
         )
-
-    codes = [0]
-    for b in blocks:
-        codes += [code | b for code in codes]
-    return AlgebraModel(
-        base_size,
-        [_relation(base_size, code) for code in codes],
-        unit=unit,
-        identity=identity,
-    )
+    return AlgebraModel.of_atoms(base_size, atoms, unit=unit, identity=identity)
 
 
 def _pairs_to_json(rel: FiniteRelation) -> List[List[int]]:
@@ -455,6 +468,8 @@ def model_from_dict(data: dict) -> AlgebraModel:
     try:
         if not isinstance(data["carrier"], (list, tuple)):
             raise RelationError("carrier must be a list of pair lists")
+        if len(data["carrier"]) > MAX_CARRIER:
+            raise RelationError(f"carrier size {len(data['carrier'])} exceeds cap {MAX_CARRIER}")
         carrier = [
             FiniteRelation.from_pairs(base_size, pairs_from_json(rel))
             for rel in data["carrier"]

@@ -452,9 +452,10 @@ class _Sliced:
     is the comparison under assignment i.  ``full`` has one bit per
     assignment of the current batch and is set before each batch runs.
 
-    Carrier index i is an atom mask: ``carrier[i]`` is the union of the
-    ``atoms[p]`` with bit p set in i.  So a carrier value enters as m atom
-    planes, and cell q takes the plane of its atom (0 off the unit).
+    A carrier value is its index i, the model's atom mask (``element(i)``
+    is the union of the ``atoms[p]`` with bit p set in i, and
+    ``index(rel)`` is rel's mask).  So it enters as m atom planes, and cell
+    q takes the plane of its atom (0 off the unit); no carrier is listed.
     """
 
     # _BITS[k] maps a byte to b"1" where its bit k is set, else to b"0".
@@ -471,13 +472,9 @@ class _Sliced:
         for p, atom in enumerate(model.atoms):
             for a, b in atom.pairs():
                 self.atom_of[a * n + b] = p
-        self.consts = {"zero": 0, "one": (1 << m) - 1, "id": self.index(model.identity)}
+        self.consts = {"zero": 0, "one": (1 << m) - 1, "id": model.index(model.identity)}
         self.transpose = [b * n + a for a in range(n) for b in range(n)]
         self.width_cap = max(1, SLICE_BITS // max(1, n * n))
-
-    def index(self, rel: FiniteRelation) -> int:
-        """The carrier index of rel: the mask of the atoms it contains."""
-        return reduce(or_, (1 << self.atom_of[a * self.n + b] for a, b in rel.pairs()), 0)
 
     def const(self, kind: str) -> List[int]:
         index = self.consts.get(kind)
@@ -551,7 +548,7 @@ class _Sliced:
                 raise RelationError(f"base-size mismatch: {rel.base_size} vs {self.n}")
             if rel not in self.model:
                 raise RelationError(f"binding {name!r} is not an element of the model")
-        return {name: self.constant(self.index(rel)) for name, rel in env.items()}
+        return {name: self.constant(self.model.index(rel)) for name, rel in env.items()}
 
 
 def eval_term(t, env: Dict[str, object], model):
@@ -644,7 +641,7 @@ def _exhaustive_batches(sliced: _Sliced, nvars: int):
     the carrier.  A span is read as a sampled batch of one variable, with
     each index ``stretch`` words.
     """
-    size = len(sliced.model.carrier)
+    size = 1 << sliced.m
     spanned = 0
     while spanned < nvars and size ** (spanned + 1) <= sliced.width_cap:
         spanned += 1
@@ -733,9 +730,8 @@ def check_suite(
     """
     formulas = [parse_formula(f) if isinstance(f, str) else f for f in formulas]
     count = sample_count(strategy)
-    carrier = model.carrier
     if count is None:
-        check_budget(formulas, len(carrier))
+        check_budget(formulas, 1 << len(model.atoms))
     scope = Scope("exhaustive", None) if count is None else Scope("sampled", count)
     texts = [pretty(f) for f in formulas]
     names = [free_variables(f) for f in formulas]
@@ -759,7 +755,7 @@ def check_suite(
                     passing.append(k)
                     continue
                 counterexample = {
-                    name: carrier[i] for name, i in zip(names[k], assignment(failure))
+                    name: model.element(i) for name, i in zip(names[k], assignment(failure))
                 }
                 reports[k] = CheckReport(
                     texts[k], scope, False, checked + failure + 1, counterexample

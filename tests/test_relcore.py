@@ -328,6 +328,49 @@ class TestCarrierOrder:
                     union = union.union(atom)
             assert rel == union, i
 
+    @settings(max_examples=60, deadline=None)
+    @given(algebras())
+    def test_element_and_index_are_inverse_and_follow_rows_order(self, model):
+        carrier = model.carrier
+        assert list(carrier) == sorted(carrier, key=lambda rel: rel.rows)
+        for i, rel in enumerate(carrier):
+            assert model.element(i) == rel and model.index(rel) == i, i
+            assert rel in model
+
+    @settings(max_examples=60, deadline=None)
+    @given(algebras())
+    def test_validating_constructor_finds_the_built_atoms(self, model):
+        # The carrier as a model file would list it, read back and checked.
+        back = AlgebraModel(model.base_size, list(model.carrier), model.unit, model.identity)
+        assert back.atoms == model.atoms and back.is_full is model.is_full
+        assert back.carrier == model.carrier
+
+    @settings(max_examples=60, deadline=None)
+    @given(algebras(), st.data())
+    def test_index_refuses_a_partly_covered_atom(self, model, data):
+        # An atom, or the unit, less one cell of that atom is below the unit
+        # but covers the atom only in part.
+        wide = [atom for atom in model.atoms if atom.count() > 1]
+        if not wide:
+            return
+        atom = data.draw(st.sampled_from(wide))
+        cell = FiniteRelation.from_pairs(model.base_size, [data.draw(st.sampled_from(atom.pairs()))])
+        for whole in (atom, model.unit):
+            partial = cell.complement_in(whole)
+            assert partial.count() and model.index(partial) is None and partial not in model
+
+    def test_index_refuses_another_base_and_cells_off_the_unit(self):
+        model = direct_product(full_pra(1), full_pra(1))
+        assert model.index(FiniteRelation.empty(1)) is None
+        assert model.index(FiniteRelation.from_pairs(2, [(0, 1)])) is None
+        assert model.index(FiniteRelation.from_pairs(2, [(1, 1)])) == 0b01
+        assert model.index(model.unit) == 0b11
+        # The identity and diversity atoms of base 2, each of two cells.
+        model = generate_subalgebra(2, [])
+        assert model.index(FiniteRelation.identity(2)) == 0b01
+        assert model.index(FiniteRelation.from_pairs(2, [(0, 0)])) is None
+        assert model.index(FiniteRelation.from_pairs(2, [(0, 1), (1, 1)])) is None
+
 
 class TestIdealsAndClassification:
     def test_full_pra_ideals(self):
@@ -366,6 +409,19 @@ class TestIdealsAndClassification:
 
 
 EMPTY1, FULL1, FULL2 = FiniteRelation.empty(1), FiniteRelation.full(1), FiniteRelation.full(2)
+
+
+def unbuilt(call):
+    """call() with ``FiniteRelation.from_pairs`` failing the test if it runs."""
+
+    def built(*args):
+        raise AssertionError("a relation was built before the refusal")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FiniteRelation, "from_pairs", built)
+        return call()
+
+
 MAX_BASE, MAX_CARRIER = relcore.MAX_BASE, relcore.MAX_CARRIER
 # name: (refused call, error type, message); every refusal before any work.
 REFUSALS = {
@@ -379,6 +435,12 @@ REFUSALS = {
     ),
     "model-carrier-cap": (
         lambda: AlgebraModel(1, [EMPTY1] * (MAX_CARRIER + 1), FULL1, FULL1),
+        RelationError, f"carrier size {MAX_CARRIER + 1} exceeds cap {MAX_CARRIER}",
+    ),
+    "model-file-carrier-cap": (
+        lambda: unbuilt(lambda: model_from_dict(
+            {"base_size": 1, "carrier": [[]] * (MAX_CARRIER + 1), "unit": [[0, 0]]}
+        )),
         RelationError, f"carrier size {MAX_CARRIER + 1} exceeds cap {MAX_CARRIER}",
     ),
     "distinguished-on-another-base": (

@@ -8,6 +8,7 @@ import pytest
 
 from relfork import (
     AXIOM_TEXTS,
+    AlgebraModel,
     And,
     Complement,
     Compose,
@@ -574,6 +575,25 @@ class TestCheckSuite:
         assert len(model.carrier) == 1
         reports = check_suite(["x = y", "x;1 = x"], model, strategy=("sampled", 5000), seed=2)
         assert all(r.valid and r.checked == 5000 for r in reports)
+
+    @pytest.fixture
+    def unread_carrier(self, monkeypatch):
+        def read(model):
+            raise AssertionError("the carrier was read")
+
+        monkeypatch.setattr(AlgebraModel, "carrier", property(read))
+
+    @pytest.mark.parametrize("suite", ["cr_equational", "cr_tarski"])
+    def test_sampled_check_reads_no_carrier(self, unread_carrier, suite):
+        reports = check_suite(axiom_suite(suite), full_pra(4), strategy=("sampled", 300), seed=5)
+        assert all(r.valid and r.checked == 300 for r in reports)
+
+    def test_sampled_counterexample_is_built_from_its_atoms(self, unread_carrier):
+        # cr_tarski fails on the 1x1 product; the counterexample is element(i).
+        model = direct_product(full_pra(1), full_pra(1))
+        reports = check_suite(axiom_suite("cr_tarski"), model, strategy=("sampled", 3000), seed=4)
+        failed = [r for r in reports if not r.valid]
+        assert len(failed) == 1 and failed[0].counterexample_text() == {"x": [(1, 1)]}
 
 
 @functools.lru_cache(maxsize=None)
