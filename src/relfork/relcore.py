@@ -232,7 +232,8 @@ class AlgebraModel:
 
     def element(self, i: int) -> FiniteRelation:
         """The union of the atoms at the set bits of i."""
-        return _relation(self.base_size, sum(_code(a) for p, a in enumerate(self.atoms) if i >> p & 1))
+        cells = (_code(atom) for p, atom in enumerate(self.atoms) if i >> p & 1)
+        return _relation(self.base_size, sum(cells))
 
     def index(self, rel: FiniteRelation) -> Optional[int]:
         """rel's atom mask, or None when rel is not a union of atoms."""
