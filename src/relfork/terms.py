@@ -30,9 +30,8 @@ batch of one.
 
 from __future__ import annotations
 
-import itertools
-import math
 import random
+import struct
 from functools import reduce
 from operator import and_, invert, or_, xor
 from typing import Callable, Dict, List, Optional, Tuple
@@ -491,18 +490,12 @@ class _Sliced:
         """The value whose atom p holds under the assignments of planes[p]."""
         return list(map([*planes, 0].__getitem__, self.atom_of))
 
-    def column(self, data: bytes, nvars: int = 1, j: int = 0, reps: int = 1) -> List[int]:
-        """Variable j, whose index under assignment i is the top m bits of
-        the little-endian 32-bit word i * nvars + j of data, tiled reps times.
-
-        Plane p is bit 32 - m + p of those words, read off their bytes as text.
-        """
+    def planes(self, data: bytes, bits: range, nvars: int = 1, j: int = 0) -> List[int]:
+        """One int per b in bits, whose bit i is bit b of the little-endian
+        32-bit word i * nvars + j of data, read off its bytes as text."""
         stride = 4 * nvars
         last = len(data) - stride + 4 * j
-        return self.value([
-            int(data[last + b // 8 :: -stride].translate(self._BITS[b % 8]) * reps, 2)
-            for b in range(self.shift, 32)
-        ])
+        return [int(data[last + b // 8 :: -stride].translate(self._BITS[b % 8]), 2) for b in bits]
 
     @staticmethod
     def union(v: List[int], w: List[int]) -> List[int]:
@@ -635,47 +628,30 @@ def _first_failure(mask: int, full: int) -> Optional[int]:
 def _exhaustive_batches(sliced: _Sliced, nvars: int):
     """Batches covering carrier**nvars in itertools.product order.
 
-    The trailing variables that fit the width span every batch, and their
-    columns are built once; the leading ones are constant within a batch.
-    When not even one variable fits, the last one is split into chunks of
-    the carrier.  A span is read as a sampled batch of one variable, with
-    each index ``stretch`` words.
+    That order is counting: under assignment t, variable j's index is the
+    m-bit digit of t at bit m * (nvars - 1 - j), so atom p of variable j
+    holds where bit m * (nvars - 1 - j) + p of t is set.  A batch is an
+    aligned block [lo, lo + 2**w) of assignments, 2**w the largest power of
+    two within ``width_cap`` and the space.  A bit below w of lo + i is bit
+    i's own, the same plane in every batch, read once off the counting
+    words 0, 1, ..., 2**w - 1; a bit from w up is lo's, ``full`` or 0.
     """
-    size = 1 << sliced.m
-    spanned = 0
-    while spanned < nvars and size ** (spanned + 1) <= sliced.width_cap:
-        spanned += 1
-    if spanned or not nvars:
-        blocks = [(range(size),) * spanned]
-    else:
-        cap = sliced.width_cap
-        blocks = [(range(j, min(j + cap, size)),) for j in range(0, size, cap)]
-    spans: Dict[Tuple[int, range], List[int]] = {}
-    for lead in itertools.product(range(size), repeat=nvars - len(blocks[0])):
-        for block in blocks:
-            ranges = tuple(range(i, i + 1) for i in lead) + block
-            width = math.prod(map(len, ranges))
-            sliced.full = (1 << width) - 1
-            columns, stretch = [], width
-            for j, indices in enumerate(ranges):
-                stretch //= len(indices)
-                if len(indices) == 1:
-                    columns.append(sliced.constant(indices[0]))
-                    continue
-                if (j, indices) not in spans:
-                    words = [(i << sliced.shift).to_bytes(4, "little") * stretch for i in indices]
-                    reps = width // (stretch * len(indices))
-                    spans[j, indices] = sliced.column(b"".join(words), reps=reps)
-                columns.append(spans[j, indices])
+    m, span = sliced.m, sliced.m * nvars  # span: the bits of an assignment number
+    w = min(sliced.width_cap.bit_length() - 1, span)
+    width = 1 << w
+    full = (1 << width) - 1
+    step = min(width, 4096)  # words packed at a time, so no 2**w-int tuple is made
+    words = (struct.pack(f"<{step}I", *range(s, s + step)) for s in range(0, width, step))
+    low = sliced.planes(b"".join(words), range(w))
+    for lo in range(0, 1 << span, width):
+        sliced.full = full
+        bits = low + [full if lo >> b & 1 else 0 for b in range(w, span)]
+        columns = [sliced.value(bits[m * j : m * j + m]) for j in reversed(range(nvars))]
 
-            def assignment(i: int, ranges=ranges) -> List[int]:
-                digits = []
-                for indices in reversed(ranges):
-                    i, digit = divmod(i, len(indices))
-                    digits.append(indices[digit])
-                return digits[::-1]
+        def assignment(i: int, lo=lo) -> List[int]:
+            return [(lo + i) >> (m * j) & ((1 << m) - 1) for j in reversed(range(nvars))]
 
-            yield width, columns, assignment
+        yield width, columns, assignment
 
 
 def _sampled_batches(sliced: _Sliced, nvars: int, count: int, seed):
@@ -686,18 +662,19 @@ def _sampled_batches(sliced: _Sliced, nvars: int, count: int, seed):
     index is the top m bits of one 32-bit word (``getrandbits(m)`` when
     m >= 1), and no word is redrawn.  A batch is one bulk draw of the next
     words, the first in the low bits, whose little-endian bytes
-    ``_Sliced.column`` reads.  The trials are the same alone or in a
+    ``_Sliced.planes`` reads.  The trials are the same alone or in a
     suite, and at any ``SAMPLE_BATCH`` or ``SLICE_BITS``.
     """
     rng = random.Random(seed)
     shift = sliced.shift
+    top = range(shift, 32)
     done = 0
     while done < count:
         width = min(count - done, SAMPLE_BATCH, sliced.width_cap)
         sliced.full = (1 << width) - 1
         nbytes = 4 * width * nvars
         data = rng.getrandbits(8 * nbytes).to_bytes(nbytes, "little")
-        columns = [sliced.column(data, nvars, j) for j in range(nvars)]
+        columns = [sliced.value(sliced.planes(data, top, nvars, j)) for j in range(nvars)]
 
         def assignment(i: int, data=data) -> List[int]:
             row = range(4 * nvars * i, 4 * nvars * (i + 1), 4)
