@@ -170,17 +170,8 @@ def _cmd_check(args) -> Tuple[Dict, int, Scope]:
                 f"suite {suite!r} needs a pairing function target; use --star"
             )
         texts = terms.AXIOM_TEXTS[suite]
-        formulas = terms.axiom_suite(suite)
-        # A full:N carrier's size follows from N, so an oversized space is
-        # refused before the model is built; a model file must be read first.
-        n = _full_base(args.model)
-        model = relcore.load_model(args.model) if n is None else None
-        size = relcore.full_carrier_size(n) if model is None else 1 << len(model.atoms)
-        if strategy == "exhaustive":
-            terms.check_budget(formulas, size)
-        if model is None:
-            model = relcore.full_pra(n)
-        reports = terms.check_suite(formulas, model, strategy=strategy, seed=seed)
+        model = _resolve_model(args.model)
+        reports = terms.check_suite(texts, model, strategy=strategy, seed=seed)
         results = [
             {
                 "axiom": text,

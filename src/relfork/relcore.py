@@ -291,8 +291,8 @@ def _closed_atoms(elements: Dict[Tuple[int, ...], FiniteRelation], unit: FiniteR
     return atoms
 
 
-def full_carrier_size(n: int) -> int:
-    """The carrier size of ``full_pra(n)``, 2**(n*n); refuses what it refuses."""
+def full_pra(n: int) -> AlgebraModel:
+    """The full proper relation algebra over a base of n elements."""
     if n < 0:
         raise RelationError("base size must be nonnegative")
     cap = math.isqrt(MAX_CARRIER.bit_length() - 1)  # the largest n with 2**(n*n) <= MAX_CARRIER
@@ -301,12 +301,6 @@ def full_carrier_size(n: int) -> int:
             f"full_pra base {n} exceeds cap {cap} "
             f"(carrier would have 2**{n * n} elements)"
         )
-    return 1 << (n * n)
-
-
-def full_pra(n: int) -> AlgebraModel:
-    """The full proper relation algebra over a base of n elements."""
-    full_carrier_size(n)
     return AlgebraModel.of_atoms(
         n,
         [_relation(n, 1 << q) for q in range(n * n)],
@@ -316,13 +310,18 @@ def full_pra(n: int) -> AlgebraModel:
 
 
 def ideal_elements(model: AlgebraModel) -> Tuple[FiniteRelation, ...]:
-    """Elements x with 1;x;1 = x."""
+    """Elements x with 1;x;1 = x, sorted by ``rows``.
+
+    x is the union of 1;a;1 over the atoms a below it, and two such
+    minimal ideals are equal or disjoint, so the ideal elements are the
+    unions of the distinct 1;a;1.
+    """
     unit = model.unit
-    out = []
-    for x in model.carrier:
-        if unit.compose(x).compose(unit) == x:
-            out.append(x)
-    return tuple(out)
+    codes = [0]
+    for cells in {_code(unit.compose(a).compose(unit)) for a in model.atoms}:
+        codes += [code | cells for code in codes]
+    ideals = (_relation(model.base_size, code) for code in codes)
+    return tuple(sorted(ideals, key=lambda rel: rel.rows))
 
 
 class Classification:

@@ -20,9 +20,12 @@ under assignment i, and a formula's value is one int with a bit per
 assignment.  A carrier is a Boolean algebra of 2**m elements, and index
 i is the mask of the atoms below its element, so a carrier value enters a
 batch as m atom planes.  ``check_suite`` runs whole batches, exhaustive
-or seeded; the formulas of one arity share each batch.  A sampled arity
-draws from its own ``random.Random(seed)``, an index the top m bits of one
-32-bit word.  ``check_formula`` is a suite of one, and
+or seeded; the formulas of one arity share each batch.  An exhaustive
+arity counts: assignment t gives its variables the m-bit digits of t, and
+a batch is an aligned block of 2**w numbers t.  A sampled arity draws
+from its own ``random.Random(seed)``, an index the top m bits of one
+32-bit word.  Both read their atom planes off 32-bit words with
+``_Sliced.planes``.  ``check_formula`` is a suite of one, and
 ``eval_term``/``eval_formula`` run a batch of one.
 Over a pairing function the operations are ``ForkBackend``'s, always a
 batch of one.
@@ -581,18 +584,6 @@ class CheckReport(Node):
 DEFAULT_ASSIGNMENT_CAP = 1 << 27
 
 
-def check_budget(formulas, size: int) -> None:
-    """Refuse, before any work, a formula whose assignment space over a
-    carrier of ``size`` elements exceeds ``DEFAULT_ASSIGNMENT_CAP``."""
-    for formula in formulas:
-        nvars = len(free_variables(formula))
-        if size**nvars > DEFAULT_ASSIGNMENT_CAP:
-            raise EvalError(
-                f"assignment space {size}**{nvars} exceeds cap {DEFAULT_ASSIGNMENT_CAP}; "
-                "use a sampled strategy"
-            )
-
-
 def sample_count(strategy) -> Optional[int]:
     """The trial count of ``("sampled", count)``, or None for ``"exhaustive"``.
 
@@ -701,17 +692,23 @@ def check_suite(
     runs on it (see ``_Sliced``).  A group stops at its last batch or
     once all its formulas have failed.  A sampled group draws from its own
     generator (see ``_sampled_batches``), so each report is the one the
-    formula would get if checked alone.  The exhaustive strategy refuses
-    the whole list if one formula has more than ``DEFAULT_ASSIGNMENT_CAP``
-    assignments, and the sampled one a count above that cap.
+    formula would get if checked alone.  Before any formula is compiled,
+    the exhaustive strategy refuses the whole list if one formula has more
+    than ``DEFAULT_ASSIGNMENT_CAP`` assignments, and the sampled one a
+    count above that cap.
     """
     formulas = [parse_formula(f) if isinstance(f, str) else f for f in formulas]
     count = sample_count(strategy)
-    if count is None:
-        check_budget(formulas, 1 << len(model.atoms))
+    names = [free_variables(f) for f in formulas]
+    size = 1 << len(model.atoms)
+    for nvars in map(len, names):
+        if count is None and size**nvars > DEFAULT_ASSIGNMENT_CAP:
+            raise EvalError(
+                f"assignment space {size}**{nvars} exceeds cap {DEFAULT_ASSIGNMENT_CAP}; "
+                "use a sampled strategy"
+            )
     scope = Scope("exhaustive", None) if count is None else Scope("sampled", count)
     texts = [pretty(f) for f in formulas]
-    names = [free_variables(f) for f in formulas]
     sliced = _Sliced(model)
     runs = [compile_formula(f, sliced) for f in formulas]
     reports: List[Optional[CheckReport]] = [None] * len(formulas)

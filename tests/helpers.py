@@ -233,6 +233,15 @@ def closure_failure_pairwise(carrier, unit):
     return None
 
 
+def ideal_elements_by_definition(model):
+    """The elements x of the carrier with 1;x;1 = x, over pair sets, in carrier order."""
+    unit = set(model.unit.pairs())
+    return tuple(
+        x for x in model.carrier
+        if compose_pairs(compose_pairs(unit, x.pairs()), unit) == set(x.pairs())
+    )
+
+
 def generate_subalgebra_rounds(base_size: int, generators, carrier_cap: int):
     """Rows of the subalgebra generated by H over the full unit, or None above the cap.
 

@@ -192,10 +192,14 @@ class TestCheckModel:
     def test_oversized_space_refused_before_the_model_is_built(
         self, capsys, monkeypatch, spec, message
     ):
-        def unreachable(n):
-            raise AssertionError("full_pra called for a refused check")
+        # full:4 is built and refused by check_suite before any axiom is
+        # compiled; full:5 is refused by full_pra before any model is made.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work done for a refused check")
 
-        monkeypatch.setattr(relcore, "full_pra", unreachable)
+        monkeypatch.setattr(terms, "compile_formula", unreachable)
+        if spec == "full:5":
+            monkeypatch.setattr(relcore.AlgebraModel, "of_atoms", unreachable)
         code, out, err = run(capsys, "check", "--model", spec, "--suite", "cr_equational")
         assert code == 2 and out == ""
         assert f"error: {message}" in err
@@ -206,9 +210,9 @@ class TestCheckModel:
         monkeypatch.setattr(terms, "DEFAULT_ASSIGNMENT_CAP", 512**2)
 
         def reached(*args, **kwargs):
-            raise AssertionError("an axiom was checked before the budget")
+            raise AssertionError("an axiom was compiled before the budget")
 
-        monkeypatch.setattr(terms, "check_suite", reached)
+        monkeypatch.setattr(terms, "compile_formula", reached)
         code, out, err = run(capsys, "check", "--model", "full:3", "--suite", "cr_tarski")
         assert code == 2 and out == ""
         assert "error: assignment space 512**3 exceeds cap 262144" in err

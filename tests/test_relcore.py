@@ -33,6 +33,7 @@ from helpers import (
     compose_pairs,
     converse_pairs,
     generate_subalgebra_rounds,
+    ideal_elements_by_definition,
     random_pairs,
 )
 
@@ -379,6 +380,18 @@ class TestIdealsAndClassification:
         assert len(ideals) == 2
         assert set(ideals) == {m.empty, m.unit}
 
+    @settings(max_examples=60, deadline=None)
+    @given(algebras())
+    def test_ideals_are_the_unions_of_minimal_ideals(self, model):
+        assert ideal_elements(model) == ideal_elements_by_definition(model)
+
+    def test_classify_reads_no_carrier(self, monkeypatch):
+        def unreachable(model):
+            raise AssertionError("classify listed the carrier")
+
+        monkeypatch.setattr(AlgebraModel, "carrier", property(unreachable))
+        assert classify(full_pra(4)).label == "prime"
+
     def test_classify_full(self):
         assert classify(full_pra(1)).trivial
         assert classify(full_pra(1)).simple
@@ -448,7 +461,7 @@ REFUSALS = {
         RelationError, "unit has base size 2, expected 1",
     ),
     "full-carrier-size-negative": (
-        lambda: relcore.full_carrier_size(-1),
+        lambda: full_pra(-1),
         RelationError, "base size must be nonnegative",
     ),
     "product-base-cap": (

@@ -1,6 +1,7 @@
 """Term language: parsing, printing, evaluation, and formula checking."""
 
 import functools
+import itertools
 import random
 import types
 
@@ -624,3 +625,39 @@ class TestSampleStream:
                 got += trial
         rng = random.Random(seed)
         assert got == [rng.getrandbits(32) >> (32 - m) for _ in range(2 * 700)]
+
+
+class TestExhaustiveStream:
+    """Exhaustive assignments are counted in aligned power-of-two batches."""
+
+    @pytest.mark.parametrize(
+        "model, nvars",
+        [
+            pytest.param(model, nvars, id=f"{name}-{nvars}")
+            for name, model in [
+                *((f"cyclic{m}", cyclic_algebra(m)) for m in range(7)), ("product", PRODUCT)
+            ]
+            for nvars in range(4)
+            if len(model.atoms) * nvars <= 12  # at most 4096 assignments
+        ],
+    )
+    def test_batches_count_in_product_order(self, monkeypatch, model, nvars):
+        # Bit i of each variable's cells is its element under assignment i of
+        # the batch, and the batches' assignments, in turn, are the product.
+        m, cells = len(model.atoms), max(1, model.base_size**2)
+        # Batches of the whole space, of less than one variable, and ending
+        # inside the second variable from the right.
+        for w in sorted({m * nvars, m - 1, m + m // 2} & set(range(m * nvars + 1))):
+            # A cap of 2**(w + 1) - 1 assignments fits batches of 2**w.
+            monkeypatch.setattr(terms, "SLICE_BITS", ((2 << w) - 1) * cells)
+            sliced = terms._Sliced(model)
+            got = []
+            for width, columns, assignment in terms._exhaustive_batches(sliced, nvars):
+                assert width == 1 << w <= sliced.width_cap
+                assert sliced.full == (1 << width) - 1
+                for i in range(width):
+                    indices = assignment(i)
+                    decoded = [sliced.relation([cell >> i & 1 for cell in c]) for c in columns]
+                    assert decoded == [model.element(index) for index in indices]
+                    got.append(tuple(indices))
+            assert got == list(itertools.product(range(1 << m), repeat=nvars)), w
