@@ -23,9 +23,9 @@ batch as m atom planes.  ``check_suite`` runs whole batches, exhaustive
 or seeded; the formulas of one arity share each batch.  An exhaustive
 arity counts: assignment t gives its variables the m-bit digits of t, and
 a batch is an aligned block of 2**w numbers t.  A sampled arity draws
-from its own ``random.Random(seed)``, an index the top m bits of one
-32-bit word.  Both read their atom planes off 32-bit words with
-``_Sliced.planes``.  ``check_formula`` is a suite of one, and
+its atom planes: bit p of variable j's index under trial t is bit t of
+stream (j, p), seeded from the arity's ``random.Random(seed)``.
+``check_formula`` is a suite of one, and
 ``eval_term``/``eval_formula`` run a batch of one.
 Over a pairing function the operations are ``ForkBackend``'s, always a
 batch of one.
@@ -441,8 +441,6 @@ def compile_formula(f, ops) -> Callable[[Dict[str, object]], int]:
 
 # A batch's term values take at most this many bits: width * n * n.
 SLICE_BITS = 1 << 22
-# Sampled trials drawn per batch, which bounds the bytes drawn per batch.
-SAMPLE_BATCH = 1 << 12
 
 
 class _Sliced:
@@ -458,6 +456,7 @@ class _Sliced:
     is the union of the ``atoms[p]`` with bit p set in i, and
     ``index(rel)`` is rel's mask).  So it enters as m atom planes, and cell
     q takes the plane of its atom (0 off the unit); no carrier is listed.
+    A sampled batch draws them; an exhaustive one reads them with ``planes``.
     """
 
     # _BITS[k] maps a byte to b"1" where its bit k is set, else to b"0".
@@ -468,7 +467,6 @@ class _Sliced:
         self.model = model
         self.full = 1
         self.m = m = len(model.atoms)
-        self.shift = 32 - m  # a carrier index is the top m bits of a 32-bit word
         # The atom that holds each cell; m, the index of a zero plane, off the unit.
         self.atom_of = [m] * (n * n)
         for p, atom in enumerate(model.atoms):
@@ -493,12 +491,11 @@ class _Sliced:
         """The value whose atom p holds under the assignments of planes[p]."""
         return list(map([*planes, 0].__getitem__, self.atom_of))
 
-    def planes(self, data: bytes, bits: range, nvars: int = 1, j: int = 0) -> List[int]:
+    def planes(self, data: bytes, bits: range) -> List[int]:
         """One int per b in bits, whose bit i is bit b of the little-endian
-        32-bit word i * nvars + j of data, read off its bytes as text."""
-        stride = 4 * nvars
-        last = len(data) - stride + 4 * j
-        return [int(data[last + b // 8 :: -stride].translate(self._BITS[b % 8]), 2) for b in bits]
+        32-bit word i of data, read off its bytes as text."""
+        last = len(data) - 4
+        return [int(data[last + b // 8 :: -4].translate(self._BITS[b % 8]), 2) for b in bits]
 
     @staticmethod
     def union(v: List[int], w: List[int]) -> List[int]:
@@ -645,31 +642,29 @@ def _exhaustive_batches(sliced: _Sliced, nvars: int):
         yield width, columns, assignment
 
 
-def _sampled_batches(sliced: _Sliced, nvars: int, count: int, seed):
+def _sampled_batches(sliced: _Sliced, nvars: int, count: int, seed: int):
     """Batches of ``count`` seeded trials of nvars carrier indices each.
 
-    The group draws from its own ``random.Random(seed)``, and trial t
-    reads its words [nvars*t, nvars*t + nvars), variables in order: an
-    index is the top m bits of one 32-bit word (``getrandbits(m)`` when
-    m >= 1), and no word is redrawn.  A batch is one bulk draw of the next
-    words, the first in the low bits, whose little-endian bytes
-    ``_Sliced.planes`` reads.  The trials are the same alone or in a
-    suite, and at any ``SAMPLE_BATCH`` or ``SLICE_BITS``.
+    The group's ``random.Random(seed)`` seeds, with 64 bits each, one
+    ``random.Random`` stream per variable and atom, in that order.  Bit p
+    of variable j's index under trial t is bit t of stream (j, p), and a
+    batch's planes are one ``getrandbits(width)`` per stream.  Each batch
+    but the last is ``width_cap`` in whole 32-bit words (at least one), so
+    a stream's bits are one ``getrandbits(count)``'s, at any ``SLICE_BITS``.
     """
     rng = random.Random(seed)
-    shift = sliced.shift
-    top = range(shift, 32)
+    atoms = range(sliced.m)
+    streams = [[random.Random(rng.getrandbits(64)) for _ in atoms] for _ in range(nvars)]
+    cap = max(32, sliced.width_cap & -32)
     done = 0
     while done < count:
-        width = min(count - done, SAMPLE_BATCH, sliced.width_cap)
+        width = min(count - done, cap)
         sliced.full = (1 << width) - 1
-        nbytes = 4 * width * nvars
-        data = rng.getrandbits(8 * nbytes).to_bytes(nbytes, "little")
-        columns = [sliced.value(sliced.planes(data, top, nvars, j)) for j in range(nvars)]
+        planes = [[stream.getrandbits(width) for stream in row] for row in streams]
+        columns = [sliced.value(row) for row in planes]
 
-        def assignment(i: int, data=data) -> List[int]:
-            row = range(4 * nvars * i, 4 * nvars * (i + 1), 4)
-            return [int.from_bytes(data[w : w + 4], "little") >> shift for w in row]
+        def assignment(i: int, planes=planes) -> List[int]:
+            return [sum((plane >> i & 1) << p for p, plane in enumerate(row)) for row in planes]
 
         yield width, columns, assignment
         done += width
@@ -695,8 +690,10 @@ def check_suite(
     formula would get if checked alone.  Before any formula is compiled,
     the exhaustive strategy refuses the whole list if one formula has more
     than ``DEFAULT_ASSIGNMENT_CAP`` assignments, and the sampled one a
-    count above that cap.
+    count above that cap.  First of all, a seed that is not an int is refused.
     """
+    if type(seed) is not int:
+        raise EvalError(f"seed must be an integer, got {seed!r}")
     formulas = [parse_formula(f) if isinstance(f, str) else f for f in formulas]
     count = sample_count(strategy)
     names = [free_variables(f) for f in formulas]

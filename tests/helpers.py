@@ -389,9 +389,11 @@ def check_formula_pairs(formula, model, strategy="exhaustive", seed: int = 0):
     """Reference for ``terms.check_formula``, one assignment at a time over pair sets.
 
     Returns (strategy label, valid, checked, counterexample) with the same
-    assignment order: ``itertools.product`` over the carrier, or per trial
-    one seeded 32-bit word per variable in name order, whose top m bits
-    index the carrier of 2**m elements.
+    assignment order: ``itertools.product`` over the carrier, or the
+    seeded trials.  ``random.Random(seed)`` seeds, from 64 bits each, one
+    stream per variable in name order and per atom p of the carrier of
+    2**m elements; each stream draws all ``count`` bits at once, and bit p
+    of a variable's index under trial t is bit t of its stream p.
     """
     names = terms.free_variables(formula)
     carrier = model.carrier
@@ -402,10 +404,14 @@ def check_formula_pairs(formula, model, strategy="exhaustive", seed: int = 0):
         count = strategy[1]
         rng = random.Random(seed)
         m = len(carrier).bit_length() - 1
+        seeds = [[rng.getrandbits(64) for _ in range(m)] for _ in names]
+        planes = [[random.Random(s).getrandbits(count) for s in row] for row in seeds]
         label = f"sampled({count})"
-        assignments = (
-            tuple(carrier[rng.getrandbits(32) >> (32 - m)] for _ in names) for _ in range(count)
-        )
+
+        def index(row, t):
+            return sum((plane >> t & 1) << p for p, plane in enumerate(row))
+
+        assignments = (tuple(carrier[index(row, t)] for row in planes) for t in range(count))
     checked = 0
     for combo in assignments:
         checked += 1

@@ -431,12 +431,12 @@ class TestBitslicedChecker:
             f = random_formula(rng, rng.randrange(3), names=("x",), fork=False)
             assert report_tuple(check_formula(f, model)) == check_formula_pairs(f, model)
 
-    @pytest.mark.parametrize("slice_bits, sample_batch", [(1, 1), (7, 3), (40, 5), (100, 64)])
-    def test_narrow_batches_match_reference(self, monkeypatch, slice_bits, sample_batch):
+    @pytest.mark.parametrize("slice_bits", [1, 7, 40, 100])
+    def test_narrow_batches_match_reference(self, monkeypatch, slice_bits):
         # Narrow widths split the carrier, hold variables constant per batch
-        # and draw samples over several batches.
+        # and draw samples over several batches: of one 32-bit word each, and
+        # of 32 and 96 trials on full_pra(1), whose caps are 40 and 100.
         monkeypatch.setattr(terms, "SLICE_BITS", slice_bits)
-        monkeypatch.setattr(terms, "SAMPLE_BATCH", sample_batch)
         rng = random.Random(slice_bits)
         for model in (full_pra(1), full_pra(2), PRODUCT):
             self.compare(model, rng, 12, 4096)
@@ -484,10 +484,9 @@ class TestCheckSuite:
             assert {valid for _, valid in seen} == {True, False}
             assert len({arity for arity, _ in seen}) >= 3
 
-    @pytest.mark.parametrize("slice_bits, sample_batch", [(1, 1), (7, 3), (40, 5), (100, 64)])
-    def test_narrow_batches_match_reference(self, monkeypatch, slice_bits, sample_batch):
+    @pytest.mark.parametrize("slice_bits", [1, 7, 40, 100])
+    def test_narrow_batches_match_reference(self, monkeypatch, slice_bits):
         monkeypatch.setattr(terms, "SLICE_BITS", slice_bits)
-        monkeypatch.setattr(terms, "SAMPLE_BATCH", sample_batch)
         rng = random.Random(f"suite/{slice_bits}")
         for model in (full_pra(1), full_pra(2), PRODUCT):
             self.compare(model, rng, 5, 4096)
@@ -502,44 +501,46 @@ class TestCheckSuite:
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        """The words of each bulk draw, one list per seeded generator."""
+        """The bits of each ``getrandbits`` call, one list per generator in
+        the order they are made: a group's own, then its streams."""
         generators = []
 
         class Counting(random.Random):
             def __init__(self, seed):
                 super().__init__(seed)
-                self.words = []
-                generators.append(self.words)
+                self.bits = []
+                generators.append(self.bits)
 
             def getrandbits(self, k):
-                self.words.append(k // 32)
+                self.bits.append(k)
                 return super().getrandbits(k)
 
         monkeypatch.setattr(terms, "random", types.SimpleNamespace(Random=Counting))
         return generators
 
     def test_each_arity_draws_one_word_per_variable_per_trial(self, draws):
-        # cr_tarski has arities 0 to 3 over 16 formulas whose arities sum to
-        # 31; each arity draws k * 500 words from its own generator.
+        # cr_tarski has arities 0 to 3 over 16 formulas.  Over the 4 atoms of
+        # full_pra(2), a k-variable group's generator seeds 4k streams with 64
+        # bits each, and each stream draws one bit per trial: 500 in one batch.
         formulas = axiom_suite("cr_tarski")
         assert sorted({len(free_variables(f)) for f in formulas}) == [0, 1, 2, 3]
-        assert sum(len(free_variables(f)) for f in formulas) == 31
         reports = check_suite(formulas, full_pra(2), strategy=("sampled", 500), seed=9)
         assert all(r.valid and r.checked == 500 for r in reports)
-        assert sorted(map(sum, draws)) == [0, 500, 1000, 1500]
+        seeders = [(64,) * 4 * k for k in range(4)]
+        assert sorted(map(tuple, draws)) == sorted(seeders + [(500,)] * 24)
 
     def test_failed_formula_retires_and_stops_its_draws(self, draws, monkeypatch):
         # Over 16 elements, x = 0 and y = 1 each fail within the first batch
-        # of 8 trials; y = y never fails, so its group draws all 800.
-        monkeypatch.setattr(terms, "SAMPLE_BATCH", 8)
+        # of 32 trials; y = y never fails, so its streams draw all 800.
+        monkeypatch.setattr(terms, "SLICE_BITS", 4 * 32)  # width_cap 32 over 4 cells
         model = full_pra(2)
         failing = check_suite(["x = 0", "y = 1"], model, strategy=("sampled", 800), seed=1)
         assert [r.valid for r in failing] == [False, False]
-        assert sum(map(sum, draws)) == 8
+        assert draws == [[64] * 4] + [[32]] * 4
         draws.clear()
         mixed = check_suite(["x = 0", "y = y"], model, strategy=("sampled", 800), seed=1)
         assert mixed[0] == failing[0] and mixed[1].valid
-        assert sum(map(sum, draws)) == 800
+        assert draws == [[64] * 4] + [[32] * 25] * 4
 
     def test_budget_refuses_the_whole_list_before_any_work(self, monkeypatch):
         monkeypatch.setattr(terms, "DEFAULT_ASSIGNMENT_CAP", 16**2)
@@ -561,21 +562,38 @@ class TestCheckSuite:
             check_formula("x = x", full_pra(1), strategy=("sampled", 41))
 
     def test_each_draw_is_at_most_one_batch_of_words(self, draws, monkeypatch):
-        # A k-variable group draws k * SAMPLE_BATCH words per batch.
-        monkeypatch.setattr(terms, "SAMPLE_BATCH", 5)
+        # A width_cap of 170 is 5 words of 32 trials: 300 trials are a batch
+        # of 160 and one of 140, and each stream draws each batch's bits.
+        monkeypatch.setattr(terms, "SLICE_BITS", 4 * 170)
         formulas = ["~1 = 0", "x^^ = x", "(x;y)^ = y^;x^", "x;(y;z) = (x;y);z", "x = 0"]
         reports = check_suite(formulas, full_pra(2), strategy=("sampled", 300), seed=5)
         assert [r.valid for r in reports] == [True] * 4 + [False]
         assert all(r.checked == 300 for r in reports[:4])
-        got = sorted((sum(words), max(words), len(words)) for words in draws)
-        assert got == [(0, 0, 60), (300, 5, 60), (600, 10, 60), (900, 15, 60)]
+        seeders = [(64,) * 4 * k for k in range(4)]
+        assert sorted(map(tuple, draws)) == sorted(seeders + [(160, 140)] * 24)
 
-    def test_sampled_check_on_one_element_ends(self):
-        # m = 0: every index is 0, and each trial still draws its words.
+    def test_sampled_check_on_one_element_ends(self, draws):
+        # m = 0: every index is 0, so no group seeds a stream or draws a bit.
         model = full_pra(0)
         assert len(model.carrier) == 1
         reports = check_suite(["x = y", "x;1 = x"], model, strategy=("sampled", 5000), seed=2)
         assert all(r.valid and r.checked == 5000 for r in reports)
+        assert draws == [[], []]
+
+    @pytest.mark.parametrize("seed", [None, True, 3.0, "3"])
+    def test_seed_must_be_an_int(self, monkeypatch, seed):
+        # None would seed from the OS, and True would pass for 1.
+        def unreachable(*args):
+            raise AssertionError("a formula was compiled before the seed was checked")
+
+        monkeypatch.setattr(terms, "compile_formula", unreachable)
+        model = direct_product(full_pra(2), full_pra(1))
+        for strategy in (("sampled", 1000), "exhaustive"):
+            with pytest.raises(EvalError) as refused:
+                check_suite(["x = x"], model, strategy=strategy, seed=seed)
+            assert str(refused.value) == f"seed must be an integer, got {seed!r}"
+            with pytest.raises(EvalError, match="^seed must be an integer"):
+                check_formula("x = x", model, strategy=strategy, seed=seed)
 
     @pytest.fixture
     def unread_carrier(self, monkeypatch):
@@ -604,27 +622,69 @@ def cyclic_algebra(k):
 
 
 class TestSampleStream:
-    """Each sampled index is the top m bits of one seeded 32-bit word."""
+    """Bit p of variable j's index under trial t is bit t of stream (j, p).
+
+    A group's ``random.Random(seed)`` seeds the streams from 64 bits each,
+    variable by variable and atoms in order, and each stream's bits are
+    those of one ``getrandbits(count)``, whatever the batch widths.
+    """
+
+    @staticmethod
+    def indices(seed, nvars, m, count):
+        """The trials' indices, variables in order, from whole-count draws."""
+        rng = random.Random(seed)
+        seeds = [[rng.getrandbits(64) for _ in range(m)] for _ in range(nvars)]
+        planes = [[random.Random(s).getrandbits(count) for s in row] for row in seeds]
+        return [
+            sum((plane >> t & 1) << p for p, plane in enumerate(row))
+            for t in range(count)
+            for row in planes
+        ]
 
     @pytest.mark.parametrize("seed", [11, -4, "suite"])
     @pytest.mark.parametrize("size", [1 << m for m in range(17)])
     def test_indices_are_the_top_bits_of_one_word(self, monkeypatch, size, seed):
-        # Three batches of two-variable trials over a carrier of 2**m elements;
-        # bit i of each variable's cells is its element under trial i.
-        monkeypatch.setattr(terms, "SAMPLE_BATCH", 250)
+        # Four batches of two-variable trials over a carrier of 2**m elements,
+        # at a width_cap of 250, whose whole words are 224 trials; bit i of
+        # each variable's cells is its element under trial i.
         m = size.bit_length() - 1
         model = cyclic_algebra(m)
-        assert len(model.carrier) == size
+        assert len(model.atoms) == m
+        monkeypatch.setattr(terms, "SLICE_BITS", 250 * max(1, model.base_size**2))
         sliced = terms._Sliced(model)
-        got = []
+        widths, got = [], []
         for width, columns, assignment in terms._sampled_batches(sliced, 2, 700, seed):
+            assert sliced.full == (1 << width) - 1
+            widths.append(width)
             for i in range(width):
                 trial = assignment(i)
                 decoded = [sliced.relation([cell >> i & 1 for cell in column]) for column in columns]
-                assert decoded == [model.carrier[index] for index in trial]
+                assert decoded == [model.element(index) for index in trial]
                 got += trial
+        assert widths == [224, 224, 224, 28]
+        assert got == self.indices(seed, 2, m, 700)
+
+    def test_a_width_cap_off_whole_words_is_rounded_down(self):
+        # full:3's width_cap, 4194304 // 9 = 466033, is not a whole number
+        # of words: a million trials are batches of 466016, 466016 and 67968.
+        model = full_pra(3)
+        sliced = terms._Sliced(model)
+        assert sliced.width_cap == 466033
+        count, seed = 1_000_000, 3
+        # Each cell of full_pra(3) is an atom, so its column is the atom's plane.
+        cell_of = [sliced.atom_of.index(p) for p in range(9)]
+        widths, planes, lasts = [], [0] * 9, []
+        batches = terms._sampled_batches(sliced, 1, count, seed)
+        for width, (column,), assignment in batches:
+            for p, q in enumerate(cell_of):
+                planes[p] |= column[q] << sum(widths)
+            widths.append(width)
+            lasts += assignment(width - 1)
+        assert widths == [466016, 466016, 67968]
         rng = random.Random(seed)
-        assert got == [rng.getrandbits(32) >> (32 - m) for _ in range(2 * 700)]
+        assert planes == [random.Random(rng.getrandbits(64)).getrandbits(count) for _ in range(9)]
+        ends = [466015, 932031, count - 1]
+        assert lasts == [sum((plane >> t & 1) << p for p, plane in enumerate(planes)) for t in ends]
 
 
 class TestExhaustiveStream:
