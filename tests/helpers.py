@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left, bisect_right
-from typing import FrozenSet, Iterable, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from relfork import (
     BT,
@@ -385,15 +385,27 @@ def eval_formula_pairs(f, env, n: int, unit=None) -> bool:
     raise TypeError(f"unexpected formula {f!r}")
 
 
+def sampled_indices(seed, nvars: int, m: int, count: int) -> List[Tuple[int, ...]]:
+    """The carrier indices of ``count`` seeded trials of nvars variables
+    over 2**m elements.  ``random.Random(seed)`` seeds, from 64 bits each,
+    one stream per variable and atom p, in that order; each stream draws
+    all ``count`` bits at once, and bit p of variable j's index under trial
+    t is bit t of stream (j, p)."""
+    rng = random.Random(seed)
+    seeds = [[rng.getrandbits(64) for _ in range(m)] for _ in range(nvars)]
+    planes = [[random.Random(s).getrandbits(count) for s in row] for row in seeds]
+    return [
+        tuple(sum((plane >> t & 1) << p for p, plane in enumerate(row)) for row in planes)
+        for t in range(count)
+    ]
+
+
 def check_formula_pairs(formula, model, strategy="exhaustive", seed: int = 0):
     """Reference for ``terms.check_formula``, one assignment at a time over pair sets.
 
     Returns (strategy label, valid, checked, counterexample) with the same
     assignment order: ``itertools.product`` over the carrier, or the
-    seeded trials.  ``random.Random(seed)`` seeds, from 64 bits each, one
-    stream per variable in name order and per atom p of the carrier of
-    2**m elements; each stream draws all ``count`` bits at once, and bit p
-    of a variable's index under trial t is bit t of its stream p.
+    seeded trials of ``sampled_indices``, variables in name order.
     """
     names = terms.free_variables(formula)
     carrier = model.carrier
@@ -402,16 +414,10 @@ def check_formula_pairs(formula, model, strategy="exhaustive", seed: int = 0):
         label, assignments = "exhaustive", itertools.product(carrier, repeat=len(names))
     else:
         count = strategy[1]
-        rng = random.Random(seed)
         m = len(carrier).bit_length() - 1
-        seeds = [[rng.getrandbits(64) for _ in range(m)] for _ in names]
-        planes = [[random.Random(s).getrandbits(count) for s in row] for row in seeds]
         label = f"sampled({count})"
-
-        def index(row, t):
-            return sum((plane >> t & 1) << p for p, plane in enumerate(row))
-
-        assignments = (tuple(carrier[index(row, t)] for row in planes) for t in range(count))
+        trials = sampled_indices(seed, len(names), m, count)
+        assignments = (tuple(carrier[i] for i in trial) for trial in trials)
     checked = 0
     for combo in assignments:
         checked += 1

@@ -58,6 +58,7 @@ from helpers import (
     random_formula,
     random_pairs,
     random_term,
+    sampled_indices,
 )
 
 # Proper models beside the full ones: a subalgebra of full_pra(3) and a
@@ -622,24 +623,8 @@ def cyclic_algebra(k):
 
 
 class TestSampleStream:
-    """Bit p of variable j's index under trial t is bit t of stream (j, p).
-
-    A group's ``random.Random(seed)`` seeds the streams from 64 bits each,
-    variable by variable and atoms in order, and each stream's bits are
-    those of one ``getrandbits(count)``, whatever the batch widths.
-    """
-
-    @staticmethod
-    def indices(seed, nvars, m, count):
-        """The trials' indices, variables in order, from whole-count draws."""
-        rng = random.Random(seed)
-        seeds = [[rng.getrandbits(64) for _ in range(m)] for _ in range(nvars)]
-        planes = [[random.Random(s).getrandbits(count) for s in row] for row in seeds]
-        return [
-            sum((plane >> t & 1) << p for p, plane in enumerate(row))
-            for t in range(count)
-            for row in planes
-        ]
+    """A batch's trials are those of ``helpers.sampled_indices``, whose
+    streams draw all their bits at once, whatever the batch widths."""
 
     @pytest.mark.parametrize("seed", [11, -4, "suite"])
     @pytest.mark.parametrize("size", [1 << m for m in range(17)])
@@ -662,7 +647,7 @@ class TestSampleStream:
                 assert decoded == [model.element(index) for index in trial]
                 got += trial
         assert widths == [224, 224, 224, 28]
-        assert got == self.indices(seed, 2, m, 700)
+        assert got == [i for trial in sampled_indices(seed, 2, m, 700) for i in trial]
 
     def test_a_width_cap_off_whole_words_is_rounded_down(self):
         # full:3's width_cap, 4194304 // 9 = 466033, is not a whole number
