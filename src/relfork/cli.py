@@ -19,14 +19,19 @@ All randomness is seeded; stdout for a fixed seed is byte-stable.  The
 elapsed wall time goes to stderr so it never disturbs captured output.
 A command returns its payload, exit code and verdict's ``Scope``, whose
 ``label()`` the headers and JSON ``scope``/``mode`` print.  A stdout that
-cannot be written, a closed pipe included, exits 2 like any other error.
+cannot be written, a closed pipe included, exits 2 like any other error;
+a stderr that cannot be written changes no exit code.
 
 Every run is a fresh process, so each command imports only what it uses:
 the pairing modules (``forkmodel``, ``constructions``) load on the
-branches that build or read a pairing, never for a finite model, and
-``hashlib`` only for the commands that print a config digest.  The
-target's options, the window caps and the sampled count are checked
-first, against constants that need no pairing code.
+branches that build or read a pairing, never for a finite model, and the
+formula module ``terms`` only where a formula is parsed or checked
+(``eval``, ``check --model`` and ``--sampled``'s range check), so the
+parser takes the suite names from ``SUITES``.  No command loads
+``hashlib``, which brings in OpenSSL: the config digest comes from
+CPython's own ``sha256`` module.  The target's options, the window caps
+and the sampled count are checked first, against constants that need no
+pairing code.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from . import relcore, terms
+from . import relcore
 from .errors import SCAN_CAP, WINDOW_CAP, RelforkError
 from .node import Scope
 
@@ -116,10 +121,17 @@ def _resolve_star(args) -> Tuple[forkmodel.PairingFunction, Dict]:
 
 def _config_digest(config: Dict) -> str:
     """The sha256 of the canonical config, which check, fix and build print."""
-    import hashlib
+    # hashlib loads OpenSSL; CPython's own sha256 module is far lighter.
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
 
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _star_name(config: Dict) -> str:
@@ -130,6 +142,9 @@ def _star_name(config: Dict) -> str:
 
 # ---------------------------------------------------------------------------
 # Argument checks
+
+# The names of terms.AXIOM_TEXTS, so that the parser needs no formula code.
+SUITES = ("cfa", "cfau", "cr_equational", "cr_tarski")
 
 # Options that only some targets read: dest, flag and the options that read it.
 _TARGET_OPTIONS = (
@@ -153,6 +168,8 @@ def _check_args(args) -> None:
         if value is not None and value < 1:
             raise UsageError(f"--{name} must be at least 1, got {value}")
     if getattr(args, "sampled", None) is not None:
+        from . import terms
+
         terms.sample_count(("sampled", args.sampled))
 
 
@@ -169,6 +186,8 @@ def _cmd_check(args) -> Tuple[Dict, int, Scope]:
             raise UsageError(
                 f"suite {suite!r} needs a pairing function target; use --star"
             )
+        from . import terms
+
         texts = terms.AXIOM_TEXTS[suite]
         model = _resolve_model(args.model)
         reports = terms.check_suite(texts, model, strategy=strategy, seed=seed)
@@ -219,6 +238,8 @@ def _cmd_check(args) -> Tuple[Dict, int, Scope]:
 
 
 def _cmd_eval(args) -> Tuple[Dict, int, Scope]:
+    from . import terms
+
     formula = terms.parse_formula(args.formula)
     data = _read_json_object(args.bind, "bindings") if args.bind else {}
     bindings = {name: relcore.pairs_from_json(pairs) for name, pairs in data.items()}
@@ -369,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--suite",
         required=True,
-        choices=sorted(terms.AXIOM_TEXTS),
+        choices=SUITES,
         help="axiom suite to run",
     )
     p_check.add_argument(
@@ -414,6 +435,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _note(line: str) -> None:
+    """Print a line to stderr; one that cannot be written is dropped.
+
+    The exit code is the verdict's, whether or not anyone reads stderr.
+    """
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -430,9 +462,9 @@ def main(argv=None) -> int:
             # The reader has gone: the interpreter's flush at exit writes
             # what is still buffered to the null device, not to the pipe.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 2
-    print(f"elapsed-seconds: {time.monotonic() - started:.3f}", file=sys.stderr)
+    _note(f"elapsed-seconds: {time.monotonic() - started:.3f}")
     return code
 
 

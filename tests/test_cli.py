@@ -946,6 +946,33 @@ class TestMalformedInput:
         assert out == ""
 
 
+def run_fresh(argv, closed=None):
+    """Exit code, stdout and stderr of ``python -m relfork.cli`` in a new process.
+
+    ``closed`` names the stream ("stdout" or "stderr") given a pipe whose
+    read end is closed before the run starts, so that its first flush
+    fails whatever the timing; it then reads "".
+    """
+    src = str(pathlib.Path(relfork.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    if closed is not None:
+        streams[closed] = write_end
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "relfork.cli", *argv],
+            **streams,
+            env=dict(os.environ, PYTHONPATH=path),
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    return done.returncode, done.stdout or "", done.stderr or ""
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize(
         "argv",
@@ -955,22 +982,26 @@ class TestClosedStdout:
         ],
     )
     def test_exits_two_without_traceback(self, argv):
-        # The pipe's read end is closed before the run starts, so the first
-        # flush of stdout fails whatever the timing.
-        src = str(pathlib.Path(relfork.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            done = subprocess.run(
-                [sys.executable, "-m", "relfork.cli", *argv],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                env=dict(os.environ, PYTHONPATH=path),
-                text=True,
-                timeout=60,
-            )
-        finally:
-            os.close(write_end)
-        assert done.returncode == 2
-        assert "error:" in done.stderr and "Traceback" not in done.stderr
+        code, _, err = run_fresh(argv, closed="stdout")
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+
+
+class TestClosedStderr:
+    @pytest.mark.parametrize(
+        "want, argv",
+        [
+            (0, ["eval", "--model", "full:1", "--formula", "1 = 1"]),
+            (1, ["eval", "--model", "full:1", "--formula", "1 = 0"]),
+            (2, ["eval", "--model", "full:1", "--formula", "x = 0"]),
+            (0, ["check", "--star", "basic", "--S", "1,2", "--suite", "cfa"]),
+            (1, ["--format", "json", "check", "--star", "basic", "--S", "1,2", "--suite", "cfau"]),
+        ],
+        ids=["true", "false", "usage-error", "check-star-pass", "check-star-fail"],
+    )
+    def test_keeps_the_verdicts_exit_code_and_stdout(self, want, argv):
+        # The elapsed-seconds and error lines cannot be written; the
+        # verdict's code and stdout are those of a normal run.
+        code, out, err = run_fresh(argv)
+        assert code == want and "Traceback" not in err
+        assert run_fresh(argv, closed="stderr") == (want, out, "")

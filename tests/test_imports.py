@@ -5,12 +5,17 @@ its wall time.  Each check subtracts the modules a bare interpreter
 already holds (``site`` may pull in some of the standard library).
 """
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import relfork
+from relfork import cli, terms
 
 SRC = str(Path(relfork.__file__).resolve().parents[1])
 MARK = "modules:"
@@ -62,7 +67,7 @@ def test_eval_model_loads_no_pairing_code():
 
 
 def test_eval_star_loads_no_hashlib():
-    # Only the commands that print config_sha256 hash the config.
+    # No command loads hashlib: the config digest uses CPython's own sha256.
     loaded = new_modules(
         "from relfork.cli import main\n"
         "assert main(['eval', '--star', 'basic', '--S', '1,2', '--formula', 'pi # rho = 1\\'', "
@@ -70,6 +75,55 @@ def test_eval_star_loads_no_hashlib():
     )
     assert {"relfork.forkmodel", "relfork.constructions"} <= loaded
     assert "hashlib" not in loaded
+
+
+STAR_COMMANDS = {
+    "fix": ["fix", "--star", "basic", "--S", "1,2"],
+    "check": ["check", "--star", "basic", "--S", "1,2", "--suite", "cfa"],
+    "build": ["build", "--star", "tree", "--S", "1,2", "--t", "bin nil nil"],
+}
+
+
+@pytest.mark.parametrize("argv", STAR_COMMANDS.values(), ids=STAR_COMMANDS.keys())
+def test_star_command_loads_no_hashlib_and_no_terms(argv):
+    loaded = new_modules(f"from relfork.cli import main\nassert main({argv!r}) == 0")
+    assert {"relfork.forkmodel", "relfork.constructions"} <= loaded
+    assert not loaded & {"hashlib", "_hashlib", "relfork.terms"}
+
+
+def test_suite_choices_are_the_axiom_suites():
+    assert cli.SUITES == tuple(sorted(terms.AXIOM_TEXTS))
+
+
+def test_config_digest_is_sha256_of_the_canonical_config(tmp_path):
+    def sha256(config):
+        canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    configs = [
+        {},
+        {"kind": "basic", "S": [1, 2]},
+        {"S": [3, 7, 20], "kind": "tree", "control": "bin (bin nil nil) nil"},
+        {"kind": "basic", "S": list(range(0, 1024, 2))},
+    ]
+    # A --config file is digested as read, extra keys and all.
+    path = tmp_path / "config.json"
+    path.write_text('{"kind": "seq", "S": [0, 1], "control": "pi.rho",\n "note": "\u00e9t\u00e9",'
+                    ' "extra": {"b": [1.5, null], "a": true}}')
+    args = cli.build_parser().parse_args(["build", "--config", str(path)])
+    configs.append(cli._star_config(args))
+    assert len(configs[3]["S"]) == 512 and "extra" in configs[-1]
+    for config in configs:
+        assert cli._config_digest(config) == sha256(config)
+
+
+def test_config_digest_falls_back_to_hashlib(monkeypatch):
+    # A None entry in sys.modules makes its import raise ImportError.
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    config = {"kind": "basic", "S": [1, 2]}
+    want = hashlib.sha256(b'{"S":[1,2],"kind":"basic"}').hexdigest()
+    assert cli._config_digest(config) == want
 
 
 def test_cfa_check_loads_no_constructions():
