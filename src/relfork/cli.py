@@ -27,7 +27,7 @@ the pairing modules (``forkmodel``, ``constructions``) load on the
 branches that build or read a pairing, never for a finite model, and the
 formula module ``terms`` only where a formula is parsed or checked
 (``eval``, ``check --model`` and ``--sampled``'s range check), so the
-parser takes the suite names from ``SUITES``.  No command loads
+parser takes the suite names from ``errors.SUITES``.  No command loads
 ``hashlib``, which brings in OpenSSL: the config digest comes from
 CPython's own ``sha256`` module.  The target's options, the window caps
 and the sampled count are checked first, against constants that need no
@@ -44,7 +44,7 @@ import time
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from . import relcore
-from .errors import SCAN_CAP, WINDOW_CAP, RelforkError
+from .errors import SCAN_CAP, SUITES, WINDOW_CAP, RelforkError
 from .node import Scope
 
 if TYPE_CHECKING:
@@ -128,6 +128,8 @@ def _config_digest(config: Dict) -> str:
         try:
             from _sha256 import sha256  # CPython 3.10-3.11
         except ImportError:
+            # A CPython configured with --with-builtin-hashlib-hashes
+            # leaving out sha256 has neither module.
             from hashlib import sha256
 
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -142,9 +144,6 @@ def _star_name(config: Dict) -> str:
 
 # ---------------------------------------------------------------------------
 # Argument checks
-
-# The names of terms.AXIOM_TEXTS, so that the parser needs no formula code.
-SUITES = ("cfa", "cfau", "cr_equational", "cr_tarski")
 
 # Options that only some targets read: dest, flag and the options that read it.
 _TARGET_OPTIONS = (
@@ -443,7 +442,10 @@ def _note(line: str) -> None:
     try:
         print(line, file=sys.stderr, flush=True)
     except OSError:
-        pass
+        # A buffered stderr keeps the line; the interpreter's flush at exit
+        # would fail on it too and exit 120, so that flush goes to the null
+        # device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 def main(argv=None) -> int:

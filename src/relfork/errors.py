@@ -3,8 +3,9 @@
 A domain error is a request relfork refuses (malformed text or data, a
 cap exceeded, an undecidable comparison); the CLI reports it and exits 2.
 Broken internal invariants keep their built-in exception types.  The
-caps shared by several modules live here too, so that the CLI can check
-a request against them without importing the code they guard.
+caps and suite names shared by several modules live here too, so that
+the CLI can check a request against them without importing the code
+they guard.
 """
 
 
@@ -31,3 +32,7 @@ WINDOW_CAP = 4096
 # The longest scan of N through a pairing: the CLI's fix window, checked before
 # any pairing is built.
 SCAN_CAP = 1 << 20
+
+# The names of the axiom suites, in sorted order: the keys of
+# terms.AXIOM_TEXTS and the CLI's --suite choices.
+SUITES = ("cfa", "cfau", "cr_equational", "cr_tarski")

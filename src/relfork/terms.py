@@ -39,7 +39,7 @@ from functools import reduce
 from operator import and_, invert, or_, xor
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .errors import MAX_NESTING, PositionedError, RelforkError
+from .errors import MAX_NESTING, SUITES, PositionedError, RelforkError
 from .node import Node, Scope
 from .relcore import AlgebraModel, FiniteRelation, RelationError, _relation
 
@@ -799,6 +799,7 @@ AXIOM_TEXTS: Dict[str, Tuple[str, ...]] = {
     "cfa": _EQUATIONAL + _FORK,
     "cfau": _EQUATIONAL + _FORK + _URELEMENT,
 }
+assert tuple(sorted(AXIOM_TEXTS)) == SUITES, "errors.SUITES names the suites"
 
 
 def axiom_suite(name: str) -> List[object]:

@@ -946,15 +946,21 @@ class TestMalformedInput:
         assert out == ""
 
 
-def run_fresh(argv, closed=None):
+def run_fresh(argv, closed=None, buffered=True):
     """Exit code, stdout and stderr of ``python -m relfork.cli`` in a new process.
 
     ``closed`` names the stream ("stdout" or "stderr") given a pipe whose
     read end is closed before the run starts, so that its first flush
-    fails whatever the timing; it then reads "".
+    fails whatever the timing; it then reads "".  ``buffered`` False runs
+    with PYTHONUNBUFFERED set, so that a failed write leaves nothing for
+    the interpreter's flush at exit; True, the default, runs without it.
     """
     src = str(pathlib.Path(relfork.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
@@ -964,7 +970,7 @@ def run_fresh(argv, closed=None):
         done = subprocess.run(
             [sys.executable, "-m", "relfork.cli", *argv],
             **streams,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=env,
             text=True,
             timeout=60,
         )
@@ -999,9 +1005,10 @@ class TestClosedStderr:
         ],
         ids=["true", "false", "usage-error", "check-star-pass", "check-star-fail"],
     )
-    def test_keeps_the_verdicts_exit_code_and_stdout(self, want, argv):
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_keeps_the_verdicts_exit_code_and_stdout(self, want, argv, buffered):
         # The elapsed-seconds and error lines cannot be written; the
         # verdict's code and stdout are those of a normal run.
-        code, out, err = run_fresh(argv)
+        code, out, err = run_fresh(argv, buffered=buffered)
         assert code == want and "Traceback" not in err
-        assert run_fresh(argv, closed="stderr") == (want, out, "")
+        assert run_fresh(argv, closed="stderr", buffered=buffered) == (want, out, "")

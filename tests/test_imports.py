@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import relfork
-from relfork import cli, terms
+from relfork import cli
 
 SRC = str(Path(relfork.__file__).resolve().parents[1])
 MARK = "modules:"
@@ -89,10 +89,6 @@ def test_star_command_loads_no_hashlib_and_no_terms(argv):
     loaded = new_modules(f"from relfork.cli import main\nassert main({argv!r}) == 0")
     assert {"relfork.forkmodel", "relfork.constructions"} <= loaded
     assert not loaded & {"hashlib", "_hashlib", "relfork.terms"}
-
-
-def test_suite_choices_are_the_axiom_suites():
-    assert cli.SUITES == tuple(sorted(terms.AXIOM_TEXTS))
 
 
 def test_config_digest_is_sha256_of_the_canonical_config(tmp_path):
