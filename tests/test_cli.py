@@ -84,6 +84,11 @@ PINNED = {
         ["check", "--model", "full:4", "--suite", "cr_equational",
          "--sampled", "2000", "--seed", "5"],
     ),
+    # Exhaustive over Z_8's group algebra, whose 8 atoms are not cells.
+    "check-cyclic-8-equational": (
+        "check_cyclic_8_equational", 0,
+        ["check", "--model", "cyclic_8.json", "--suite", "cr_equational"],
+    ),
     # The urelements' partial identity beside the first projection.
     "eval-tree-urelements": (
         "eval_tree_urelements", 0,
