@@ -14,21 +14,19 @@ One walk, ``compile_term``/``compile_formula``, turns a term or formula
 into closures over a model's operations: ``const``, ``union``, ``meet``,
 ``complement``, ``compose``, ``converse``, ``fork``, ``equal`` and
 ``below``.  Over a finite :class:`~relfork.relcore.AlgebraModel` they are
-bitsliced (see ``_Sliced``): a term's value over a batch of assignments
-holds one int per cell, whose bit i says whether the cell is in the value
-under assignment i, and a formula's value is one int with a bit per
-assignment.  A carrier is a Boolean algebra of 2**m elements, and index
-i is the mask of the atoms below its element, so a carrier value enters a
-batch as m atom planes.  ``check_suite`` runs whole batches, exhaustive
-or seeded; the formulas of one arity share each batch.  An exhaustive
-arity counts: assignment t gives its variables the m-bit digits of t, and
-a batch is an aligned block of 2**w numbers t.  A sampled arity draws
-its atom planes: bit p of variable j's index under trial t is bit t of
-stream (j, p), seeded from the arity's ``random.Random(seed)``.
-``check_formula`` is a suite of one, and
-``eval_term``/``eval_formula`` run a batch of one.
-Over a pairing function the operations are ``ForkBackend``'s, always a
-batch of one.
+bitsliced (see ``_Sliced``).  A carrier is a Boolean algebra of 2**m
+elements, and index i is the mask of the atoms below its element, so a
+term's value over a batch of assignments is m atom planes, whose bit i
+says whether the atom is below the value under assignment i, and a
+formula's value is one int with a bit per assignment.  ``check_suite``
+runs whole batches, exhaustive or seeded; the formulas of one arity
+share each batch.  An exhaustive arity counts: assignment t gives its
+variables the m-bit digits of t, and a batch is an aligned block of 2**w
+numbers t.  A sampled arity draws its atom planes: bit p of variable j's
+index under trial t is bit t of stream (j, p), seeded from the arity's
+``random.Random(seed)``.  ``check_formula`` is a suite of one, and
+``eval_term``/``eval_formula`` run a batch of one.  Over a pairing
+function the operations are ``ForkBackend``'s, always a batch of one.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import MAX_NESTING, SUITES, PositionedError, RelforkError
 from .node import Node, Scope
-from .relcore import AlgebraModel, FiniteRelation, RelationError, _relation
+from .relcore import AlgebraModel, FiniteRelation, RelationError
 
 
 class ParseError(PositionedError):
@@ -439,42 +437,45 @@ def compile_formula(f, ops) -> Callable[[Dict[str, object]], int]:
 # ---------------------------------------------------------------------------
 # Bitsliced operations over a finite model
 
-# A batch's term values take at most this many bits: width * n * n.
+# A batch's term values take at most this many bits: width * m.
 SLICE_BITS = 1 << 22
 
 
 class _Sliced:
     """The operations of a finite model over a batch of assignments.
 
-    A term's value is a list of n * n ints, one per cell in the order of
-    relcore's cell code; bit i of a cell says whether it is in the value
-    under assignment i.  ``equal`` and ``below`` give one int whose bit i
+    A term's value is m ints, the planes of the model's atoms: bit i of
+    plane p says whether ``atoms[p]`` is below the value under assignment
+    i.  A carrier index is an atom mask, so a variable enters as its
+    planes, drawn (sampled) or read with ``planes`` (exhaustive), and no
+    carrier is listed.  ``equal`` and ``below`` give one int whose bit i
     is the comparison under assignment i.  ``full`` has one bit per
     assignment of the current batch and is set before each batch runs.
 
-    A carrier value is its index i, the model's atom mask (``element(i)``
-    is the union of the ``atoms[p]`` with bit p set in i, and
-    ``index(rel)`` is rel's mask).  So it enters as m atom planes, and cell
-    q takes the plane of its atom (0 off the unit); no carrier is listed.
-    A sampled batch draws them; an exhaustive one reads them with ``planes``.
+    Every atom lies under the unit, so the Boolean operations act plane
+    by plane, and converse permutes the atoms.  Plane c of x;y is the OR
+    of x[a] & y[b] over ``table[c]``, the atom pairs with c <= a;b (the
+    atom structure of Jonsson and Tarski).  Each a;b is a union of atoms,
+    so c <= a;b iff a holds (x, y) and b holds (y, z) for some y, where
+    (x, z) is one cell of c; c's converse is the atom holding (z, x).
     """
 
     # _BITS[k] maps a byte to b"1" where its bit k is set, else to b"0".
     _BITS = [bytes(b"01"[x >> k & 1] for x in range(256)) for k in range(8)]
 
     def __init__(self, model: AlgebraModel):
-        self.n = n = model.base_size
         self.model = model
         self.full = 1
         self.m = m = len(model.atoms)
-        # The atom that holds each cell; m, the index of a zero plane, off the unit.
-        self.atom_of = [m] * (n * n)
-        for p, atom in enumerate(model.atoms):
-            for a, b in atom.pairs():
-                self.atom_of[a * n + b] = p
+        atom_at = {cell: p for p, atom in enumerate(model.atoms) for cell in atom.pairs()}
+        self.table, self.converses = [], []
+        for atom in model.atoms:
+            x, z = atom.pairs()[0]
+            ys = (y for y in range(model.base_size) if (x, y) in atom_at and (y, z) in atom_at)
+            self.table.append(sorted({(atom_at[x, y], atom_at[y, z]) for y in ys}))
+            self.converses.append(atom_at[z, x])
         self.consts = {"zero": 0, "one": (1 << m) - 1, "id": model.index(model.identity)}
-        self.transpose = [b * n + a for a in range(n) for b in range(n)]
-        self.width_cap = max(1, SLICE_BITS // max(1, n * n))
+        self.width_cap = max(1, SLICE_BITS // max(1, m))
 
     def const(self, kind: str) -> List[int]:
         index = self.consts.get(kind)
@@ -485,11 +486,7 @@ class _Sliced:
     def constant(self, index: int) -> List[int]:
         """carrier[index] under every assignment of the batch."""
         full = self.full
-        return self.value([full if index >> p & 1 else 0 for p in range(self.m)])
-
-    def value(self, planes: List[int]) -> List[int]:
-        """The value whose atom p holds under the assignments of planes[p]."""
-        return list(map([*planes, 0].__getitem__, self.atom_of))
+        return [full if index >> p & 1 else 0 for p in range(self.m)]
 
     def planes(self, data: bytes, bits: range) -> List[int]:
         """One int per b in bits, whose bit i is bit b of the little-endian
@@ -506,20 +503,14 @@ class _Sliced:
         return list(map(and_, v, w))
 
     def complement(self, v: List[int]) -> List[int]:
-        full, m = self.full, self.m
-        return [full ^ x if p < m else 0 for p, x in zip(self.atom_of, v)]
+        full = self.full
+        return [full ^ x for x in v]
 
     def compose(self, v: List[int], w: List[int]) -> List[int]:
-        n = self.n
-        columns = [w[c::n] for c in range(n)]
-        return [
-            reduce(or_, map(and_, v[a * n : a * n + n], column), 0)
-            for a in range(n)
-            for column in columns
-        ]
+        return [reduce(or_, [v[a] & w[b] for a, b in pairs], 0) for pairs in self.table]
 
     def converse(self, v: List[int]) -> List[int]:
-        return list(map(v.__getitem__, self.transpose))
+        return list(map(v.__getitem__, self.converses))
 
     def fork(self, v: List[int], w: List[int]):
         raise NoForkStructureError("fork")
@@ -530,15 +521,16 @@ class _Sliced:
     def below(self, v: List[int], w: List[int]) -> int:
         return self.full ^ reduce(or_, map(and_, v, map(invert, w)), 0)
 
-    def relation(self, cells: List[int]) -> FiniteRelation:
+    def relation(self, planes: List[int]) -> FiniteRelation:
         """The relation of a width-1 value."""
-        return _relation(self.n, sum(bit << q for q, bit in enumerate(cells)))
+        return self.model.element(sum(bit << p for p, bit in enumerate(planes)))
 
     def env(self, env: Dict[str, FiniteRelation]) -> Dict[str, List[int]]:
         """A width-1 batch of one assignment of relations."""
+        n = self.model.base_size
         for name, rel in env.items():
-            if rel.base_size != self.n:
-                raise RelationError(f"base-size mismatch: {rel.base_size} vs {self.n}")
+            if rel.base_size != n:
+                raise RelationError(f"base-size mismatch: {rel.base_size} vs {n}")
             if rel not in self.model:
                 raise RelationError(f"binding {name!r} is not an element of the model")
         return {name: self.constant(self.model.index(rel)) for name, rel in env.items()}
@@ -634,7 +626,7 @@ def _exhaustive_batches(sliced: _Sliced, nvars: int):
     for lo in range(0, 1 << span, width):
         sliced.full = full
         bits = low + [full if lo >> b & 1 else 0 for b in range(w, span)]
-        columns = [sliced.value(bits[m * j : m * j + m]) for j in reversed(range(nvars))]
+        columns = [bits[m * j : m * j + m] for j in reversed(range(nvars))]
 
         def assignment(i: int, lo=lo) -> List[int]:
             return [(lo + i) >> (m * j) & ((1 << m) - 1) for j in reversed(range(nvars))]
@@ -661,12 +653,11 @@ def _sampled_batches(sliced: _Sliced, nvars: int, count: int, seed: int):
         width = min(count - done, cap)
         sliced.full = (1 << width) - 1
         planes = [[stream.getrandbits(width) for stream in row] for row in streams]
-        columns = [sliced.value(row) for row in planes]
 
         def assignment(i: int, planes=planes) -> List[int]:
             return [sum((plane >> i & 1) << p for p, plane in enumerate(row)) for row in planes]
 
-        yield width, columns, assignment
+        yield width, planes, assignment
         done += width
 
 

@@ -6,6 +6,7 @@ import random
 import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relfork import (
     AXIOM_TEXTS,
@@ -60,15 +61,25 @@ from helpers import (
     random_term,
     sampled_indices,
 )
+from test_relcore import algebras
+
+
+@functools.lru_cache(maxsize=None)
+def cyclic_algebra(k):
+    """The algebra the k-cycle generates on [0, k): 2**k elements, k atoms of k cells."""
+    return generate_subalgebra(k, [FiniteRelation.from_pairs(k, [(i, (i + 1) % k) for i in range(k)])])
+
 
 # Proper models beside the full ones: a subalgebra of full_pra(3) and a
-# product whose unit is not the full square; both have 32 elements.
+# product whose unit is not the full square, both of 32 elements, and Z_8's
+# group algebra, whose 8 atoms hold 8 cells each.
 SUBALGEBRA = generate_subalgebra(3, [FiniteRelation.from_pairs(3, [(0, 0)])])
 PRODUCT = direct_product(full_pra(2), full_pra(1))
 FINITE_MODELS = {
     **{f"full{n}": full_pra(n) for n in range(4)},
     "subalgebra": SUBALGEBRA,
     "product": PRODUCT,
+    "cyclic8": cyclic_algebra(8),
 }
 
 
@@ -616,12 +627,6 @@ class TestCheckSuite:
         assert len(failed) == 1 and failed[0].counterexample_text() == {"x": [(1, 1)]}
 
 
-@functools.lru_cache(maxsize=None)
-def cyclic_algebra(k):
-    """The algebra the k-cycle generates on [0, k): 2**k elements, k atoms of k cells."""
-    return generate_subalgebra(k, [FiniteRelation.from_pairs(k, [(i, (i + 1) % k) for i in range(k)])])
-
-
 class TestSampleStream:
     """A batch's trials are those of ``helpers.sampled_indices``, whose
     streams draw all their bits at once, whatever the batch widths."""
@@ -631,11 +636,11 @@ class TestSampleStream:
     def test_indices_are_the_top_bits_of_one_word(self, monkeypatch, size, seed):
         # Four batches of two-variable trials over a carrier of 2**m elements,
         # at a width_cap of 250, whose whole words are 224 trials; bit i of
-        # each variable's cells is its element under trial i.
+        # each variable's planes is its element under trial i.
         m = size.bit_length() - 1
         model = cyclic_algebra(m)
         assert len(model.atoms) == m
-        monkeypatch.setattr(terms, "SLICE_BITS", 250 * max(1, model.base_size**2))
+        monkeypatch.setattr(terms, "SLICE_BITS", 250 * max(1, m))
         sliced = terms._Sliced(model)
         widths, got = [], []
         for width, columns, assignment in terms._sampled_batches(sliced, 2, 700, seed):
@@ -643,7 +648,7 @@ class TestSampleStream:
             widths.append(width)
             for i in range(width):
                 trial = assignment(i)
-                decoded = [sliced.relation([cell >> i & 1 for cell in column]) for column in columns]
+                decoded = [sliced.relation([plane >> i & 1 for plane in column]) for column in columns]
                 assert decoded == [model.element(index) for index in trial]
                 got += trial
         assert widths == [224, 224, 224, 28]
@@ -656,13 +661,12 @@ class TestSampleStream:
         sliced = terms._Sliced(model)
         assert sliced.width_cap == 466033
         count, seed = 1_000_000, 3
-        # Each cell of full_pra(3) is an atom, so its column is the atom's plane.
-        cell_of = [sliced.atom_of.index(p) for p in range(9)]
+        # Column p of a batch is atom p's plane.
         widths, planes, lasts = [], [0] * 9, []
         batches = terms._sampled_batches(sliced, 1, count, seed)
         for width, (column,), assignment in batches:
-            for p, q in enumerate(cell_of):
-                planes[p] |= column[q] << sum(widths)
+            for p in range(9):
+                planes[p] |= column[p] << sum(widths)
             widths.append(width)
             lasts += assignment(width - 1)
         assert widths == [466016, 466016, 67968]
@@ -687,14 +691,14 @@ class TestExhaustiveStream:
         ],
     )
     def test_batches_count_in_product_order(self, monkeypatch, model, nvars):
-        # Bit i of each variable's cells is its element under assignment i of
+        # Bit i of each variable's planes is its element under assignment i of
         # the batch, and the batches' assignments, in turn, are the product.
-        m, cells = len(model.atoms), max(1, model.base_size**2)
+        m = len(model.atoms)
         # Batches of the whole space, of less than one variable, and ending
         # inside the second variable from the right.
         for w in sorted({m * nvars, m - 1, m + m // 2} & set(range(m * nvars + 1))):
             # A cap of 2**(w + 1) - 1 assignments fits batches of 2**w.
-            monkeypatch.setattr(terms, "SLICE_BITS", ((2 << w) - 1) * cells)
+            monkeypatch.setattr(terms, "SLICE_BITS", ((2 << w) - 1) * max(1, m))
             sliced = terms._Sliced(model)
             got = []
             for width, columns, assignment in terms._exhaustive_batches(sliced, nvars):
@@ -702,7 +706,35 @@ class TestExhaustiveStream:
                 assert sliced.full == (1 << width) - 1
                 for i in range(width):
                     indices = assignment(i)
-                    decoded = [sliced.relation([cell >> i & 1 for cell in c]) for c in columns]
+                    decoded = [sliced.relation([plane >> i & 1 for plane in c]) for c in columns]
                     assert decoded == [model.element(index) for index in indices]
                     got.append(tuple(indices))
             assert got == list(itertools.product(range(1 << m), repeat=nvars)), w
+
+
+class TestAtomTable:
+    """Composition and converse over atom planes against ``FiniteRelation``'s."""
+
+    @staticmethod
+    def assert_matches(model, sliced, i, j):
+        x, y = model.element(i), model.element(j)
+        v, w = sliced.constant(i), sliced.constant(j)
+        assert sliced.compose(v, w) == sliced.constant(model.index(x.compose(y))), (i, j)
+        assert sliced.converse(v) == sliced.constant(model.index(x.converse())), i
+
+    @settings(max_examples=80, deadline=None)
+    @given(algebras(), st.data())
+    def test_random_elements_of_random_algebras(self, model, data):
+        sliced = terms._Sliced(model)
+        size = 1 << len(model.atoms)
+        i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        self.assert_matches(model, sliced, i, j)
+
+    @pytest.mark.parametrize("name", FINITE_MODELS)
+    def test_every_pair_of_atoms(self, name):
+        # By additivity these pin every entry of the table.
+        model = FINITE_MODELS[name]
+        sliced = terms._Sliced(model)
+        for a in range(len(model.atoms)):
+            for b in range(len(model.atoms)):
+                self.assert_matches(model, sliced, 1 << a, 1 << b)
