@@ -26,7 +26,7 @@ _EXPORTS = {
         model_from_dict model_to_dict power save_model""",
     "terms": """AXIOM_TEXTS And CheckReport Complement Compose Const Converse Eq
         EvalError Fork Implies Leq Meet NoForkStructureError Not Or ParseError
-        UnboundVariableError Union Var axiom_suite check_formula check_suite
+        UnboundVariableError Union Var check_formula check_suite
         compile_formula compile_term eval_formula eval_term free_variables parse
         parse_formula parse_term pretty""",
     "forkmodel": """CfaReport ForkBackend LazyRelation NilControlError

@@ -20,10 +20,13 @@ term's value over a batch of assignments is m atom planes, whose bit i
 says whether the atom is below the value under assignment i, and a
 formula's value is one int with a bit per assignment.  ``check_suite``
 runs whole batches, exhaustive or seeded; the formulas of one arity
-share each batch.  An exhaustive arity counts: assignment t gives its
-variables the m-bit digits of t, and a batch is an aligned block of 2**w
-numbers t.  A sampled arity draws its atom planes: bit p of variable j's
-index under trial t is bit t of stream (j, p), seeded from the arity's
+share each batch.  A batch is its width and its variables' planes, and
+nothing else: a failing formula's counterexample is bit i of each
+variable's planes, read back by ``_Sliced.relation``, the one decoder.
+An exhaustive arity counts: assignment t gives its variables the m-bit
+digits of t, and a batch is an aligned block of 2**w numbers t.  A
+sampled arity draws its atom planes: bit p of variable j's index under
+trial t is bit t of stream (j, p), seeded from the arity's
 ``random.Random(seed)``.  ``check_formula`` is a suite of one, and
 ``eval_term``/``eval_formula`` run a batch of one.  Over a pairing
 function the operations are ``ForkBackend``'s, always a batch of one.
@@ -450,7 +453,8 @@ class _Sliced:
     planes, drawn (sampled) or read with ``planes`` (exhaustive), and no
     carrier is listed.  ``equal`` and ``below`` give one int whose bit i
     is the comparison under assignment i.  ``full`` has one bit per
-    assignment of the current batch and is set before each batch runs.
+    assignment of the current batch; ``check_suite`` sets it from the
+    batch's width before the batch runs.
 
     Every atom lies under the unit, so the Boolean operations act plane
     by plane, and converse permutes the atoms.  Plane c of x;y is the OR
@@ -528,12 +532,15 @@ class _Sliced:
     def env(self, env: Dict[str, FiniteRelation]) -> Dict[str, List[int]]:
         """A width-1 batch of one assignment of relations."""
         n = self.model.base_size
+        batch = {}
         for name, rel in env.items():
             if rel.base_size != n:
                 raise RelationError(f"base-size mismatch: {rel.base_size} vs {n}")
-            if rel not in self.model:
+            index = self.model.index(rel)
+            if index is None:
                 raise RelationError(f"binding {name!r} is not an element of the model")
-        return {name: self.constant(self.model.index(rel)) for name, rel in env.items()}
+            batch[name] = self.constant(index)
+        return batch
 
 
 def eval_term(t, env: Dict[str, object], model):
@@ -599,10 +606,10 @@ def _first_failure(mask: int, full: int) -> Optional[int]:
     return (failing & -failing).bit_length() - 1 if failing else None
 
 
-# A batch source yields (width, columns, assignment) after setting the
-# batch's ``full``: columns[j] is the value of a formula's j-th variable,
-# and assignment(i) gives the carrier indices of the variables under
-# assignment i of the batch.
+# A batch source yields (width, columns): columns[j] is the value of a
+# formula's j-th variable over the batch's width assignments, each plane
+# below 1 << width.  ``check_suite`` sets ``full`` from width and reads a
+# counterexample off bit i of the columns with ``_Sliced.relation``.
 
 
 def _exhaustive_batches(sliced: _Sliced, nvars: int):
@@ -621,17 +628,14 @@ def _exhaustive_batches(sliced: _Sliced, nvars: int):
     width = 1 << w
     full = (1 << width) - 1
     step = min(width, 4096)  # words packed at a time, so no 2**w-int tuple is made
+    # The 2**w-word buffer is kept, though the planes could be built without
+    # it: freeing it (1 MiB at w = 18) raises glibc's dynamic trim threshold,
+    # and the exhaustive checks' wall time and page faults depend on that.
     words = (struct.pack(f"<{step}I", *range(s, s + step)) for s in range(0, width, step))
     low = sliced.planes(b"".join(words), range(w))
     for lo in range(0, 1 << span, width):
-        sliced.full = full
         bits = low + [full if lo >> b & 1 else 0 for b in range(w, span)]
-        columns = [bits[m * j : m * j + m] for j in reversed(range(nvars))]
-
-        def assignment(i: int, lo=lo) -> List[int]:
-            return [(lo + i) >> (m * j) & ((1 << m) - 1) for j in reversed(range(nvars))]
-
-        yield width, columns, assignment
+        yield width, [bits[m * j : m * j + m] for j in reversed(range(nvars))]
 
 
 def _sampled_batches(sliced: _Sliced, nvars: int, count: int, seed: int):
@@ -651,13 +655,7 @@ def _sampled_batches(sliced: _Sliced, nvars: int, count: int, seed: int):
     done = 0
     while done < count:
         width = min(count - done, cap)
-        sliced.full = (1 << width) - 1
-        planes = [[stream.getrandbits(width) for stream in row] for row in streams]
-
-        def assignment(i: int, planes=planes) -> List[int]:
-            return [sum((plane >> i & 1) << p for p, plane in enumerate(row)) for row in planes]
-
-        yield width, planes, assignment
+        yield width, [[stream.getrandbits(width) for stream in row] for row in streams]
         done += width
 
 
@@ -709,7 +707,8 @@ def check_suite(
         else:
             batches = _sampled_batches(sliced, nvars, count, seed)
         checked = 0
-        for width, columns, assignment in batches:
+        for width, columns in batches:
+            sliced.full = (1 << width) - 1
             passing = []
             for k in live:
                 failure = _first_failure(runs[k](dict(zip(names[k], columns))), sliced.full)
@@ -717,7 +716,8 @@ def check_suite(
                     passing.append(k)
                     continue
                 counterexample = {
-                    name: model.element(i) for name, i in zip(names[k], assignment(failure))
+                    name: sliced.relation([plane >> failure & 1 for plane in column])
+                    for name, column in zip(names[k], columns)
                 }
                 reports[k] = CheckReport(
                     texts[k], scope, False, checked + failure + 1, counterexample
@@ -791,14 +791,3 @@ AXIOM_TEXTS: Dict[str, Tuple[str, ...]] = {
     "cfau": _EQUATIONAL + _FORK + _URELEMENT,
 }
 assert tuple(sorted(AXIOM_TEXTS)) == SUITES, "errors.SUITES names the suites"
-
-
-def axiom_suite(name: str) -> List[object]:
-    """Parsed formulas of the named suite."""
-    try:
-        texts = AXIOM_TEXTS[name]
-    except KeyError:
-        raise EvalError(
-            f"unknown suite {name!r}; expected one of {sorted(AXIOM_TEXTS)}"
-        ) from None
-    return [parse_formula(text) for text in texts]

@@ -35,7 +35,6 @@ from relfork import (
     UndecidableCompositionError,
     Union,
     Var,
-    axiom_suite,
     build_star_basic,
     check_formula,
     check_suite,
@@ -85,6 +84,16 @@ FINITE_MODELS = {
 
 def report_tuple(report):
     return report.scope.label(), report.valid, report.checked, report.counterexample
+
+
+def index_at(column, i):
+    """The carrier index a variable's planes give it under assignment i."""
+    return sum((plane >> i & 1) << p for p, plane in enumerate(column))
+
+
+def fits(columns, width):
+    """Whether every plane of a batch has no bit past its width."""
+    return all(0 <= plane < 1 << width for column in columns for plane in column)
 
 
 class TestParsing:
@@ -397,23 +406,19 @@ class TestAxiomSuites:
         assert len(AXIOM_TEXTS["cfau"]) == 11
 
     def test_suites_parse(self):
-        for name in AXIOM_TEXTS:
-            formulas = axiom_suite(name)
-            assert len(formulas) == len(AXIOM_TEXTS[name])
-
-    def test_unknown_suite(self):
-        with pytest.raises(ValueError):
-            axiom_suite("boolean")
+        for texts in AXIOM_TEXTS.values():
+            formulas = [parse_formula(text) for text in texts]
+            assert [parse_formula(pretty(f)) for f in formulas] == formulas
 
     def test_tarski_suite_holds_on_small_full_models(self):
         for n in (0, 1, 2):
             model = full_pra(n)
-            for formula in axiom_suite("cr_tarski"):
+            for formula in AXIOM_TEXTS["cr_tarski"]:
                 assert check_formula(formula, model).valid
 
     def test_fork_axioms_rejected_without_fork_structure(self):
         with pytest.raises(NoForkStructureError):
-            check_formula(axiom_suite("cfa")[-1], full_pra(1))
+            check_formula(AXIOM_TEXTS["cfa"][-1], full_pra(1))
 
 
 class TestBitslicedChecker:
@@ -534,7 +539,7 @@ class TestCheckSuite:
         # cr_tarski has arities 0 to 3 over 16 formulas.  Over the 4 atoms of
         # full_pra(2), a k-variable group's generator seeds 4k streams with 64
         # bits each, and each stream draws one bit per trial: 500 in one batch.
-        formulas = axiom_suite("cr_tarski")
+        formulas = [parse_formula(text) for text in AXIOM_TEXTS["cr_tarski"]]
         assert sorted({len(free_variables(f)) for f in formulas}) == [0, 1, 2, 3]
         reports = check_suite(formulas, full_pra(2), strategy=("sampled", 500), seed=9)
         assert all(r.valid and r.checked == 500 for r in reports)
@@ -616,15 +621,27 @@ class TestCheckSuite:
 
     @pytest.mark.parametrize("suite", ["cr_equational", "cr_tarski"])
     def test_sampled_check_reads_no_carrier(self, unread_carrier, suite):
-        reports = check_suite(axiom_suite(suite), full_pra(4), strategy=("sampled", 300), seed=5)
+        reports = check_suite(AXIOM_TEXTS[suite], full_pra(4), strategy=("sampled", 300), seed=5)
         assert all(r.valid and r.checked == 300 for r in reports)
 
     def test_sampled_counterexample_is_built_from_its_atoms(self, unread_carrier):
         # cr_tarski fails on the 1x1 product; the counterexample is element(i).
         model = direct_product(full_pra(1), full_pra(1))
-        reports = check_suite(axiom_suite("cr_tarski"), model, strategy=("sampled", 3000), seed=4)
+        reports = check_suite(AXIOM_TEXTS["cr_tarski"], model, strategy=("sampled", 3000), seed=4)
         failed = [r for r in reports if not r.valid]
         assert len(failed) == 1 and failed[0].counterexample_text() == {"x": [(1, 1)]}
+
+    def test_exhaustive_counterexample_in_the_last_batch(self, unread_carrier):
+        # At the shipped SLICE_BITS, full:3's 512**3 assignments run in 512
+        # batches of 2**18.  The first failure is x = y = 1, z = element(1),
+        # number 511 * 2**18 + 511 * 2**9 + 1: in the last batch.
+        model = full_pra(3)
+        assert terms._Sliced(model).width_cap.bit_length() - 1 == 18
+        report = check_formula("x = 1 /\\ y = 1 -> z = 0", model)
+        assert not report.valid
+        assert report.checked == 511 * 2**18 + 511 * 2**9 + 2 == 134_217_218
+        assert report.counterexample == {"x": model.unit, "y": model.unit, "z": model.element(1)}
+        assert report.counterexample_text()["z"] == [(2, 0)]
 
 
 class TestSampleStream:
@@ -643,11 +660,11 @@ class TestSampleStream:
         monkeypatch.setattr(terms, "SLICE_BITS", 250 * max(1, m))
         sliced = terms._Sliced(model)
         widths, got = [], []
-        for width, columns, assignment in terms._sampled_batches(sliced, 2, 700, seed):
-            assert sliced.full == (1 << width) - 1
+        for width, columns in terms._sampled_batches(sliced, 2, 700, seed):
+            assert fits(columns, width)
             widths.append(width)
             for i in range(width):
-                trial = assignment(i)
+                trial = [index_at(column, i) for column in columns]
                 decoded = [sliced.relation([plane >> i & 1 for plane in column]) for column in columns]
                 assert decoded == [model.element(index) for index in trial]
                 got += trial
@@ -664,16 +681,17 @@ class TestSampleStream:
         # Column p of a batch is atom p's plane.
         widths, planes, lasts = [], [0] * 9, []
         batches = terms._sampled_batches(sliced, 1, count, seed)
-        for width, (column,), assignment in batches:
+        for width, (column,) in batches:
+            assert fits([column], width)
             for p in range(9):
                 planes[p] |= column[p] << sum(widths)
             widths.append(width)
-            lasts += assignment(width - 1)
+            lasts.append(sliced.relation([plane >> width - 1 & 1 for plane in column]))
         assert widths == [466016, 466016, 67968]
         rng = random.Random(seed)
         assert planes == [random.Random(rng.getrandbits(64)).getrandbits(count) for _ in range(9)]
         ends = [466015, 932031, count - 1]
-        assert lasts == [sum((plane >> t & 1) << p for p, plane in enumerate(planes)) for t in ends]
+        assert lasts == [model.element(index_at(planes, t)) for t in ends]
 
 
 class TestExhaustiveStream:
@@ -701,11 +719,11 @@ class TestExhaustiveStream:
             monkeypatch.setattr(terms, "SLICE_BITS", ((2 << w) - 1) * max(1, m))
             sliced = terms._Sliced(model)
             got = []
-            for width, columns, assignment in terms._exhaustive_batches(sliced, nvars):
+            for width, columns in terms._exhaustive_batches(sliced, nvars):
                 assert width == 1 << w <= sliced.width_cap
-                assert sliced.full == (1 << width) - 1
+                assert fits(columns, width)
                 for i in range(width):
-                    indices = assignment(i)
+                    indices = [index_at(column, i) for column in columns]
                     decoded = [sliced.relation([plane >> i & 1 for plane in c]) for c in columns]
                     assert decoded == [model.element(index) for index in indices]
                     got.append(tuple(indices))
