@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # Every public name, by the submodule that defines it.
 _EXPORTS = {
-    "btree": """BT BTC Bin HOLE Hole NIL Nil TreeSyntaxError bt_lt format_tree
+    "btree": """BT BTC Bin HOLE Hole NIL Nil TreeSyntaxError format_tree
         is_tree node_count parse_tree strict_subtrees substitute tree_map variants""",
     "errors": "RelforkError",
     "node": "Scope",

@@ -5,9 +5,9 @@ function: ``nil`` is a leaf and ``(bin l r)`` an internal node.  A tree
 context may additionally contain holes; substituting a tree into a
 context fills every hole.  A context without holes is itself a tree.
 
-The strict order ``bt_lt`` places a tree below every tree that contains
-it: ``a < b`` iff ``b = (bin l r)`` and ``a`` equals or lies below ``l``
-or ``r``.  Its downward closure, ``strict_subtrees``, indexes the
+A tree lies strictly below every tree that contains it: ``a < b`` iff
+``b = (bin l r)`` and ``a`` equals or lies below ``l`` or ``r``.
+``strict_subtrees(b)``, the set of every such ``a``, indexes the
 families used by the tree-controlled construction.
 """
 
@@ -64,13 +64,6 @@ def node_count(t: BTC) -> int:
     if isinstance(t, Bin):
         return 1 + node_count(t.left) + node_count(t.right)
     return 1
-
-
-def bt_lt(a: BT, b: BT) -> bool:
-    """Strict order: a is below b when a equals or is below a child of b."""
-    if not isinstance(b, Bin):
-        return False
-    return a == b.left or bt_lt(a, b.left) or a == b.right or bt_lt(a, b.right)
 
 
 def strict_subtrees(t: BT) -> FrozenSet[BT]:

@@ -17,8 +17,10 @@ Subcommands:
 
 All randomness is seeded; stdout for a fixed seed is byte-stable.  The
 elapsed wall time goes to stderr so it never disturbs captured output.
-A command returns its payload, exit code and verdict's ``Scope``, whose
-``label()`` the headers and JSON ``scope``/``mode`` print.  A stdout that
+A command returns its payload, exit code and the lines it prints in
+text mode; ``export`` returns None for them and prints its JSON in both
+formats.  The text headers and JSON ``scope``/``mode`` print the
+verdict's ``Scope.label()``.  A stdout that
 cannot be written, a closed pipe included, exits 2 like any other error;
 a stderr that cannot be written changes no exit code.
 
@@ -41,7 +43,7 @@ import json
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from . import relcore
 from .errors import SCAN_CAP, SUITES, WINDOW_CAP, RelforkError
@@ -176,7 +178,19 @@ def _check_args(args) -> None:
 # Subcommands
 
 
-def _cmd_check(args) -> Tuple[Dict, int, Scope]:
+def _suite_text(payload: Dict, scope: Scope, rows) -> List[str]:
+    """A suite's text: its header, a line per (passed, label, counterexample) and the verdict."""
+    seed = f", seed {payload['seed']}" if scope.kind == "sampled" else ""
+    lines = [f"{payload['suite']} on {payload['target']}  [{scope.label()}{seed}]"]
+    for passed, label, counterexample in rows:
+        lines.append(f"  {'ok  ' if passed else 'FAIL'} {label}")
+        if not passed and counterexample is not None:
+            lines.append(f"       counterexample: {json.dumps(counterexample, sort_keys=True)}")
+    lines.append(f"result: {'pass' if payload['all_valid'] else 'FAIL'}")
+    return lines
+
+
+def _cmd_check(args) -> Tuple[Dict, int, List[str]]:
     suite = args.suite
     if args.model:
         seed = 0 if args.seed is None else args.seed
@@ -208,7 +222,8 @@ def _cmd_check(args) -> Tuple[Dict, int, Scope]:
             "results": results,
             "all_valid": all_valid,
         }
-        return payload, 0 if all_valid else 1, reports[0].scope
+        rows = [(r["valid"], r["axiom"], r["counterexample"]) for r in results]
+        return payload, 0 if all_valid else 1, _suite_text(payload, reports[0].scope, rows)
 
     if suite not in ("cfa", "cfau"):
         raise UsageError(f"suite {suite!r} needs a finite model target; use --model")
@@ -233,10 +248,11 @@ def _cmd_check(args) -> Tuple[Dict, int, Scope]:
         ],
         "all_valid": report.all_passed,
     }
-    return payload, 0 if report.all_passed else 1, report.scope
+    rows = [(r.passed, r.description, r.witness) for r in report.results]
+    return payload, 0 if report.all_passed else 1, _suite_text(payload, report.scope, rows)
 
 
-def _cmd_eval(args) -> Tuple[Dict, int, Scope]:
+def _cmd_eval(args) -> Tuple[Dict, int, List[str]]:
     from . import terms
 
     formula = terms.parse_formula(args.formula)
@@ -269,10 +285,11 @@ def _cmd_eval(args) -> Tuple[Dict, int, Scope]:
         "mode": scope.label(),
         "value": value,
     }
-    return payload, 0 if value else 1, scope
+    text = [f"{payload['formula']}  [{payload['mode']}]", "true" if value else "false"]
+    return payload, 0 if value else 1, text
 
 
-def _cmd_fix(args) -> Tuple[Dict, int, Scope]:
+def _cmd_fix(args) -> Tuple[Dict, int, List[str]]:
     from . import forkmodel
 
     pf, config = _resolve_star(args)
@@ -289,17 +306,31 @@ def _cmd_fix(args) -> Tuple[Dict, int, Scope]:
         "candidates": list(candidates),
         "matches_candidates": matches,
     }
-    return payload, 0 if matches else 1, Scope("window", window)
+    text = [
+        f"{payload['target']} window [0,{window})",
+        f"fixpoints:  {payload['fixpoints']}",
+        f"candidates: {payload['candidates']}",
+        f"agreement:  {'yes' if matches else 'NO'}",
+    ]
+    return payload, 0 if matches else 1, text
 
 
-def _cmd_build(args) -> Tuple[Dict, int, None]:
+def _cmd_build(args) -> Tuple[Dict, int, List[str]]:
     from . import constructions
 
     pf, config = _resolve_star(args)
     payload = constructions.layout_report(pf)
     payload["config"] = config
     payload["config_sha256"] = _config_digest(config)
-    return payload, 0, None
+    text = [f"kind {payload['kind']}, members {payload['members']}"]
+    if payload["control"]:
+        text.append(f"control: {payload['control']}")
+    text.append(f"reserved: {payload['reserved']}")
+    for block in payload["blocks"]:
+        text.append(f"block {block['index']} ({block['name']}): {block['first_elements']} ...")
+    text.append(f"pinned cells: {len(payload['table'])}")
+    text.append(f"config sha256: {payload['config_sha256']}")
+    return payload, 0, text
 
 
 def _cmd_export(args) -> Tuple[Dict, int, None]:
@@ -311,51 +342,7 @@ def _cmd_export(args) -> Tuple[Dict, int, None]:
 
 
 # ---------------------------------------------------------------------------
-# Rendering and argument wiring
-
-
-def _render_text(payload: Dict, scope: Optional[Scope]) -> str:
-    lines = []
-    if "results" in payload:
-        seed = f", seed {payload['seed']}" if scope.kind == "sampled" else ""
-        lines.append(f"{payload['suite']} on {payload['target']}  [{scope.label()}{seed}]")
-        for entry in payload["results"]:
-            mark = "ok  " if entry.get("valid", entry.get("passed")) else "FAIL"
-            label = entry.get("axiom", entry.get("description", ""))
-            lines.append(f"  {mark} {label}")
-            counterexample = entry.get("counterexample") or entry.get("witness")
-            if counterexample is not None and not entry.get(
-                "valid", entry.get("passed")
-            ):
-                lines.append(
-                    f"       counterexample: {json.dumps(counterexample, sort_keys=True)}"
-                )
-        verdict = "pass" if payload["all_valid"] else "FAIL"
-        lines.append(f"result: {verdict}")
-    elif "value" in payload:
-        lines.append(f"{payload['formula']}  [{scope.label()}]")
-        lines.append("true" if payload["value"] else "false")
-    elif "fixpoints" in payload:
-        lines.append(f"{payload['target']} window [0,{scope.bound})")
-        lines.append(f"fixpoints:  {payload['fixpoints']}")
-        lines.append(f"candidates: {payload['candidates']}")
-        lines.append(
-            "agreement:  yes" if payload["matches_candidates"] else "agreement:  NO"
-        )
-    elif "star_grid" in payload:
-        lines.append(f"kind {payload['kind']}, members {payload['members']}")
-        if payload.get("control"):
-            lines.append(f"control: {payload['control']}")
-        lines.append(f"reserved: {payload['reserved']}")
-        for block in payload["blocks"]:
-            lines.append(
-                f"block {block['index']} ({block['name']}): {block['first_elements']} ..."
-            )
-        lines.append(f"pinned cells: {len(payload['table'])}")
-        lines.append(f"config sha256: {payload['config_sha256']}")
-    else:
-        lines.append(json.dumps(payload, indent=2, sort_keys=True))
-    return "\n".join(lines)
+# Argument wiring
 
 
 def _add_target_args(parser: argparse.ArgumentParser, with_model: bool = True) -> None:
@@ -454,11 +441,11 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         _check_args(args)
-        payload, code, scope = args.func(args)
-        if args.format == "json":
+        payload, code, text = args.func(args)
+        if args.format == "json" or text is None:
             print(json.dumps(payload, indent=2, sort_keys=True), flush=True)
         else:
-            print(_render_text(payload, scope), flush=True)
+            print("\n".join(text), flush=True)
     except (RelforkError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
             # The reader has gone: the interpreter's flush at exit writes

@@ -13,10 +13,8 @@ from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from relfork import (
     BT,
-    BTC,
     Bin,
     FiniteRelation,
-    HOLE,
     NIL,
     PI,
     RHO,
@@ -280,12 +278,6 @@ def random_tree(rng: random.Random, depth: int = 3) -> BT:
 
 def random_nonnil_tree(rng: random.Random, depth: int = 3) -> BT:
     return Bin(random_tree(rng, depth - 1), random_tree(rng, depth - 1))
-
-
-def random_context(rng: random.Random, depth: int = 3) -> BTC:
-    if depth == 0 or rng.random() < 0.3:
-        return HOLE if rng.random() < 0.5 else NIL
-    return Bin(random_context(rng, depth - 1), random_context(rng, depth - 1))
 
 
 def random_seq(rng: random.Random, max_len: int = 4) -> Seq:

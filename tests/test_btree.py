@@ -1,7 +1,5 @@
 """Binary trees and contexts: structure, order, variants, text syntax."""
 
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +10,6 @@ from relfork import (
     NIL,
     Nil,
     TreeSyntaxError,
-    bt_lt,
     format_tree,
     is_tree,
     node_count,
@@ -23,8 +20,6 @@ from relfork import (
     variants,
 )
 from relfork.errors import MAX_NESTING
-
-from helpers import random_context, random_tree
 
 T1 = Bin(NIL, NIL)
 T2 = Bin(T1, NIL)
@@ -64,19 +59,12 @@ class TestStructure:
 
 class TestOrder:
     def test_examples(self):
-        assert bt_lt(NIL, T1)
-        assert bt_lt(T1, T2)
-        assert bt_lt(NIL, T2)
-        assert not bt_lt(T2, T2)
-        assert not bt_lt(T2, T1)
-        assert not bt_lt(NIL, NIL)
-
-    def test_matches_strict_subtrees(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            a = random_tree(rng, 3)
-            b = random_tree(rng, 4)
-            assert bt_lt(a, b) == (a in strict_subtrees(b))
+        assert NIL in strict_subtrees(T1)
+        assert T1 in strict_subtrees(T2)
+        assert NIL in strict_subtrees(T2)
+        assert T2 not in strict_subtrees(T2)
+        assert T2 not in strict_subtrees(T1)
+        assert NIL not in strict_subtrees(NIL)
 
     def test_strict_subtrees_example(self):
         assert strict_subtrees(T2) == frozenset({NIL, T1})

@@ -606,7 +606,9 @@ class TestFix:
         )
         assert code == 2 and "exceeds cap" in err
 
-    def test_mismatch_exits_one(self, capsys, monkeypatch):
+    @staticmethod
+    def add_extra_fixpoint(monkeypatch):
+        """Make every built pairing fix 9 as well as its candidates."""
         build = constructions.build_from_config
 
         def with_extra_fixpoint(config):
@@ -617,6 +619,9 @@ class TestFix:
             )
 
         monkeypatch.setattr(constructions, "build_from_config", with_extra_fixpoint)
+
+    def test_mismatch_exits_one(self, capsys, monkeypatch):
+        self.add_extra_fixpoint(monkeypatch)
         code, out, _ = run(
             capsys, "--format", "json", "fix", "--star", "basic", "--S", "2,5",
             "--window", "400",
@@ -624,6 +629,17 @@ class TestFix:
         assert code == 1
         assert '"matches_candidates": false' in out
         assert json.loads(out)["fixpoints"] == [2, 5, 9]
+
+    def test_mismatch_text(self, capsys, monkeypatch):
+        self.add_extra_fixpoint(monkeypatch)
+        code, out, _ = run(capsys, "fix", "--star", "basic", "--S", "2,5", "--window", "400")
+        assert code == 1
+        assert out == (
+            "star:basic S=[2, 5] window [0,400)\n"
+            "fixpoints:  [2, 5, 9]\n"
+            "candidates: [2, 5]\n"
+            "agreement:  NO\n"
+        )
 
     def test_config_file_target(self, capsys, tmp_path):
         config = tmp_path / "star.json"
@@ -686,6 +702,11 @@ class TestExport:
         assert code == 0
         payload = json.loads(out)
         assert payload["base_size"] == 1 and payload["full"] is True
+
+    def test_text_prints_the_json(self, capsys):
+        code, text, _ = run(capsys, "export", "--model", "full:1")
+        assert (code, text) == run(capsys, "--format", "json", "export", "--model", "full:1")[:2]
+        assert code == 0 and text.startswith("{")
 
 
 BASIC_TARGET = ["--star", "basic", "--S", "1"]
