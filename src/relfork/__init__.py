@@ -30,10 +30,10 @@ _EXPORTS = {
         compile_formula compile_term eval_formula eval_term free_variables parse
         parse_formula parse_term pretty""",
     "forkmodel": """CfaReport ForkBackend LazyRelation NilControlError
-        NoFiniteSupportError PairingFunction UndecidableCompositionError
-        cfa_axiom_check complement_rel compose_rel conjugate converse_rel
-        fix_members fix_proj_members fix_seq_members fix_tree_members fork
-        meet_rel projections si_member transport underline union_rel window""",
+        PairingFunction UndecidableCompositionError cfa_axiom_check
+        complement_rel compose_rel conjugate converse_rel fix_members
+        fix_proj_members fix_seq_members fix_tree_members fork meet_rel
+        projections transport underline union_rel window""",
     "constructions": """ConstructionError ConstructionLayout build_from_config
         build_star_basic build_star_proj build_star_seq build_star_tree
         cantor_pair cantor_unpair layout_report""",

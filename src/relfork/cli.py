@@ -34,11 +34,17 @@ parser takes the suite names from ``errors.SUITES``.  No command loads
 CPython's own ``sha256`` module.  The target's options, the window caps
 and the sampled count are checked first, against constants that need no
 pairing code.
+
+``run`` is the process entry of the console script and ``python -m
+relfork.cli``: it freezes the heap (``gc.freeze``) after ``main``, so the
+interpreter's shutdown collections skip what exit frees anyway (about
+6 ms a run).  ``main`` never freezes, so one process may call it often.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -457,5 +463,13 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> int:
+    """``main``'s exit code, with the heap frozen for the process exit."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

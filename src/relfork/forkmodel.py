@@ -87,10 +87,6 @@ class UndecidableCompositionError(RelforkError):
         )
 
 
-class NoFiniteSupportError(RelforkError):
-    pass
-
-
 class NilControlError(RelforkError):
     def __init__(self):
         super().__init__("control tree must not be nil")
@@ -420,16 +416,6 @@ def fix_proj_members(
 
 def fix_seq_members(s: Seq, pf: PairingFunction, region: Iterable[int]) -> Tuple[int, ...]:
     return fix_members(pf, region, s)
-
-
-def si_member(a: LazyRelation, bound_rel: LazyRelation) -> bool:
-    """True when a is a subidentity below bound_rel (meet with identity).
-
-    API: acceptance criterion 09 checks through it that ``transport`` keeps subidentities.
-    """
-    if a.support_hint is None:
-        raise NoFiniteSupportError("subidentity test needs a finitely supported relation")
-    return all(u == v and bound_rel.contains(u, u) for u, v in a.support_hint)
 
 
 def window(rel: LazyRelation, n: int) -> FiniteRelation:

@@ -18,6 +18,7 @@ from relfork import (
     NIL,
     PI,
     RHO,
+    RelforkError,
     Seq,
 )
 from relfork import terms
@@ -60,6 +61,17 @@ def window_by_contains(rel, n: int) -> FiniteRelation:
     return FiniteRelation.from_pairs(
         n, [(a, b) for a in range(n) for b in range(n) if rel.contains(a, b)]
     )
+
+
+def si_member(a, bound_rel) -> bool:
+    """True when the lazy relation a is a subidentity below bound_rel.
+
+    Acceptance criterion 09 checks through it that ``transport`` keeps
+    subidentities.  A relation without finite support is refused.
+    """
+    if a.support_hint is None:
+        raise RelforkError("subidentity test needs a finitely supported relation")
+    return all(u == v and bound_rel.contains(u, u) for u, v in a.support_hint)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ from relfork import (
     power,
     pretty,
     seq_concat,
-    si_member,
     substitute,
     transport,
     tree_map,
@@ -62,7 +61,7 @@ from relfork import (
 )
 from relfork.forkmodel import IDENTITY as FM_IDENTITY
 
-from helpers import random_formula, random_term
+from helpers import random_formula, random_term, si_member
 
 BASIC_PF = build_star_basic([1, 2])
 TREE_T = parse_tree("bin (bin nil nil) nil")

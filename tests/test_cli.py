@@ -1,16 +1,18 @@
 """Command line interface: exit codes, output shape, stdout stability."""
 
+import gc
 import json
 import os
 import pathlib
 import random
+import runpy
 import subprocess
 import sys
 
 import pytest
 
 import relfork
-from relfork import constructions, relcore, terms
+from relfork import cli, constructions, relcore, terms
 from relfork.cli import main
 from relfork.forkmodel import PairingFunction
 
@@ -972,9 +974,11 @@ class TestMalformedInput:
         assert out == ""
 
 
-def run_fresh(argv, closed=None, buffered=True):
+def run_fresh(argv, closed=None, buffered=True, cwd=None):
     """Exit code, stdout and stderr of ``python -m relfork.cli`` in a new process.
 
+    The process starts in ``cwd`` (default: this one's directory), and
+    its output is decoded as UTF-8 with line endings as written.
     ``closed`` names the stream ("stdout" or "stderr") given a pipe whose
     read end is closed before the run starts, so that its first flush
     fails whatever the timing; it then reads "".  ``buffered`` False runs
@@ -997,12 +1001,13 @@ def run_fresh(argv, closed=None, buffered=True):
             [sys.executable, "-m", "relfork.cli", *argv],
             **streams,
             env=env,
-            text=True,
+            cwd=cwd,
             timeout=60,
         )
     finally:
         os.close(write_end)
-    return done.returncode, done.stdout or "", done.stderr or ""
+    out, err = ((stream or b"").decode("utf-8") for stream in (done.stdout, done.stderr))
+    return done.returncode, out, err
 
 
 class TestClosedStdout:
@@ -1038,3 +1043,58 @@ class TestClosedStderr:
         code, out, err = run_fresh(argv, buffered=buffered)
         assert code == want and "Traceback" not in err
         assert run_fresh(argv, closed="stderr", buffered=buffered) == (want, out, "")
+
+
+class TestProcessEntry:
+    """``run`` is the process entry: ``main``, then ``gc.freeze`` for the exit."""
+
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    @pytest.mark.parametrize("golden, exit_code, argv", PINNED.values(), ids=PINNED.keys())
+    def test_fresh_process_prints_the_golden_bytes(self, golden, exit_code, argv, fmt, suffix):
+        code, out, _ = run_fresh(["--format", fmt, *argv], cwd=GOLDEN)
+        assert code == exit_code
+        assert out.encode("utf-8") == (GOLDEN / f"{golden}.{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("outcome", [0, 1, 2, SystemExit(2)], ids=["0", "1", "2", "exit"])
+    def test_freezes_after_main(self, monkeypatch, outcome):
+        events = []
+
+        def fake_main():
+            events.append("main")
+            if isinstance(outcome, SystemExit):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(cli, "main", fake_main)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        if isinstance(outcome, SystemExit):
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+            assert exc.value is outcome
+        else:
+            assert cli.run() == outcome
+        assert events == ["main", "freeze"]
+
+    @pytest.mark.parametrize(
+        "want, argv",
+        [
+            (0, ["eval", "--model", "full:1", "--formula", "1 = 1"]),
+            (1, ["eval", "--model", "full:1", "--formula", "1 = 0"]),
+            (2, ["eval", "--model", "full:1", "--formula", "x = 0"]),
+            (2, ["fix", "--no-such-flag"]),
+        ],
+        ids=["true", "false", "usage-error", "argparse-refusal"],
+    )
+    def test_main_never_freezes(self, capsys, monkeypatch, want, argv):
+        monkeypatch.setattr(gc, "freeze", lambda: pytest.fail("main froze the heap"))
+        assert run_to_exit(capsys, *argv)[0] == want
+
+    @pytest.mark.filterwarnings("ignore:'relfork.cli' found in sys.modules:RuntimeWarning")
+    def test_module_entry_runs_through_run(self, capsys, monkeypatch):
+        frozen = []
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+        monkeypatch.setattr(sys, "argv", ["relfork", "eval", "--model", "full:1", "--formula", "1 = 0"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("relfork.cli", run_name="__main__")
+        assert exc.value.code == 1 and frozen == [True]
+        assert capsys.readouterr().out == "1 = 0  [exact]\nfalse\n"

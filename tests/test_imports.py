@@ -142,7 +142,7 @@ def test_cfa_check_loads_no_constructions():
 def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from relfork import *", namespace)
-    assert len(relfork.__all__) == 105
+    assert len(relfork.__all__) == 103
     for name in relfork.__all__:
         assert namespace[name] is getattr(relfork, name)
     assert set(relfork.__all__) <= set(dir(relfork))
