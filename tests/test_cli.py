@@ -8,6 +8,7 @@ import random
 import runpy
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -974,7 +975,7 @@ class TestMalformedInput:
         assert out == ""
 
 
-def run_fresh(argv, closed=None, buffered=True, cwd=None):
+def run_fresh(argv, closed=None, buffered=True, cwd=None, to_file=False):
     """Exit code, stdout and stderr of ``python -m relfork.cli`` in a new process.
 
     The process starts in ``cwd`` (default: this one's directory), and
@@ -984,6 +985,8 @@ def run_fresh(argv, closed=None, buffered=True, cwd=None):
     fails whatever the timing; it then reads "".  ``buffered`` False runs
     with PYTHONUNBUFFERED set, so that a failed write leaves nothing for
     the interpreter's flush at exit; True, the default, runs without it.
+    ``to_file`` True gives stdout a regular file, read back after the
+    run, in place of a pipe.
     """
     src = str(pathlib.Path(relfork.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -996,17 +999,22 @@ def run_fresh(argv, closed=None, buffered=True, cwd=None):
     streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
     if closed is not None:
         streams[closed] = write_end
-    try:
-        done = subprocess.run(
-            [sys.executable, "-m", "relfork.cli", *argv],
-            **streams,
-            env=env,
-            cwd=cwd,
-            timeout=60,
-        )
-    finally:
-        os.close(write_end)
-    out, err = ((stream or b"").decode("utf-8") for stream in (done.stdout, done.stderr))
+    with tempfile.TemporaryFile() as out_file:
+        if to_file:
+            streams["stdout"] = out_file
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "relfork.cli", *argv],
+                **streams,
+                env=env,
+                cwd=cwd,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        out_file.seek(0)
+        stdout = out_file.read() if to_file else done.stdout
+    out, err = ((stream or b"").decode("utf-8") for stream in (stdout, done.stderr))
     return done.returncode, out, err
 
 
@@ -1043,6 +1051,38 @@ class TestClosedStderr:
         code, out, err = run_fresh(argv, buffered=buffered)
         assert code == want and "Traceback" not in err
         assert run_fresh(argv, closed="stderr", buffered=buffered) == (want, out, "")
+
+
+# argparse writes these itself, help to stdout and a refusal to stderr, and
+# leaves them in the stream's buffer for the flush at exit.
+ARGPARSE_EXITS = {
+    "help": (0, ["--help"]),
+    "check-help": (0, ["check", "--help"]),
+    "bad-suite": (2, ["check", "--suite", "nope"]),
+}
+
+
+class TestArgparseExits:
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        # The width argparse wraps to, in this process and in the fresh ones.
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["pipe", "file"])
+    @pytest.mark.parametrize("want, argv", ARGPARSE_EXITS.values(), ids=ARGPARSE_EXITS.keys())
+    def test_prints_in_full(self, capsys, want, argv, to_file):
+        code, out, err = run_to_exit(capsys, *argv)
+        assert code == want and (out if want == 0 else err).startswith("usage: relfork")
+        assert run_fresh(argv, to_file=to_file) == (code, out, err)
+
+    @pytest.mark.parametrize("closed", ["stdout", "stderr"])
+    @pytest.mark.parametrize("want, argv", ARGPARSE_EXITS.values(), ids=ARGPARSE_EXITS.keys())
+    @pytest.mark.parametrize("buffered", [False], ids=["unbuffered"])
+    def test_a_closed_stream_keeps_the_exit_code(self, capsys, want, argv, closed, buffered):
+        # The text that cannot be written is dropped; the other stream's is whole.
+        _, out, err = run_to_exit(capsys, *argv)
+        kept = (want, "", err) if closed == "stdout" else (want, out, "")
+        assert run_fresh(argv, closed=closed, buffered=buffered) == kept
 
 
 class TestProcessEntry:
