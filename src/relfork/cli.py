@@ -36,9 +36,12 @@ and the sampled count are checked first, against constants that need no
 pairing code.
 
 ``run`` is the process entry of the console script and ``python -m
-relfork.cli``: it freezes the heap (``gc.freeze``) after ``main``, so the
-interpreter's shutdown collections skip what exit frees anyway (about
-6 ms a run).  ``main`` never freezes, so one process may call it often.
+relfork.cli``: ``main`` with the cyclic collector off, then a flush of
+stdout and stderr and ``os._exit``.  The interpreter's teardown (module
+cleanup, the final collection, atexit handlers) is safe to skip, as
+relfork registers no ``atexit`` handler and holds no file open at exit
+but stdout and stderr.  ``main`` neither turns the collector off nor
+exits, so one process may call it often.
 """
 
 from __future__ import annotations
@@ -463,13 +466,24 @@ def main(argv=None) -> int:
     return code
 
 
-def run() -> int:
-    """``main``'s exit code, with the heap frozen for the process exit."""
+def run() -> None:
+    """``main`` with the collector off, then ``os._exit``; argparse's exits too.
+
+    The teardown is skipped but for the flush of stdout and stderr, as no
+    atexit handler or other open file is left; a failed flush keeps the code.
+    """
+    gc.disable()
     try:
-        return main()
-    finally:
-        gc.freeze()
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

@@ -975,6 +975,13 @@ class TestMalformedInput:
         assert out == ""
 
 
+def fresh_env():
+    """This process's environment, with the tested relfork first on PYTHONPATH."""
+    src = str(pathlib.Path(relfork.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_fresh(argv, closed=None, buffered=True, cwd=None, to_file=False):
     """Exit code, stdout and stderr of ``python -m relfork.cli`` in a new process.
 
@@ -988,9 +995,7 @@ def run_fresh(argv, closed=None, buffered=True, cwd=None, to_file=False):
     ``to_file`` True gives stdout a regular file, read back after the
     run, in place of a pipe.
     """
-    src = str(pathlib.Path(relfork.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = fresh_env()
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -1077,7 +1082,7 @@ class TestArgparseExits:
 
     @pytest.mark.parametrize("closed", ["stdout", "stderr"])
     @pytest.mark.parametrize("want, argv", ARGPARSE_EXITS.values(), ids=ARGPARSE_EXITS.keys())
-    @pytest.mark.parametrize("buffered", [False], ids=["unbuffered"])
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     def test_a_closed_stream_keeps_the_exit_code(self, capsys, want, argv, closed, buffered):
         # The text that cannot be written is dropped; the other stream's is whole.
         _, out, err = run_to_exit(capsys, *argv)
@@ -1086,7 +1091,18 @@ class TestArgparseExits:
 
 
 class TestProcessEntry:
-    """``run`` is the process entry: ``main``, then ``gc.freeze`` for the exit."""
+    """``run`` is the process entry: ``main`` with the collector off, then ``os._exit``."""
+
+    @pytest.fixture
+    def exits(self, monkeypatch):
+        """The codes handed to ``os._exit``, which returns instead; the
+        collector is restored to its state before the test."""
+        codes = []
+        monkeypatch.setattr(os, "_exit", codes.append)
+        enabled = gc.isenabled()
+        yield codes
+        if enabled:
+            gc.enable()
 
     @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
     @pytest.mark.parametrize("golden, exit_code, argv", PINNED.values(), ids=PINNED.keys())
@@ -1096,24 +1112,34 @@ class TestProcessEntry:
         assert out.encode("utf-8") == (GOLDEN / f"{golden}.{suffix}").read_bytes()
 
     @pytest.mark.parametrize("outcome", [0, 1, 2, SystemExit(2)], ids=["0", "1", "2", "exit"])
-    def test_freezes_after_main(self, monkeypatch, outcome):
-        events = []
+    def test_exits_with_mains_code(self, monkeypatch, exits, outcome):
+        collector = []
 
         def fake_main():
-            events.append("main")
+            collector.append(gc.isenabled())
             if isinstance(outcome, SystemExit):
                 raise outcome
             return outcome
 
         monkeypatch.setattr(cli, "main", fake_main)
-        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
-        if isinstance(outcome, SystemExit):
-            with pytest.raises(SystemExit) as exc:
-                cli.run()
-            assert exc.value is outcome
-        else:
-            assert cli.run() == outcome
-        assert events == ["main", "freeze"]
+        gc.enable()
+        cli.run()
+        assert collector == [False]
+        assert exits == [outcome.code if isinstance(outcome, SystemExit) else outcome]
+
+    class FailingStream:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    def test_a_failed_flush_keeps_the_code(self, monkeypatch, exits, stream):
+        monkeypatch.setattr(cli, "main", lambda: 1)
+        monkeypatch.setattr(sys, stream, self.FailingStream())
+        cli.run()
+        assert exits == [1]
 
     @pytest.mark.parametrize(
         "want, argv",
@@ -1125,16 +1151,46 @@ class TestProcessEntry:
         ],
         ids=["true", "false", "usage-error", "argparse-refusal"],
     )
-    def test_main_never_freezes(self, capsys, monkeypatch, want, argv):
+    def test_main_never_freezes(self, capsys, monkeypatch, exits, want, argv):
+        # Nor does it touch the collector or exit the process: tests and
+        # the traced benchmark call it many times in one process.
         monkeypatch.setattr(gc, "freeze", lambda: pytest.fail("main froze the heap"))
-        assert run_to_exit(capsys, *argv)[0] == want
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert run_to_exit(capsys, *argv)[0] == want
+            assert gc.isenabled() is enabled
+        assert exits == []
+
+    def test_no_command_registers_an_atexit_handler(self):
+        # os._exit skips them; a fresh process counts them around the
+        # imports and runs of every command, on both kinds of target.
+        script = "\n".join([
+            "import atexit, contextlib, io, json, sys",
+            "before = atexit._ncallbacks()",
+            "from relfork.cli import main",
+            "for argv in json.loads(sys.argv[1]):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert main(argv) == 0, argv",
+            "sys.exit(atexit._ncallbacks() - before)",
+        ])
+        commands = [
+            ["check", "--star", "basic", "--S", "1,2", "--suite", "cfa"],
+            ["check", "--model", "full:2", "--suite", "cr_tarski", "--sampled", "10"],
+            ["eval", "--model", "full:2", "--formula", "1 = 1"],
+            ["eval", "--star", "tree", "--S", "1", "--t", "bin nil nil", "--formula", "pi = pi"],
+            ["fix", "--star", "seq", "--S", "1", "--s", "pi"],
+            ["build", "--star", "rho", "--S", "1"],
+            ["export", "--model", "full:1"],
+        ]
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            env=fresh_env(), stderr=subprocess.PIPE, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode()
 
     @pytest.mark.filterwarnings("ignore:'relfork.cli' found in sys.modules:RuntimeWarning")
-    def test_module_entry_runs_through_run(self, capsys, monkeypatch):
-        frozen = []
-        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    def test_module_entry_runs_through_run(self, capsys, monkeypatch, exits):
         monkeypatch.setattr(sys, "argv", ["relfork", "eval", "--model", "full:1", "--formula", "1 = 0"])
-        with pytest.raises(SystemExit) as exc:
-            runpy.run_module("relfork.cli", run_name="__main__")
-        assert exc.value.code == 1 and frozen == [True]
+        runpy.run_module("relfork.cli", run_name="__main__")
+        assert exits == [1] and not gc.isenabled()
         assert capsys.readouterr().out == "1 = 0  [exact]\nfalse\n"
