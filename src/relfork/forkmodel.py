@@ -305,9 +305,10 @@ def fork(r: LazyRelation, s: LazyRelation, pf: PairingFunction) -> LazyRelation:
     witnesses = None
     if r.witnesses is not None and s.witnesses is not None:
         rw, sw = r.witnesses, s.witnesses
-        witnesses = lambda a: tuple(
-            dict.fromkeys(star(x, y) for x in rw(a) for y in sw(a))
-        )
+
+        def witnesses(a: int) -> Tuple[int, ...]:
+            ys = tuple(sw(a))  # once per row, not once per left witness
+            return tuple(dict.fromkeys(star(x, y) for x in rw(a) for y in ys))
 
     def recipe(n: int) -> FiniteRelation:
         # Transposed, so that column b of the fork is one row of ints.

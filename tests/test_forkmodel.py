@@ -211,6 +211,20 @@ class TestWindow:
         assert forked.support_hint is not None and forked.witnesses is not None
         assert window(forked, 10) == window_by_contains(forked, 10)
 
+    def test_fork_takes_the_right_witnesses_once_per_row(self):
+        # They used to run once per left witness: 509 calls for one 256-row
+        # window of (1' + pi) # rho, doubling with each right-nested fork.
+        pi, rho = projections(BASIC)
+        calls = []
+        counted = LazyRelation(rho.contains, witnesses=lambda a: calls.append(a) or rho.witnesses(a))
+        left = union_rel(IDENTITY, pi)
+        forked = fork(left, counted, BASIC)
+        for rel in (forked, fork(left, forked, BASIC)):
+            calls.clear()
+            w = window(rel, 256)
+            assert calls == list(range(256))
+            assert w == window_by_contains(rel, 256)
+
     def test_window_clips(self):
         r = LazyRelation.from_support([(0, 1), (50, 2), (3, 50)])
         assert rel_window_pairs(r, 10) == {(0, 1)}
