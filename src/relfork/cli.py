@@ -438,9 +438,9 @@ def _note(line: str) -> None:
     try:
         print(line, file=sys.stderr, flush=True)
     except OSError:
-        # A buffered stderr keeps the line; the interpreter's flush at exit
-        # would fail on it too and exit 120, so that flush goes to the null
-        # device.
+        # A buffered stderr keeps the line; a caller that exits through the
+        # interpreter would fail to flush it too and exit 120, so that flush
+        # goes to the null device.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
@@ -457,8 +457,8 @@ def main(argv=None) -> int:
             print("\n".join(text), flush=True)
     except (RelforkError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
-            # The reader has gone: the interpreter's flush at exit writes
-            # what is still buffered to the null device, not to the pipe.
+            # The reader has gone: the flush at exit writes what is still
+            # buffered to the null device, not to the pipe.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         _note(f"error: {exc}")
         return 2
