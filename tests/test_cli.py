@@ -1128,9 +1128,6 @@ class TestProcessEntry:
         assert exits == [outcome.code if isinstance(outcome, SystemExit) else outcome]
 
     class FailingStream:
-        def write(self, text):
-            return len(text)
-
         def flush(self):
             raise BrokenPipeError(32, "Broken pipe")
 
