@@ -33,7 +33,7 @@ _EXPORTS = {
         PairingFunction UndecidableCompositionError cfa_axiom_check
         complement_rel compose_rel conjugate converse_rel fix_members
         fix_proj_members fix_seq_members fix_tree_members fork meet_rel
-        projections transport underline union_rel window""",
+        projections underline union_rel window""",
     "constructions": """ConstructionError ConstructionLayout build_from_config
         build_star_basic build_star_proj build_star_seq build_star_tree
         cantor_pair cantor_unpair layout_report""",

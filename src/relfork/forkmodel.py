@@ -6,27 +6,34 @@ on urelements, the values outside the range of ``star``).
 
 Relations over this base are lazy: a membership predicate, optionally
 an exact finite support, optionally a complete successor enumerator
-(``witnesses``) and optionally a window ``recipe`` that builds the
-restriction to [0, n) from the operands' windows.  Only
+(``witnesses``), optionally the partial map u -> v whose graph the
+relation is (``image``), and optionally a window ``recipe`` that builds
+the restriction to [0, n) from the operands' windows.  Only
 ``LazyRelation.from_support`` makes a support, always with witnesses,
-and a combinator returns it whenever its result is finite.  Otherwise
-witnesses propagate while the result stays enumerable; a composition
-whose left operand offers neither a support nor witnesses and whose
-right operand has no support is rejected as undecidable.
+and a combinator returns it whenever its result is finite.  Only
+``LazyRelation.from_image`` makes an image, always with witnesses (its
+0- or 1-tuples): the underline of every control (pi and rho among
+them), the identity 1' and the partial identity 1u on urelements.  A
+fork of two operands with images has the image a -> star(f(a), g(a)),
+None where a side is None; no other combinator makes an image.
+Otherwise witnesses propagate while the result stays enumerable; a
+composition whose left operand offers neither a support nor witnesses
+and whose right operand has no support is rejected as undecidable.
 
 ``window(rel, n)`` refuses n above ``errors.WINDOW_CAP``, then takes
-the first path the relation offers: its witnesses (n enumerations),
-its recipe, and only then n² ``contains`` calls.  A supported relation
-takes the first path.  The combinators' other results carry recipes,
-and so does ``UNIVERSAL``, so every term of the term language is
-windowed without the n² scan; that scan remains only for a bare
-``LazyRelation(contains)``.  Complement, meet, union and converse are
-pointwise in their operands' windows.  Column b of a fork's window
-meets column c of r's and column d of s's when unstar(b) = (c, d) lies
-in the window, as it does on every default cell of a built pairing;
-other columns take n ``contains`` calls.  Row a of a composition whose
-left operand has witnesses ORs the right operand's window rows at a's
-witnesses.
+the first path the relation offers: its image (one map over [0, n), a
+row holding at most one bit), its witnesses (n enumerations), its
+recipe, and only then n² ``contains`` calls.  A supported relation
+takes the witnesses.  The combinators' results with neither a support
+nor an image carry recipes, and so does ``UNIVERSAL``, so every term of
+the term language is windowed without the n² scan; that scan remains
+only for a bare ``LazyRelation(contains)``.  Complement, meet, union
+and converse are pointwise in their operands' windows.  Column b of a
+fork's recipe window meets column c of r's and column d of s's when
+unstar(b) = (c, d) lies in the window, as it does on every default cell
+of a built pairing; other columns take n ``contains`` calls.  Row a of
+a composition whose left operand has witnesses ORs the right operand's
+window rows at a's witnesses.
 
 A control is a binary tree or a projection sequence, and its image is
 a partial function on the naturals: a tree t sends u to
@@ -134,11 +141,13 @@ class LazyRelation(Node):
     ``from_support`` sets it, always with ``witnesses``.  ``witnesses``
     enumerates all successors of a left element, sound and complete for
     ``contains``.  ``recipe`` maps n to the exact restriction to [0, n),
-    built from other windows.  ``window`` tries the witnesses, then the
-    recipe, before it falls back to ``contains``.
+    built from other windows.  ``image`` is the partial map u -> v (None
+    where undefined) whose graph is the relation; ``from_image`` sets it,
+    always with ``witnesses``.  ``window`` tries the image,
+    the witnesses, then the recipe, before it falls back to ``contains``.
     """
 
-    __slots__ = ("contains", "support_hint", "witnesses", "recipe")
+    __slots__ = ("contains", "support_hint", "witnesses", "recipe", "image")
 
     def __init__(
         self,
@@ -146,8 +155,9 @@ class LazyRelation(Node):
         support_hint: Optional[FrozenSet[Pair]] = None,
         witnesses: Optional[Callable[[int], Iterable[int]]] = None,
         recipe: Optional[Callable[[int], FiniteRelation]] = None,
+        image: Optional[Callable[[int], Optional[int]]] = None,
     ):
-        super().__init__(contains, support_hint, witnesses, recipe)
+        super().__init__(contains, support_hint, witnesses, recipe, image)
 
     @classmethod
     def from_support(cls, pairs: Iterable[Pair]) -> "LazyRelation":
@@ -170,6 +180,26 @@ class LazyRelation(Node):
             witnesses=lambda a: by_left.get(a, ()),
         )
 
+    @classmethod
+    def from_image(
+        cls,
+        image: Callable[[int], Optional[int]],
+        contains: Optional[Callable[[int, int], bool]] = None,
+    ) -> "LazyRelation":
+        """The graph of a partial map on the naturals, None where it is undefined.
+
+        Its witnesses are the 0- or 1-tuples of the image, and its
+        ``contains`` is image(a) == b unless an equivalent test is given.
+        """
+
+        def witnesses(a: int) -> Tuple[int, ...]:
+            v = image(a)
+            return () if v is None else (v,)
+
+        if contains is None:
+            contains = lambda a, b: image(a) == b
+        return cls(contains, None, witnesses, None, image)
+
 
 def _successors(pairs: Iterable[Pair]) -> Dict[int, Tuple[int, ...]]:
     """The sorted successors of every left element, keyed in ascending order."""
@@ -186,7 +216,7 @@ def _bits(n: int, test: Callable[[int], bool]) -> int:
 
 EMPTY = LazyRelation.from_support(())
 UNIVERSAL = LazyRelation(contains=lambda a, b: True, recipe=FiniteRelation.full)
-IDENTITY = LazyRelation(lambda a, b: a == b, witnesses=lambda a: (a,))
+IDENTITY = LazyRelation.from_image(lambda a: a, contains=lambda a, b: a == b)
 
 
 def union_rel(r: LazyRelation, s: LazyRelation) -> LazyRelation:
@@ -302,6 +332,17 @@ def fork(r: LazyRelation, s: LazyRelation, pf: PairingFunction) -> LazyRelation:
         x, y = decoded
         return r.contains(a, x) and s.contains(a, y)
 
+    if r.image is not None and s.image is not None:
+        f, g = r.image, s.image
+
+        def image(a: int) -> Optional[int]:
+            x = f(a)
+            if x is None:
+                return None
+            y = g(a)
+            return None if y is None else star(x, y)
+
+        return LazyRelation.from_image(image, contains)
     witnesses = None
     if r.witnesses is not None and s.witnesses is not None:
         rw, sw = r.witnesses, s.witnesses
@@ -370,13 +411,7 @@ def _image(control: Control, pf: PairingFunction) -> Callable[[int], Optional[in
 
 def underline(control: Control, pf: PairingFunction) -> LazyRelation:
     """The relation (u, image(u)) of a control; nil gives the identity."""
-    image = _image(control, pf)
-
-    def witnesses(u: int):
-        v = image(u)
-        return () if v is None else (v,)
-
-    return LazyRelation(contains=lambda u, v: image(u) == v, witnesses=witnesses)
+    return LazyRelation.from_image(_image(control, pf))
 
 
 def projections(pf: PairingFunction) -> Tuple[LazyRelation, LazyRelation]:
@@ -422,8 +457,9 @@ def fix_seq_members(s: Seq, pf: PairingFunction, region: Iterable[int]) -> Tuple
 def window(rel: LazyRelation, n: int) -> FiniteRelation:
     """Restriction of rel to [0, n) as a finite relation.
 
-    Refuses n above ``WINDOW_CAP``.  Takes the witnesses, else the
-    recipe, else n² ``contains`` calls.
+    Refuses n above ``WINDOW_CAP``.  Takes the image, one map pass
+    whose row a is bit image(a) when that lies in [0, n) and 0 otherwise;
+    else the witnesses, else the recipe, else n² ``contains`` calls.
     """
     if type(n) is not int:
         raise RelforkError(f"window size must be an integer, got {n!r}")
@@ -431,6 +467,10 @@ def window(rel: LazyRelation, n: int) -> FiniteRelation:
         raise RelforkError(f"window size {n} exceeds cap {WINDOW_CAP}")
     if n < 0:
         raise RelforkError(f"window size must be nonnegative, got {n}")
+    image = rel.image
+    if image is not None:  # one map pass; a row holds at most one bit
+        rows = [1 << v if v is not None and 0 <= v < n else 0 for v in map(image, range(n))]
+        return FiniteRelation(n, tuple(rows))
     if rel.witnesses is not None:
         rows = []
         for a in range(n):
@@ -455,12 +495,6 @@ def _inverse_permutation(perm: Dict[int, int]) -> Dict[int, int]:
     if set(perm.keys()) != set(perm.values()):
         raise RelforkError("permutation must be a bijection on its finite support")
     return {v: k for k, v in perm.items()}
-
-
-def _permutation_maps(perm: Dict[int, int]) -> Tuple[Callable[[int], int], Callable[[int], int]]:
-    """The permutation and its inverse as maps, the identity off the support."""
-    inverse = _inverse_permutation(perm)
-    return (lambda x: perm.get(x, x)), (lambda x: inverse.get(x, x))
 
 
 class Conjugate(Node):
@@ -497,18 +531,6 @@ def conjugate(pf: PairingFunction, perm: Dict[int, int]) -> PairingFunction:
     """The pairing star' = perm . star . (perm^-1 x perm^-1)."""
     meta = Conjugate(pf, dict(perm), _inverse_permutation(perm))
     return PairingFunction(meta.star, meta.unstar, meta)
-
-
-def transport(rel: LazyRelation, perm: Dict[int, int]) -> LazyRelation:
-    """Image of rel under the permutation on both coordinates."""
-    fwd, bwd = _permutation_maps(perm)
-    if rel.support_hint is not None:
-        return LazyRelation.from_support((fwd(a), fwd(b)) for a, b in rel.support_hint)
-    witnesses = None
-    if rel.witnesses is not None:
-        rw = rel.witnesses
-        witnesses = lambda a: tuple(fwd(b) for b in rw(bwd(a)))
-    return LazyRelation(contains=lambda a, b: rel.contains(bwd(a), bwd(b)), witnesses=witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +634,9 @@ class ForkBackend:
             "id": IDENTITY,
             "pi": pi,
             "rho": rho,
-            "urid": LazyRelation(  # the partial identity on urelements
+            "urid": LazyRelation.from_image(  # the partial identity on urelements
+                lambda u: u if unstar(u) is None else None,
                 contains=lambda u, v: u == v and unstar(u) is None,
-                witnesses=lambda u: (u,) if unstar(u) is None else (),
             ),
         }
 

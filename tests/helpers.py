@@ -15,6 +15,7 @@ from relfork import (
     BT,
     Bin,
     FiniteRelation,
+    LazyRelation,
     NIL,
     PI,
     RHO,
@@ -72,6 +73,27 @@ def si_member(a, bound_rel) -> bool:
     if a.support_hint is None:
         raise RelforkError("subidentity test needs a finitely supported relation")
     return all(u == v and bound_rel.contains(u, u) for u, v in a.support_hint)
+
+
+def transport(rel, perm: dict):
+    """The image of a lazy relation under a finite-support permutation on both coordinates.
+
+    Acceptance criterion 09 checks through it that conjugating a pairing
+    moves its underlines and keeps subidentities.  A support moves pair
+    by pair and witnesses move with it; the image is not carried over.
+    """
+    if set(perm) != set(perm.values()):
+        raise RelforkError("permutation must be a bijection on its finite support")
+    inverse = {v: k for k, v in perm.items()}
+    fwd = lambda x: perm.get(x, x)
+    bwd = lambda x: inverse.get(x, x)
+    if rel.support_hint is not None:
+        return LazyRelation.from_support((fwd(a), fwd(b)) for a, b in rel.support_hint)
+    witnesses = None
+    if rel.witnesses is not None:
+        rw = rel.witnesses
+        witnesses = lambda a: tuple(fwd(b) for b in rw(bwd(a)))
+    return LazyRelation(contains=lambda a, b: rel.contains(bwd(a), bwd(b)), witnesses=witnesses)
 
 
 # ---------------------------------------------------------------------------

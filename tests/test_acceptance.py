@@ -53,7 +53,6 @@ from relfork import (
     pretty,
     seq_concat,
     substitute,
-    transport,
     tree_map,
     underline,
     variants,
@@ -61,7 +60,7 @@ from relfork import (
 )
 from relfork.forkmodel import IDENTITY as FM_IDENTITY
 
-from helpers import random_formula, random_term, si_member
+from helpers import random_formula, random_term, si_member, transport
 
 BASIC_PF = build_star_basic([1, 2])
 TREE_T = parse_tree("bin (bin nil nil) nil")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relfork import (
+    FiniteRelation,
     ForkBackend,
     LazyRelation,
     NilControlError,
@@ -40,7 +41,6 @@ from relfork import (
     parse_term,
     pretty,
     projections,
-    transport,
     tree_map,
     underline,
     union_rel,
@@ -59,6 +59,7 @@ from helpers import (
     random_term,
     random_tree,
     si_member,
+    transport,
     window_by_contains,
 )
 
@@ -116,6 +117,16 @@ class TestLazyRelation:
         assert UNIVERSAL.contains(10**9, 0)
         assert IDENTITY.contains(7, 7) and not IDENTITY.contains(7, 8)
         assert tuple(IDENTITY.witnesses(7)) == (7,)
+        assert IDENTITY.image(7) == 7 and EMPTY.image is None and UNIVERSAL.image is None
+
+    def test_from_image(self):
+        # The graph of u -> 2u + 1, undefined on the multiples of 3.
+        r = LazyRelation.from_image(lambda u: None if u % 3 == 0 else 2 * u + 1)
+        assert r.contains(1, 3) and not r.contains(1, 4) and not r.contains(3, 7)
+        assert tuple(r.witnesses(1)) == (3,) and tuple(r.witnesses(3)) == ()
+        assert r.support_hint is None and r.recipe is None
+        explicit = LazyRelation.from_image(r.image, contains=UNIVERSAL.contains)
+        assert explicit.contains is UNIVERSAL.contains and explicit.image is r.image
 
 
 class TestCombinators:
@@ -229,6 +240,31 @@ class TestWindow:
         r = LazyRelation.from_support([(0, 1), (50, 2), (3, 50)])
         assert rel_window_pairs(r, 10) == {(0, 1)}
 
+    def test_image_window_clips(self):
+        # Row u holds bit 2u + 1 only while it lies below n; multiples of 3 map nowhere.
+        r = LazyRelation.from_image(lambda u: None if u % 3 == 0 else 2 * u + 1)
+        assert rel_window_pairs(r, 10) == {(1, 3), (2, 5), (4, 9)}
+        for n in (0, 1, 10, 33):
+            assert window(r, n) == window_by_contains(r, n)
+
+    def test_image_path_makes_one_call_per_row(self):
+        # The 4096 window of pi # rho: per row pi and rho unstar once each and
+        # the fork stars once; no operand's witnesses run.
+        pf, calls = counted(BASIC)
+        listed = []
+
+        def listening(rel):
+            listen = lambda a: listed.append(a) or rel.witnesses(a)
+            return LazyRelation(rel.contains, None, listen, None, rel.image)
+
+        pi, rho = projections(pf)
+        forked = fork(listening(pi), listening(rho), pf)
+        n = WINDOW_CAP
+        got = window(forked, n)
+        assert calls == {"star": n, "unstar": 2 * n}
+        assert listed == []
+        assert got == FiniteRelation.identity(n)  # basic's star is onto
+
     def test_window_cap(self):
         with pytest.raises(ValueError):
             window(IDENTITY, WINDOW_CAP + 1)
@@ -275,15 +311,20 @@ fork_terms = st.recursive(
 )
 
 
-def enumerable(t) -> str:
-    """"support", "witnesses" or "none" by the documented propagation rules.
+LEVELS = ("support", "image", "witnesses", "none")
 
-    Raises UndecidableCompositionError where compose_rel must refuse.
+
+def enumerable(t) -> str:
+    """"support", "image", "witnesses" or "none" by the documented propagation rules.
+
+    An image comes with witnesses, so it counts as witnesses wherever a
+    rule asks for them; only a fork of two images keeps one.  Raises
+    UndecidableCompositionError where compose_rel must refuse.
     """
     if isinstance(t, terms.Var):
         return "support"
     if isinstance(t, terms.Const):
-        return {"zero": "support", "one": "none"}.get(t.kind, "witnesses")
+        return {"zero": "support", "one": "none"}.get(t.kind, "image")
     if isinstance(t, terms.Complement):
         enumerable(t.arg)
         return "none"
@@ -291,9 +332,12 @@ def enumerable(t) -> str:
         return "support" if enumerable(t.arg) == "support" else "none"
     left, right = enumerable(t.left), enumerable(t.right)
     if isinstance(t, terms.Meet):
-        return min(left, right, key=("support", "witnesses", "none").index)
+        levels = ("witnesses" if level == "image" else level for level in (left, right))
+        return min(levels, key=LEVELS.index)
     if left == right == "support":
         return "support"
+    if left == right == "image" and isinstance(t, terms.Fork):
+        return "image"
     if isinstance(t, (terms.Union, terms.Fork)):
         return "witnesses" if "none" not in (left, right) else "none"
     if left != "none":
@@ -337,16 +381,25 @@ def support_pairs(t, env, backend) -> set:
 def check_subterm_windows(term, env, backend, n: int) -> None:
     """Every subterm's window against n^2 membership tests.
 
-    A subterm has a support exactly when ``enumerable`` says so; then
-    the support equals ``support_pairs``, comes with witnesses, and
-    ``transport`` keeps it.
+    A subterm has an image exactly when ``enumerable`` says so; then it
+    has witnesses too, and its window equals the witness path's window
+    of the same relation without the image.  A subterm has a support
+    exactly when ``enumerable`` says so; then the support equals
+    ``support_pairs``, comes with witnesses, and ``transport`` keeps it.
     """
     fwd = lambda x: MOVE.get(x, x)
     for sub in subterms(term):
         rel = eval_term(sub, env, backend)
         text = pretty(sub)
-        assert window(rel, n) == window_by_contains(rel, n), text
-        assert (rel.support_hint is not None) == (enumerable(sub) == "support"), text
+        got = window(rel, n)
+        assert got == window_by_contains(rel, n), text
+        level = enumerable(sub)
+        assert (rel.image is not None) == (level == "image"), text
+        if rel.image is not None:
+            assert rel.witnesses is not None, text
+            stripped = LazyRelation(rel.contains, witnesses=rel.witnesses)
+            assert window(stripped, n) == got, text
+        assert (rel.support_hint is not None) == (level == "support"), text
         if rel.support_hint is None:
             continue
         expected = support_pairs(sub, env, backend)
@@ -387,7 +440,7 @@ class TestWindowRecipes:
             return
         check_subterm_windows(term, env, backend, n)
 
-    @pytest.mark.parametrize("kind", ["basic", "tree", "seq", "conjugate"])
+    @pytest.mark.parametrize("kind", sorted(BUILT))
     def test_random_terms_over_supported_variables(self, kind):
         rng = random.Random(19)
         backend = ForkBackend(BUILT[kind])
