@@ -101,7 +101,21 @@ this module imports the other.
   about |table| + sqrt(2n) values below n, and
   ``forkmodel.fix_members`` evaluates the image only there when the
   pairing runs the layout's own ``star`` and ``unstar`` (the tie).
-  ``basic``'s ``star`` is onto, so its scan skips nothing.
+* The diagonal runs.  ``basic``'s ``star`` is onto, so no range narrows
+  its scan; its diagonal does.  Let u < u' be consecutive with no
+  reserved value between them, ranks j and j + 1 on one Cantor
+  diagonal d.  Their targets have ranks j + d + 1 and j + d + 2, and
+  the residual elements of consecutive ranks are consecutive unless a
+  reserved value lies between them.  So star(u, u) - u is constant on
+  every run that contains no reserved element, stays on one diagonal
+  and whose target passes no reserved value, and
+  ``BasicLayout.diagonal_runs`` tiles an interval with such runs and
+  the reserved elements, in one walk with O(1) work per run.  The
+  offset is 0 exactly on the reserved elements, S, since a residual u
+  of block i goes to block i + 1.  ``forkmodel.fix_members`` evaluates
+  ``bin nil nil`` only on the runs with offset 0 when the pairing runs
+  the layout's own ``star`` (the tie), so its ``star`` checks S within
+  the interval and nothing else.
 """
 
 from __future__ import annotations
@@ -109,7 +123,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .btree import (
     BT,
@@ -173,7 +187,7 @@ class ConstructionLayout:
     and ``block_element`` bisect it below its top value and shift by
     |reserved| above, so ``star`` and ``unstar`` cost O(log |reserved|)
     per call.  Each method takes the lemma's steps through them except
-    ``BasicLayout.star``, which ``fix`` calls per scanned element.
+    ``BasicLayout.star``, which a fork's window calls once per row.
     """
 
     def __init__(
@@ -300,7 +314,7 @@ class BasicLayout(ConstructionLayout):
     star_values = None  # star is onto N: no element is outside its range
 
     def star(self, u: int, v: int) -> int:
-        """The lemma's steps fused in one body: ``fix`` over basic calls it per scanned element."""
+        """The lemma's steps fused in one body: a fork's window calls it once per row."""
         if u != v:
             if v > u:
                 v -= 1
@@ -314,6 +328,49 @@ class BasicLayout(ConstructionLayout):
             j += (math.isqrt(8 * j + 1) + 1) // 2  # from block i to i + 1 at offset k
         w = j + self.shift
         return w if w >= self.top else j + bisect_right(self.gaps, j)
+
+    def diagonal_runs(self, start: int, stop: int) -> Iterator[Tuple[int, int, int]]:
+        """Runs (lo, hi, off) that tile [start, stop), with star(u, u) = u + off on each.
+
+        One walk of the lemma's steps: the rank j of u skips the reserved
+        values, j lies on Cantor diagonal d, so the target rank
+        cantor_pair(i + 1, k) is j + d + 1, and a pointer into ``gaps``
+        turns it back into an element.  A run ends at a reserved element
+        (a run of one with off 0), at the end of a diagonal and where the
+        target passes a reserved value.
+        """
+        if start >= stop:
+            return
+        reserved, gaps = self.reserved, self.gaps
+        n = len(reserved)
+        p = bisect_left(reserved, start)  # the reserved values below u
+        j = start - p  # the rank of the first residual element at or above u
+        d = (math.isqrt(8 * j + 1) - 1) // 2
+        end = (d + 1) * (d + 2) // 2  # the first rank on diagonal d + 1
+        t = j + d + 1
+        q = bisect_right(gaps, t)  # the reserved values at or below the target
+        u = start
+        while u < stop:
+            if p < n and reserved[p] == u:
+                yield u, u + 1, 0
+                u += 1
+                p += 1
+                continue
+            length = min(stop - u, end - j)
+            if p < n:
+                length = min(length, reserved[p] - u)
+            if q < n:
+                length = min(length, gaps[q] - t)
+            yield u, u + length, d + 1 + q - p
+            u += length
+            j += length
+            t += length
+            if j == end:
+                d += 1
+                end += d + 1
+                t += 1
+            while q < n and gaps[q] <= t:
+                q += 1
 
     def unstar(self, w: int) -> Optional[Pair]:
         if w in self.reserved_set:
@@ -381,15 +438,17 @@ def build_star_tree(t: BT, s_members: Iterable[int]) -> PairingFunction:
         control_text=format_tree(t),
     )
 
-    def h(c: BT, w: int) -> int:
-        if isinstance(c, Nil):
-            return w
-        return layout.block_element(fam_block[c], layout.s_rank[w])
+    def block(c: BT) -> int:
+        return 0 if isinstance(c, Nil) else fam_block[c]
 
-    for w in s_values:
-        for c in families:
-            layout.table[(h(c.left, w), h(c.right, w))] = h(c, w)
-        layout.table[(h(root.left, w), h(root.right, w))] = w
+    # Each cell as blocks, each tree hashed once; 0 stands for nil, so
+    # at[0] is w itself, and so is the root's value.
+    cells = [(block(c.left), block(c.right), fam_block[c]) for c in families]
+    cells.append((block(root.left), block(root.right), 0))
+    for k, w in enumerate(s_values):  # k is w's rank in S
+        at = [w] + [layout.block_element(b, k) for b in range(1, len(families) + 1)]
+        for left, right, value in cells:
+            layout.table[(at[left], at[right])] = at[value]
     return layout.pairing()
 
 

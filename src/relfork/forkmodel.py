@@ -53,8 +53,12 @@ sequence's chase starts by unstarring it), so ``fix_members`` skips the
 elements of a ``range`` region that lie outside a built pairing's range:
 a table kind's layout lists a superset of it, about |table| + sqrt(2n)
 values below n (see the ``constructions`` docstring), and only those
-are scanned.  ``basic``'s star is onto and is scanned in full, as is any
-pairing that does not run its meta's own ``star`` and ``unstar``.
+are scanned.  ``basic``'s star is onto, but its layout tiles a
+``range`` into runs on which star(u, u) = u + off, and for ``bin nil
+nil`` only the runs with off = 0, its members, are scanned.  Any other
+control over ``basic`` is scanned in full, as is any pairing that does
+not run its meta's own ``star`` and ``unstar``.  A negative element of
+a region raises a ``RelforkError`` on every kind.
 
 The fork axioms hold in such a model exactly when the pairing is an
 exact one: cfa2 iff ``star`` is injective, cfa1 and cfa3 iff moreover
@@ -379,7 +383,7 @@ def _fork_image(star: Callable[[int, int], int]):
     """The image of bin l r from the images of l and r."""
 
     def image(left: Callable[[int], int], right: Callable[[int], int]) -> Callable[[int], int]:
-        if left is _identity and right is _identity:  # basic's scan runs it per element
+        if left is _identity and right is _identity:  # bin nil nil: fix and its underline
             return lambda u: star(u, u)
         return lambda u: star(left(u), right(u))
 
@@ -425,19 +429,44 @@ def fix_members(
     """Fixpoints image(u) = u of a non-nil control inside the region.
 
     The default control ``bin nil nil`` gives the plain fixpoints
-    star(u, u) = u.  Every fixpoint lies in star's range, so when pf
-    runs its meta's own star and unstar and the meta lists a superset
-    of that range (``star_values``), a region ``range(start, stop)``
-    of step 1 is read by its bounds and only those values are scanned.
-    Any other region, or pairing, is scanned element by element.
+    star(u, u) = u.  A region ``range(start, stop)`` of step 1 is read
+    by its bounds when pf runs its meta's own star and unstar: every
+    fixpoint lies in star's range, so only the meta's ``star_values``
+    (a superset of that range) are scanned, and for ``bin nil nil`` a
+    meta with ``diagonal_runs`` (``basic``) has only the elements of its
+    runs with offset 0 scanned.  Any other region, or pairing, is
+    scanned element by element.  A negative element raises a
+    ``RelforkError``; in a ``range``, before any work.
     """
     if isinstance(control, Nil):
         raise NilControlError()
+    if not isinstance(region, range):
+        region = _naturals(region)
+    elif region and min(region[0], region[-1]) < 0:  # before any work
+        raise _negative(min(region[0], region[-1]))
+    elif region.step == 1:
+        meta = _own_meta(pf)
+        star_values = getattr(meta, "star_values", None)
+        diagonal_runs = getattr(meta, "diagonal_runs", None)
+        if star_values is not None:
+            region = star_values(region.start, region.stop)
+        elif diagonal_runs is not None and control == Bin(NIL, NIL):
+            runs = diagonal_runs(region.start, region.stop)
+            region = (u for lo, hi, off in runs if off == 0 for u in range(lo, hi))
     image = _image(control, pf)
-    star_values = getattr(_own_meta(pf), "star_values", None)
-    if star_values is not None and isinstance(region, range) and region.step == 1:
-        region = star_values(region.start, region.stop)
     return tuple([u for u in region if image(u) == u])
+
+
+def _negative(u: int) -> RelforkError:
+    return RelforkError(f"a fix region holds naturals only, got {u}")
+
+
+def _naturals(region: Iterable[int]) -> Iterable[int]:
+    """The region's elements in order, refusing the first negative one."""
+    for u in region:
+        if u < 0:
+            raise _negative(u)
+        yield u
 
 
 def fix_tree_members(t: BT, pf: PairingFunction, region: Iterable[int]) -> Tuple[int, ...]:

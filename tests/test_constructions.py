@@ -1,6 +1,8 @@
 """Star constructions: block layout arithmetic and pinned fixpoint sets."""
 
 import functools
+import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -41,6 +43,7 @@ from relfork.errors import SCAN_CAP
 from helpers import (
     ChainArithmetic,
     cfa_scan_oracle,
+    pair_ref,
     residual_element_linear,
     residual_rank_linear,
     unpair_ref,
@@ -652,10 +655,27 @@ class TestRangeOfStar:
         assert len(values) <= calls["star"] + calls["unstar"] <= 2 * len(values)
         assert len(values) < n // 10
 
-    def test_basic_is_scanned_in_full(self):
-        wrapped, calls = traced(build_star_basic(self.MEMBERS))
-        assert fix_members(wrapped, range(4096)) == tuple(self.MEMBERS)
-        assert calls["star"] == 4096
+    def test_basic_runs_star_on_its_members_in_the_region_only(self):
+        # A tied basic pairing is narrowed to its diagonal runs with offset 0.
+        pf = build_star_basic(self.MEMBERS)
+        seen = []
+
+        def star(u, v):
+            seen.append((u, v))
+            return pf.star(u, v)
+
+        star.__wrapped__ = pf.star
+        region = range(101, 4096)
+        want = tuple(u for u in self.MEMBERS if u in region)
+        assert fix_members(untied(pf), region) == want
+        assert fix_members(PairingFunction(star, pf.unstar, pf.meta), region) == want
+        assert seen == [(u, u) for u in want]
+
+    def test_basic_narrows_bin_nil_nil_only(self):
+        # pi's fixpoints over basic include 0, outside S: the runs do not apply.
+        pf = build_star_basic([1, 5])
+        pi = Seq((PI,))
+        assert fix_members(pf, range(100), pi) == fix_members(untied(pf), range(100), pi) == (0, 1, 5)
 
     def test_a_layout_meta_with_another_star_is_scanned_in_full(self):
         pf = build_star_tree(parse_tree("bin nil nil"), [1, 5])
@@ -665,6 +685,98 @@ class TestRangeOfStar:
         other = PairingFunction(star, layout.unstar, layout)
         assert fix_members(other, range(100)) == tuple(sorted([1, 5, outside]))
         assert fix_members(pf, range(100)) == (1, 5)
+
+
+def diagonal_ref(layout, u: int) -> int:
+    """basic's star(u, u) from the linear residual steps and the reference Cantor pairing."""
+    if u in layout.reserved:
+        return u
+    i, k = unpair_ref(residual_rank_linear(layout.reserved, u))
+    return residual_element_linear(layout.reserved, pair_ref(i + 1, k))
+
+
+class TestDiagonalRuns:
+    """BasicLayout.diagonal_runs against star(u, u) element by element."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        members=st.lists(st.integers(0, 80), max_size=10, unique=True),
+        start=st.sampled_from(["0", "below", "top", "above", "10**12"]),
+        shift=st.integers(0, 200),
+        length=st.integers(-3, 1200),
+    )
+    @example(members=[], start="0", shift=0, length=100)
+    @example(members=[0, 1, 2], start="0", shift=0, length=-1)
+    def test_runs_tile_the_range_with_star_on_the_diagonal(self, members, start, shift, length):
+        layout = build_star_basic(members).meta
+        top = max(members, default=0)  # the top reserved value
+        start = {
+            "0": 0, "below": top // 2, "top": top, "above": top + 1 + shift, "10**12": 10**12 + shift
+        }[start]
+        stop = start + length
+        # One more run than elements: a run of length 0 fails, it does not loop.
+        runs = list(itertools.islice(layout.diagonal_runs(start, stop), max(0, length) + 1))
+        if length <= 0:
+            assert runs == []
+            return
+        assert [lo for lo, _, _ in runs] == [start] + [hi for _, hi, _ in runs[:-1]]
+        assert runs[-1][1] == stop and all(lo < hi for lo, hi, _ in runs)
+        region = range(start, stop)
+        expanded = [u + off for lo, hi, off in runs for u in range(lo, hi)]
+        assert expanded == [layout.star(u, u) for u in region]
+        assert expanded == [diagonal_ref(layout, u) for u in region]
+        # Offset 0 exactly on the members, each a run of its own.
+        assert [(lo, hi) for lo, hi, off in runs if off == 0] == [
+            (u, u + 1) for u in region if u in layout.reserved_set
+        ]
+
+    def test_runs_at_the_cap_are_few_and_lazy(self):
+        members = list(range(0, 1024, 2))
+        layout = build_star_basic(members).meta
+        n = SCAN_CAP
+        runs = layout.diagonal_runs(0, n)
+        assert iter(runs) is runs  # a generator, not a list of n values
+        # A run ends at a member or just before one, at a diagonal's end,
+        # where the target passes a member, or at n.
+        bound = 3 * len(members) + math.isqrt(2 * n) + 2
+        assert len(list(itertools.islice(runs, bound + 1))) <= bound
+        assert fix_members(build_star_basic(members), range(n)) == tuple(members)
+
+
+FIVE_KINDS = [
+    {"kind": "basic"},
+    {"kind": "tree", "control": "bin (bin nil nil) nil"},
+    {"kind": "pi"},
+    {"kind": "rho"},
+    {"kind": "seq", "control": "pi.rho"},
+]
+
+
+class TestNegativeRegion:
+    """A negative element in a fix region raises the same error on every kind."""
+
+    @pytest.mark.parametrize("config", FIVE_KINDS)
+    @pytest.mark.parametrize("region", [range(-3, 5), range(5, -4, -1), range(-3, 9, 2)])
+    def test_a_range_is_refused_before_any_work(self, config, region):
+        pf = build_from_config({**config, "S": [1, 2]})
+        for control in (Bin(NIL, NIL), pf.meta.control):
+            for pairing in (pf, untied(pf)):
+                wrapped, calls = traced(pairing)
+                with pytest.raises(RelforkError, match="got -3$"):
+                    fix_members(wrapped, region, control)
+                assert calls == {"star": 0, "unstar": 0}
+
+    @pytest.mark.parametrize("config", FIVE_KINDS)
+    def test_a_list_names_its_negative_element(self, config):
+        pf = build_from_config({**config, "S": [1, 2]})
+        for control in (Bin(NIL, NIL), pf.meta.control):
+            with pytest.raises(RelforkError, match="got -3$"):
+                fix_members(pf, [4, 2, -3, 1, -5], control)
+
+    @pytest.mark.parametrize("config", FIVE_KINDS)
+    def test_an_empty_range_below_zero_is_empty(self, config):
+        pf = build_from_config({**config, "S": [1, 2]})
+        assert fix_members(pf, range(-3, -5)) == ()
 
 
 class TestCfaCertificate:
