@@ -43,7 +43,6 @@ from relfork.errors import SCAN_CAP
 from helpers import (
     ChainArithmetic,
     cfa_scan_oracle,
-    pair_ref,
     residual_element_linear,
     residual_rank_linear,
     unpair_ref,
@@ -687,14 +686,6 @@ class TestRangeOfStar:
         assert fix_members(pf, range(100)) == (1, 5)
 
 
-def diagonal_ref(layout, u: int) -> int:
-    """basic's star(u, u) from the linear residual steps and the reference Cantor pairing."""
-    if u in layout.reserved:
-        return u
-    i, k = unpair_ref(residual_rank_linear(layout.reserved, u))
-    return residual_element_linear(layout.reserved, pair_ref(i + 1, k))
-
-
 class TestDiagonalRuns:
     """BasicLayout.diagonal_runs against star(u, u) element by element."""
 
@@ -724,7 +715,10 @@ class TestDiagonalRuns:
         region = range(start, stop)
         expanded = [u + off for lo, hi, off in runs for u in range(lo, hi)]
         assert expanded == [layout.star(u, u) for u in region]
-        assert expanded == [diagonal_ref(layout, u) for u in region]
+        # The reference steps: residual_rank_linear, unpair_ref, pair_ref and
+        # residual_element_linear.
+        chain = ChainArithmetic(layout, linear=True)
+        assert expanded == [chain.star(u, u) for u in region]
         # Offset 0 exactly on the members, each a run of its own.
         assert [(lo, hi) for lo, hi, off in runs if off == 0] == [
             (u, u + 1) for u in region if u in layout.reserved_set
