@@ -77,7 +77,6 @@ functions the pairing runs; it refuses any other pairing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .btree import BT, NIL, Bin, Nil, tree_map
@@ -103,13 +102,42 @@ class NilControlError(RelforkError):
         super().__init__("control tree must not be nil")
 
 
-@dataclass(frozen=True)
-class PairingFunction:
+class _DataclassFields:
+    """``PairingFunction.__dataclass_fields__``, made on first read.
+
+    ``dataclasses.replace`` and ``dataclasses.fields`` find a class's
+    fields under that name.  The first read imports ``dataclasses``,
+    takes the ``Field`` objects of a dataclass with the same three fields
+    and caches them on the class, so a process that never reads them
+    never loads the module.  Only ``perfbench/traced_cli.py`` reads them,
+    through ``dataclasses.replace`` on every built pairing; delete this
+    hook once it rebuilds the pairing without it.
+    """
+
+    def __get__(self, instance, owner):
+        import dataclasses
+
+        shape = dataclasses.make_dataclass(
+            owner.__name__, ["star", "unstar", ("meta", object, dataclasses.field(default=None))]
+        )
+        fields = {field.name: field for field in dataclasses.fields(shape)}
+        owner.__dataclass_fields__ = fields
+        return fields
+
+
+class PairingFunction(Node):
     """Injective pairing on the naturals with explicit partial inverse."""
 
-    star: Callable[[int, int], int]
-    unstar: Callable[[int], Optional[Pair]]
-    meta: object = None
+    __slots__ = ("star", "unstar", "meta")
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init__(
+        self,
+        star: Callable[[int, int], int],
+        unstar: Callable[[int], Optional[Pair]],
+        meta: object = None,
+    ):
+        super().__init__(star, unstar, meta)
 
 
 def _unwrapped(fn: Callable) -> Callable:

@@ -5,8 +5,11 @@ positional constructor, equality by type and fields, a hash over the
 fields and a ``repr`` in the form ``Var(name='x')``.  A field cannot be
 assigned or deleted after construction, and a subclass validates its
 fields in ``_check``.  Defining such a class costs far less at import
-than a frozen dataclass, which every CLI process would pay.  ``Scope``,
-defined here, names what a verdict covers; every report carries one.
+than a frozen dataclass, which every CLI process would pay.  The terms,
+trees and sequences, the finite and lazy relations, the reports and
+``forkmodel.PairingFunction`` are ``Node`` classes, so no command
+imports ``dataclasses``.  ``Scope``, defined here, names what a verdict
+covers; every report carries one.
 """
 
 from __future__ import annotations

@@ -66,29 +66,42 @@ def test_eval_model_loads_no_pairing_code():
     assert not loaded & {"relfork.forkmodel", "relfork.constructions", "dataclasses"}
 
 
-def test_eval_star_loads_no_hashlib():
-    # No command loads hashlib: the config digest uses CPython's own sha256.
-    loaded = new_modules(
-        "from relfork.cli import main\n"
-        "assert main(['eval', '--star', 'basic', '--S', '1,2', '--formula', 'pi # rho = 1\\'', "
-        "'--window', '64']) == 0"
-    )
-    assert {"relfork.forkmodel", "relfork.constructions"} <= loaded
-    assert "hashlib" not in loaded
-
-
 STAR_COMMANDS = {
     "fix": ["fix", "--star", "basic", "--S", "1,2"],
     "check": ["check", "--star", "basic", "--S", "1,2", "--suite", "cfa"],
     "build": ["build", "--star", "tree", "--S", "1,2", "--t", "bin nil nil"],
+    "eval": ["eval", "--star", "basic", "--S", "1,2", "--formula", "pi # rho = 1'",
+             "--window", "64"],
 }
 
 
 @pytest.mark.parametrize("argv", STAR_COMMANDS.values(), ids=STAR_COMMANDS.keys())
-def test_star_command_loads_no_hashlib_and_no_terms(argv):
+def test_star_command_loads_no_hashlib_dataclasses_or_inspect(argv):
+    # No command loads hashlib: the config digest uses CPython's own sha256.
+    # PairingFunction is a Node, so no pairing loads dataclasses (or, through
+    # it, inspect).  Only eval reads a formula, so only eval loads terms.
     loaded = new_modules(f"from relfork.cli import main\nassert main({argv!r}) == 0")
     assert {"relfork.forkmodel", "relfork.constructions"} <= loaded
-    assert not loaded & {"hashlib", "_hashlib", "relfork.terms"}
+    assert not loaded & {"hashlib", "_hashlib", "dataclasses", "inspect"}
+    assert ("relfork.terms" in loaded) == (argv[0] == "eval")
+
+
+def test_dataclasses_replace_loads_dataclasses_on_first_use():
+    # perfbench/traced_cli.py rebuilds every built pairing this way.
+    loaded = new_modules(
+        "import sys\n"
+        "from relfork.constructions import build_from_config\n"
+        "pf = build_from_config({'kind': 'basic', 'S': [1, 2]})\n"
+        "assert 'dataclasses' not in sys.modules\n"
+        "import dataclasses\n"
+        "def star(u, v):\n"
+        "    return pf.star(u, v)\n"
+        "moved = dataclasses.replace(pf, star=star)\n"
+        "assert type(moved) is type(pf) and moved.star is star\n"
+        "assert moved.unstar == pf.unstar and moved.meta is pf.meta\n"
+        "assert moved != pf and moved.star(3, 4) == pf.star(3, 4)"
+    )
+    assert "dataclasses" in loaded
 
 
 def test_config_digest_is_sha256_of_the_canonical_config(tmp_path):

@@ -1,6 +1,7 @@
-"""The node base: value semantics of terms, trees, sequences and reports."""
+"""The node base: value semantics of terms, trees, sequences, reports and pairings."""
 
 import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -26,12 +27,15 @@ from relfork import (
     Not,
     Or,
     PI,
+    PairingFunction,
     RHO,
     RelforkError,
     Scope,
     Seq,
     Union,
     Var,
+    cantor_pair,
+    cantor_unpair,
     parse_formula,
     parse_seq,
     parse_tree,
@@ -39,6 +43,7 @@ from relfork import (
 )
 
 X, Y = Var("x"), Var("y")
+CANTOR = PairingFunction(cantor_pair, cantor_unpair)
 
 
 class TestEquality:
@@ -60,12 +65,27 @@ class TestEquality:
         assert Seq((PI, RHO)) == parse_seq("pi.rho")
         assert len({Union(X, Y), Union(X, Y), Meet(X, Y)}) == 2
 
+    def test_pairing_compares_and_hashes_its_three_fields(self):
+        same = PairingFunction(star=cantor_pair, unstar=cantor_unpair, meta=None)
+        assert same == CANTOR and hash(same) == hash(CANTOR)
+        assert hash(CANTOR) == hash((cantor_pair, cantor_unpair, None))
+        others = [
+            PairingFunction(cantor_unpair, cantor_unpair),
+            PairingFunction(cantor_pair, cantor_pair),
+            PairingFunction(cantor_pair, cantor_unpair, "meta"),
+        ]
+        assert all(other != CANTOR for other in others)
+        assert CANTOR != (cantor_pair, cantor_unpair, None)
+
 
 class TestRepr:
     def test_dataclass_form(self):
         assert repr(Var("x")) == "Var(name='x')"
         assert repr(Const("one")) == "Const(kind='one')"
         assert repr(Union(X, Y)) == "Union(left=Var(name='x'), right=Var(name='y'))"
+        assert repr(CANTOR) == (
+            f"PairingFunction(star={cantor_pair!r}, unstar={cantor_unpair!r}, meta=None)"
+        )
 
     def test_tree_and_sequence_forms(self):
         assert repr(Bin(NIL, NIL)) == "(bin nil nil)"
@@ -76,7 +96,13 @@ class TestRepr:
 class TestImmutability:
     @pytest.mark.parametrize(
         "node, field",
-        [(X, "name"), (Union(X, Y), "left"), (Bin(NIL, NIL), "right"), (Seq((PI,)), "symbols")],
+        [
+            (X, "name"),
+            (Union(X, Y), "left"),
+            (Bin(NIL, NIL), "right"),
+            (Seq((PI,)), "symbols"),
+            (CANTOR, "star"),
+        ],
     )
     def test_fields_cannot_change(self, node, field):
         with pytest.raises(AttributeError):
@@ -102,6 +128,17 @@ class TestConstruction:
             Bin(NIL)
         with pytest.raises(TypeError):
             Nil(NIL)
+
+    def test_pairing_by_position_or_keyword(self):
+        assert CANTOR.meta is None
+        assert PairingFunction(star=cantor_pair, unstar=cantor_unpair) == CANTOR
+        assert PairingFunction(cantor_pair, cantor_unpair, None) == CANTOR
+        with pytest.raises(TypeError):
+            PairingFunction(cantor_pair)
+        # dataclasses.replace finds the fields as a dataclass's are found.
+        assert [f.name for f in dataclasses.fields(CANTOR)] == ["star", "unstar", "meta"]
+        moved = dataclasses.replace(CANTOR, meta="m")
+        assert moved == PairingFunction(cantor_pair, cantor_unpair, "m")
 
     def test_check_hook_validates(self):
         with pytest.raises(RelforkError):
