@@ -35,6 +35,14 @@ CPython's own ``sha256`` module.  The target's options, the window caps
 and the sampled count are checked first, against constants that need no
 pairing code.
 
+Each option is declared once, in the option table.  ``main`` reads the
+usual argv, ``[--format F] COMMAND (--flag VALUE)*`` with exact flags,
+from the table in one pass, so a run does not import ``argparse`` (nor
+``gettext`` and ``locale`` with it).  Only help, refusals and rare
+spellings (an abbreviated flag, ``--flag=value``, a negative number, a
+repeated flag) go to ``build_parser``, the argparse parser of the same
+table, which prints and exits as argparse does.
+
 ``run`` is the process entry of the console script and ``python -m
 relfork.cli``: ``main`` with the cyclic collector off, then a flush of
 stdout and stderr and ``os._exit``.  The interpreter's teardown (module
@@ -46,12 +54,12 @@ exits, so one process may call it often.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from . import relcore
@@ -59,6 +67,8 @@ from .errors import SCAN_CAP, SUITES, WINDOW_CAP, RelforkError
 from .node import Scope
 
 if TYPE_CHECKING:
+    import argparse
+
     from . import forkmodel
 
 
@@ -109,7 +119,7 @@ def _read_json_object(path: str, what: str) -> Dict:
 
 def _star_config(args) -> Dict:
     """The target's {kind, S, control}; build_from_config judges the control."""
-    if args.config:
+    if args.config is not None:
         return _read_json_object(args.config, "config")
     if not args.star:
         raise UsageError("need --star KIND (or --config FILE)")
@@ -201,7 +211,7 @@ def _suite_text(payload: Dict, scope: Scope, rows) -> List[str]:
 
 def _cmd_check(args) -> Tuple[Dict, int, List[str]]:
     suite = args.suite
-    if args.model:
+    if args.model is not None:
         seed = 0 if args.seed is None else args.seed
         strategy = ("sampled", args.sampled) if args.sampled is not None else "exhaustive"
         if suite not in ("cr_tarski", "cr_equational"):
@@ -265,9 +275,9 @@ def _cmd_eval(args) -> Tuple[Dict, int, List[str]]:
     from . import terms
 
     formula = terms.parse_formula(args.formula)
-    data = _read_json_object(args.bind, "bindings") if args.bind else {}
+    data = _read_json_object(args.bind, "bindings") if args.bind is not None else {}
     bindings = {name: relcore.pairs_from_json(pairs) for name, pairs in data.items()}
-    if args.model:
+    if args.model is not None:
         model = _resolve_model(args.model)
         env = {
             name: relcore.FiniteRelation.from_pairs(model.base_size, pairs)
@@ -344,89 +354,137 @@ def _cmd_build(args) -> Tuple[Dict, int, List[str]]:
 
 def _cmd_export(args) -> Tuple[Dict, int, None]:
     model = _resolve_model(args.model)
-    if args.out:
+    if args.out is not None:
         relcore.save_model(model, args.out)
         return {"written": args.out, "base_size": model.base_size}, 0, None
     return relcore.model_to_dict(model), 0, None
 
 
 # ---------------------------------------------------------------------------
-# Argument wiring
+# Option table
+
+# Each option once: its flag, its mutually exclusive group (or None) and
+# the keywords of add_argument.  build_parser builds argparse from it, and
+# _parse_table reads the usual argv from it without importing argparse.
+_FORMAT = (
+    "--format", None, {"choices": ("text", "json"), "default": "text", "help": "output format"}
+)
+_STAR_TARGET = (
+    ("--star", "target", {
+        "choices": ("basic", "tree", "pi", "rho", "seq"),
+        "help": "construction kind for a pairing-function target",
+    }),
+    ("--config", "target", {"help": "JSON config file {kind, S, control}"}),
+    ("--S", None, {"dest": "members", "help": "members, e.g. 1,2"}),
+    ("--t", "control", {"dest": "tree", "help": "control tree, e.g. 'bin (bin nil nil) nil'"}),
+    ("--s", "control", {"dest": "seq", "help": "control sequence, e.g. pi.rho"}),
+)
+_MODEL = ("--model", "target", {"help": "finite model: full:N or a JSON file path"})
+_TARGET = (_MODEL,) + _STAR_TARGET
+# Subcommand: its help, its handler and its options, in the order help lists them.
+_COMMANDS = {
+    "check": ("run an axiom suite", _cmd_check, _TARGET + (
+        ("--suite", None, {"required": True, "choices": SUITES, "help": "axiom suite to run"}),
+        ("--sampled", None, {
+            "type": int, "metavar": "K",
+            "help": "check K random assignments (default: every assignment)",
+        }),
+        ("--seed", None, {
+            "type": int, "help": "seed of --sampled (default 0); a pairing ignores it",
+        }),
+        ("--trials", None, {
+            "type": int, "help": "a pairing ignores it: its fork axioms are certified exactly",
+        }),
+    )),
+    "eval": ("evaluate one formula", _cmd_eval, _TARGET + (
+        ("--formula", None, {"required": True}),
+        ("--bind", None, {"help": "JSON file binding variables to pair lists"}),
+        ("--window", None, {"type": int, "help": "window over a pairing (default 200)"}),
+    )),
+    "fix": ("enumerate controlled fixpoints", _cmd_fix, _STAR_TARGET + (
+        ("--window", None, {"type": int, "help": (
+            f"scan [0, WINDOW) for fixpoints (default 1000, capped by SCAN_CAP = {SCAN_CAP})"
+        )}),
+    )),
+    "build": ("build a pairing and report its layout", _cmd_build, _STAR_TARGET),
+    "export": ("write a finite model to JSON", _cmd_export, (
+        ("--model", None, {"required": True}),
+        ("--out", None, {"help": "output path (default stdout)"}),
+    )),
+}
 
 
-def _add_target_args(parser: argparse.ArgumentParser, with_model: bool = True) -> None:
-    target = parser.add_mutually_exclusive_group()
-    if with_model:
-        target.add_argument("--model", help="finite model: full:N or a JSON file path")
-    target.add_argument(
-        "--star",
-        choices=("basic", "tree", "pi", "rho", "seq"),
-        help="construction kind for a pairing-function target",
-    )
-    target.add_argument("--config", help="JSON config file {kind, S, control}")
-    parser.add_argument("--S", dest="members", help="members, e.g. 1,2")
-    control = parser.add_mutually_exclusive_group()
-    control.add_argument("--t", dest="tree", help="control tree, e.g. 'bin (bin nil nil) nil'")
-    control.add_argument("--s", dest="seq", help="control sequence, e.g. pi.rho")
+def _dest(flag: str, spec: Dict) -> str:
+    return spec.get("dest", flag[2:])
+
+
+def _parse_table(argv: List[str]) -> Optional[SimpleNamespace]:
+    """argparse's namespace for argv, read from the option table alone.
+
+    This takes the shape of every usual run, ``[--format F] COMMAND
+    (--flag VALUE)*``: each flag is an exact flag of its place and is given
+    once, no value starts with '-', an int is ASCII digits, and the
+    choices, required options and exclusive groups hold.  Any other argv
+    (help, a refusal, an abbreviation, ``--flag=value``, a negative number)
+    gives None, and argparse decides it, printing what it prints.
+    """
+    values: Dict = {"format": "text"}
+    options, given, groups = (_FORMAT,), set(), set()
+    tokens = iter(argv)
+    for token in tokens:
+        option = next((o for o in options if o[0] == token), None)
+        if option is None:
+            if "command" in values or token not in _COMMANDS:
+                return None
+            _, func, options = _COMMANDS[token]
+            values.update({_dest(flag, spec): None for flag, _, spec in options})
+            values.update(command=token, func=func)
+            continue
+        flag, group, spec = option
+        dest, value = _dest(flag, spec), next(tokens, None)
+        if value is None or value.startswith("-") or dest in given or group in groups:
+            return None
+        given.add(dest)
+        if group is not None:
+            groups.add(group)
+        if spec.get("type") is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than int() takes from a string
+                return None
+        elif value not in spec.get("choices", (value,)):
+            return None
+        values[dest] = value
+    required = (_dest(flag, spec) for flag, _, spec in options if spec.get("required"))
+    if "command" not in values or not given.issuperset(required):
+        return None
+    return SimpleNamespace(**values)
+
+
+def _add_options(parser: argparse.ArgumentParser, options) -> None:
+    groups: Dict = {}
+    for flag, group, spec in options:
+        if group is not None and group not in groups:
+            groups[group] = parser.add_mutually_exclusive_group()
+        groups.get(group, parser).add_argument(flag, **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the option table; only help and refusals need it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="relfork",
         description="Verification workbench for relation and fork algebras.",
     )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+    _add_options(parser, (_FORMAT,))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="run an axiom suite")
-    _add_target_args(p_check)
-    p_check.add_argument(
-        "--suite",
-        required=True,
-        choices=SUITES,
-        help="axiom suite to run",
-    )
-    p_check.add_argument(
-        "--sampled",
-        type=int,
-        metavar="K",
-        help="check K random assignments (default: every assignment)",
-    )
-    p_check.add_argument(
-        "--seed", type=int, help="seed of --sampled (default 0); a pairing ignores it"
-    )
-    p_check.add_argument(
-        "--trials", type=int, help="a pairing ignores it: its fork axioms are certified exactly"
-    )
-    p_check.set_defaults(func=_cmd_check)
-
-    p_eval = sub.add_parser("eval", help="evaluate one formula")
-    _add_target_args(p_eval)
-    p_eval.add_argument("--formula", required=True)
-    p_eval.add_argument("--bind", help="JSON file binding variables to pair lists")
-    p_eval.add_argument("--window", type=int, help="window over a pairing (default 200)")
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_fix = sub.add_parser("fix", help="enumerate controlled fixpoints")
-    _add_target_args(p_fix, with_model=False)
-    p_fix.add_argument(
-        "--window",
-        type=int,
-        help=f"scan [0, WINDOW) for fixpoints (default 1000, capped by SCAN_CAP = {SCAN_CAP})",
-    )
-    p_fix.set_defaults(func=_cmd_fix)
-
-    p_build = sub.add_parser("build", help="build a pairing and report its layout")
-    _add_target_args(p_build, with_model=False)
-    p_build.set_defaults(func=_cmd_build)
-
-    p_export = sub.add_parser("export", help="write a finite model to JSON")
-    p_export.add_argument("--model", required=True)
-    p_export.add_argument("--out", help="output path (default stdout)")
-    p_export.set_defaults(func=_cmd_export)
-
+    for name, (help_text, func, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        _add_options(command, options)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -445,8 +503,10 @@ def _note(line: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_table(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         _check_args(args)

@@ -6,6 +6,7 @@ independent of the bitmask and lazy implementations under test.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import random
 from bisect import bisect_left, bisect_right
@@ -23,6 +24,8 @@ from relfork import (
     Seq,
 )
 from relfork import terms
+from relfork.cli import _cmd_build, _cmd_check, _cmd_eval, _cmd_export, _cmd_fix
+from relfork.errors import SCAN_CAP, SUITES
 
 Pair = Tuple[int, int]
 
@@ -451,3 +454,84 @@ def check_formula_pairs(formula, model, strategy="exhaustive", seed: int = 0):
         if not eval_formula_pairs(formula, env, model.base_size, unit):
             return label, False, checked, dict(zip(names, combo))
     return label, True, checked, None
+
+
+# ---------------------------------------------------------------------------
+# The CLI's argparse parser as it was written before the option table, the
+# reference for the table and for the parser built from it
+
+
+def _add_target_args(parser: argparse.ArgumentParser, with_model: bool = True) -> None:
+    target = parser.add_mutually_exclusive_group()
+    if with_model:
+        target.add_argument("--model", help="finite model: full:N or a JSON file path")
+    target.add_argument(
+        "--star",
+        choices=("basic", "tree", "pi", "rho", "seq"),
+        help="construction kind for a pairing-function target",
+    )
+    target.add_argument("--config", help="JSON config file {kind, S, control}")
+    parser.add_argument("--S", dest="members", help="members, e.g. 1,2")
+    control = parser.add_mutually_exclusive_group()
+    control.add_argument("--t", dest="tree", help="control tree, e.g. 'bin (bin nil nil) nil'")
+    control.add_argument("--s", dest="seq", help="control sequence, e.g. pi.rho")
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="relfork",
+        description="Verification workbench for relation and fork algebras.",
+    )
+    parser.add_argument(
+        "--format", choices=("text", "json"), default="text", help="output format"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_check = sub.add_parser("check", help="run an axiom suite")
+    _add_target_args(p_check)
+    p_check.add_argument(
+        "--suite",
+        required=True,
+        choices=SUITES,
+        help="axiom suite to run",
+    )
+    p_check.add_argument(
+        "--sampled",
+        type=int,
+        metavar="K",
+        help="check K random assignments (default: every assignment)",
+    )
+    p_check.add_argument(
+        "--seed", type=int, help="seed of --sampled (default 0); a pairing ignores it"
+    )
+    p_check.add_argument(
+        "--trials", type=int, help="a pairing ignores it: its fork axioms are certified exactly"
+    )
+    p_check.set_defaults(func=_cmd_check)
+
+    p_eval = sub.add_parser("eval", help="evaluate one formula")
+    _add_target_args(p_eval)
+    p_eval.add_argument("--formula", required=True)
+    p_eval.add_argument("--bind", help="JSON file binding variables to pair lists")
+    p_eval.add_argument("--window", type=int, help="window over a pairing (default 200)")
+    p_eval.set_defaults(func=_cmd_eval)
+
+    p_fix = sub.add_parser("fix", help="enumerate controlled fixpoints")
+    _add_target_args(p_fix, with_model=False)
+    p_fix.add_argument(
+        "--window",
+        type=int,
+        help=f"scan [0, WINDOW) for fixpoints (default 1000, capped by SCAN_CAP = {SCAN_CAP})",
+    )
+    p_fix.set_defaults(func=_cmd_fix)
+
+    p_build = sub.add_parser("build", help="build a pairing and report its layout")
+    _add_target_args(p_build, with_model=False)
+    p_build.set_defaults(func=_cmd_build)
+
+    p_export = sub.add_parser("export", help="write a finite model to JSON")
+    p_export.add_argument("--model", required=True)
+    p_export.add_argument("--out", help="output path (default stdout)")
+    p_export.set_defaults(func=_cmd_export)
+
+    return parser

@@ -1,21 +1,30 @@
 """Command line interface: exit codes, output shape, stdout stability."""
 
+import contextlib
 import gc
+import importlib.util
+import io
 import json
 import os
 import pathlib
 import random
+import re
 import runpy
+import shlex
 import subprocess
 import sys
 import tempfile
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import relfork
 from relfork import cli, constructions, relcore, terms
 from relfork.cli import main
 from relfork.forkmodel import PairingFunction
+
+from helpers import reference_parser
 
 UNIT2 = [[0, 0], [0, 1], [1, 0], [1, 1]]
 IDENT2 = [[0, 0], [1, 1]]
@@ -920,6 +929,18 @@ REFUSED = {
         "bad model spec 'full:x'; expected full:N or a path",
     ),
     "bind-list": ([[0, 1]], [*EVAL_X, "in.json"], "bindings file must hold a JSON object"),
+    # An empty path is a path: it names no file, whichever option gives it.
+    **{
+        f"empty-{name}": (None, argv, "[Errno 2] No such file or directory: ''")
+        for name, argv in [
+            ("model-check", ["check", "--model", "", "--suite", "cr_tarski"]),
+            ("model-eval", ["eval", "--model", "", "--formula", "1=1"]),
+            ("model-export", ["export", "--model", ""]),
+            ("config", ["check", "--config", "", "--suite", "cfa"]),
+            ("bind", [*EVAL_FULL1, "1=1", "--bind", ""]),
+            ("out", ["export", "--model", "full:1", "--out", ""]),
+        ]
+    },
     "complement-of-formula": (
         None, [*EVAL_FULL1, "~(1=1)"], "'~' takes terms, found a formula (at position 0)"
     ),
@@ -1088,6 +1109,179 @@ class TestArgparseExits:
         _, out, err = run_to_exit(capsys, *argv)
         kept = (want, "", err) if closed == "stdout" else (want, out, "")
         assert run_fresh(argv, closed=closed, buffered=buffered) == kept
+
+
+def parse_outcome(parser, argv):
+    """What a parser makes of argv: the namespace's vars, or its exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+COMMAND_WORDS = ("check", "eval", "fix", "build", "export")
+
+
+def shell_words(line):
+    """The words of a shell line, with ;|&()<> runs as words of their own."""
+    lexer = shlex.shlex(line, posix=True, punctuation_chars=";&|()<>")
+    lexer.whitespace_split = True
+    return list(lexer)
+
+
+def until_operator(words):
+    """The words before the first shell operator, less the 2 of a 2> redirection."""
+    args = []
+    for word in words:
+        if word and set(word) <= set(";&|()<>"):
+            if word[0] in "<>" and args[-1:] == ["2"]:
+                args.pop()
+            break
+        args.append(word)
+    return args
+
+
+def relfork_args(words):
+    """The relfork arguments among a line's words: from the command word (and a
+    --format before it) to the first shell operator; None without a command word."""
+    start = next((i for i, w in enumerate(words) if w in COMMAND_WORDS), None)
+    if start is None:
+        return None
+    if words[start - 2 : start - 1] == ["--format"]:
+        start -= 2
+    return until_operator(words[start:])
+
+
+def literal(args):
+    """Shell arguments with each variable replaced by a plain value."""
+    return ["1" if word.startswith("$") else word for word in args]
+
+
+def ci_argvs():
+    """The relfork argv of every workflow line, through the shell functions that wrap it."""
+    templates, name, argvs, run_indent = {}, None, [], None
+    workflow = ROOT / ".github" / "workflows" / "tests.yml"
+    for line in workflow.read_text().splitlines():
+        indent = len(line) - len(line.lstrip())
+        if run_indent is not None and line.strip() and indent <= run_indent:
+            run_indent = None
+        if line.strip() == "run: |":
+            run_indent = indent
+        if run_indent is None or indent == run_indent:
+            continue
+        defined = re.match(r"\s*(\w+)\(\) \{", line)
+        name = defined.group(1) if defined else name
+        words = shell_words(line)
+        if "$@" in words and "relfork.cli" in words:
+            at, cli_at = words.index("$@"), words.index("relfork.cli")
+            suffix = until_operator(words[at + 1 :])
+            templates[name] = (words[cli_at + 1 : at], suffix, "shift" in words)
+        elif "$@" in words or defined:
+            continue
+        elif words and words[0] in templates:
+            prefix, suffix, shift = templates[words[0]]
+            argvs.append(literal(prefix + until_operator(words[1 + shift :]) + suffix))
+        elif (args := relfork_args(words)) is not None:
+            argvs.append(literal(args))
+    return argvs
+
+
+def readme_argvs():
+    """The argv of every command in the README's command-line examples."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```$", text, re.M | re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("relfork ")]
+    return [relfork_args(shell_words(line)) for line in lines]
+
+
+def workload_argvs(tmp_path, monkeypatch):
+    """The argv of every benchmark job, as perfbench/run.py hands them to the CLI."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclass looks its module up
+    spec.loader.exec_module(workloads)
+    return [
+        ["--format", "json", *job.argv]
+        for size in ("tiny", "full")
+        for workload in workloads.WORKLOADS
+        for job in workloads.build_jobs(workload, 11, size, str(tmp_path))
+    ]
+
+
+# Flags, values and words from every corner of argparse's grammar.
+FLAG_TOKENS = (
+    "--model", "--star", "--config", "--S", "--t", "--s", "--suite", "--sampled", "--seed",
+    "--trials", "--formula", "--bind", "--window", "--out", "--format",
+    "-h", "--help", "--", "--st", "--se", "--model=full:2", "--window=5", "--format=json",
+)
+VALUE_TOKENS = (
+    "text", "json", "basic", "tree", "pi", "rho", "seq", "cfa", "cfau", "cr_tarski",
+    "cr_equational", "check", "full:2", "1,2", "bin nil nil", "x = x",
+    "0", "1", "5", "64", "007", "9" * 5000, "-5", "-x", "a b", "", "\u0663", "-h", "--", "--s",
+)
+# A good value for each required option, so that accepted argv are common.
+REQUIRED = {"check": ["--suite", "cfa"], "eval": ["--formula", "x = x"], "export": ["--model", "a"]}
+
+
+@st.composite
+def table_argvs(draw):
+    formats = [[], ["--format", "json"], ["--format", "text"], ["--format", "xml"]]
+    argv = draw(st.sampled_from(formats))
+    command = draw(st.sampled_from([*COMMAND_WORDS, "nope"]))
+    argv.append(command)
+    if draw(st.booleans()):
+        argv += REQUIRED.get(command, [])
+    token = st.sampled_from(FLAG_TOKENS + VALUE_TOKENS)
+    pair = st.tuples(st.sampled_from(FLAG_TOKENS), st.sampled_from(VALUE_TOKENS)).map(list)
+    for item in draw(st.lists(st.one_of(token.map(lambda t: [t]), pair), max_size=4)):
+        argv += item
+    return argv
+
+
+class TestOptionTable:
+    """The table parser takes the usual argv and leaves the rest to argparse,
+    whose parser, built from the same table, is the one written out in
+    ``helpers.reference_parser``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=table_argvs())
+    def test_agrees_with_the_reference_parser(self, argv):
+        want = parse_outcome(reference_parser(), argv)
+        assert parse_outcome(cli.build_parser(), argv) == want
+        table = cli._parse_table(argv)
+        event("table" if table is not None else "argparse")
+        if table is not None:
+            assert vars(table) == want
+
+    @pytest.mark.parametrize("source", ["workloads", "readme", "ci"])
+    def test_usual_argv_take_the_table_path(self, source, tmp_path, monkeypatch):
+        if source == "workloads":
+            argvs = workload_argvs(tmp_path, monkeypatch)
+        else:
+            argvs = readme_argvs() if source == "readme" else ci_argvs()
+        assert len(argvs) >= {"workloads": 50, "readme": 10, "ci": 70}[source]
+        # Only the CI's usage refusals are argparse's to print.
+        refused = []
+        for argv in argvs:
+            want = parse_outcome(reference_parser(), argv)
+            table = cli._parse_table(argv)
+            if isinstance(want, dict):
+                assert table is not None and vars(table) == want, argv
+            else:
+                assert table is None and want[0] == 2
+                refused.append(argv)
+        assert len(refused) == (4 if source == "ci" else 0)
+
+    @pytest.mark.parametrize("command", [None, *COMMAND_WORDS])
+    def test_help_is_the_reference_help(self, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["--help"] if command is None else [command, "--help"]
+        want = parse_outcome(reference_parser(), argv)
+        assert want[0] == 0 and want[1].startswith("usage: relfork")
+        assert parse_outcome(cli.build_parser(), argv) == want
 
 
 class TestProcessEntry:

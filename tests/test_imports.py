@@ -47,6 +47,11 @@ def test_import_package_loads_no_submodule():
     assert not {name for name in loaded if name.startswith("relfork.")}
 
 
+# argparse imports gettext, and gettext's first lookup imports locale.  The
+# option table parses every command below without them.
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
 def test_check_model_loads_no_pairing_code():
     loaded = new_modules(
         "from relfork.cli import main\n"
@@ -54,6 +59,7 @@ def test_check_model_loads_no_pairing_code():
     )
     assert {"relfork.cli", "relfork.relcore", "relfork.terms"} <= loaded
     assert not loaded & {"relfork.forkmodel", "relfork.constructions", "dataclasses", "hashlib"}
+    assert not loaded & ARGPARSE
 
 
 def test_eval_model_loads_no_pairing_code():
@@ -64,6 +70,7 @@ def test_eval_model_loads_no_pairing_code():
     )
     assert {"relfork.cli", "relfork.relcore", "relfork.terms"} <= loaded
     assert not loaded & {"relfork.forkmodel", "relfork.constructions", "dataclasses"}
+    assert not loaded & ARGPARSE
 
 
 STAR_COMMANDS = {
@@ -84,6 +91,26 @@ def test_star_command_loads_no_hashlib_dataclasses_or_inspect(argv):
     assert {"relfork.forkmodel", "relfork.constructions"} <= loaded
     assert not loaded & {"hashlib", "_hashlib", "dataclasses", "inspect"}
     assert ("relfork.terms" in loaded) == (argv[0] == "eval")
+    assert not loaded & ARGPARSE
+
+
+@pytest.mark.parametrize(
+    "argv, want", [(["--help"], 0), (["check", "--suite", "nope"], 2)], ids=["help", "refusal"]
+)
+def test_help_and_refusals_load_argparse(argv, want):
+    loaded = new_modules(
+        "from contextlib import redirect_stderr, redirect_stdout\n"
+        "from io import StringIO\n"
+        "from relfork.cli import main\n"
+        "with redirect_stdout(StringIO()), redirect_stderr(StringIO()):\n"
+        "    try:\n"
+        f"        main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        f"        assert exc.code == {want}\n"
+        "    else:\n"
+        "        raise AssertionError('argparse did not exit')"
+    )
+    assert ARGPARSE <= loaded
 
 
 def test_dataclasses_replace_loads_dataclasses_on_first_use():
@@ -119,7 +146,7 @@ def test_config_digest_is_sha256_of_the_canonical_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text('{"kind": "seq", "S": [0, 1], "control": "pi.rho",\n "note": "\u00e9t\u00e9",'
                     ' "extra": {"b": [1.5, null], "a": true}}')
-    args = cli.build_parser().parse_args(["build", "--config", str(path)])
+    args = cli._parse_table(["build", "--config", str(path)])
     configs.append(cli._star_config(args))
     assert len(configs[3]["S"]) == 512 and "extra" in configs[-1]
     for config in configs:
