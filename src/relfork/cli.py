@@ -31,8 +31,10 @@ formula module ``terms`` only where a formula is parsed or checked
 (``eval``, ``check --model`` and ``--sampled``'s range check), so the
 parser takes the suite names from ``errors.SUITES``.  No command loads
 ``hashlib``, which brings in OpenSSL: the config digest comes from
-CPython's own ``sha256`` module.  The target's options, the window caps
-and the sampled count are checked first, against constants that need no
+CPython's own ``sha256`` module.  JSON is written by ``relcore.json_text``,
+so only a run that reads a JSON file (a ``--model`` path, ``--config`` or
+``--bind``) imports ``json``.  The target's options, the window caps and
+the sampled count are checked first, against constants that need no
 pairing code.
 
 Each option is declared once, in the option table.  ``main`` reads the
@@ -55,7 +57,6 @@ exits, so one process may call it often.
 from __future__ import annotations
 
 import gc
-import json
 import os
 import sys
 import time
@@ -153,7 +154,7 @@ def _config_digest(config: Dict) -> str:
             # leaving out sha256 has neither module.
             from hashlib import sha256
 
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    canonical = relcore.json_text(config, separators=(",", ":"))
     return sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -204,7 +205,7 @@ def _suite_text(payload: Dict, scope: Scope, rows) -> List[str]:
     for passed, label, counterexample in rows:
         lines.append(f"  {'ok  ' if passed else 'FAIL'} {label}")
         if not passed and counterexample is not None:
-            lines.append(f"       counterexample: {json.dumps(counterexample, sort_keys=True)}")
+            lines.append(f"       counterexample: {relcore.json_text(counterexample)}")
     lines.append(f"result: {'pass' if payload['all_valid'] else 'FAIL'}")
     return lines
 
@@ -512,7 +513,7 @@ def main(argv=None) -> int:
         _check_args(args)
         payload, code, text = args.func(args)
         if args.format == "json" or text is None:
-            print(json.dumps(payload, indent=2, sort_keys=True), flush=True)
+            print(relcore.json_text(payload, indent=2), flush=True)
         else:
             print("\n".join(text), flush=True)
     except (RelforkError, OSError) as exc:

@@ -19,7 +19,6 @@ subalgebras are generated, by partition refinement of the unit's cells.
 
 from __future__ import annotations
 
-import json
 import math
 from operator import and_, or_
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -490,12 +489,68 @@ def model_from_dict(data: dict) -> AlgebraModel:
 
 def save_model(model: AlgebraModel, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_to_dict(model), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json_text(model_to_dict(model), indent=2) + "\n")
+
+
+class _Escapes(dict):
+    """``str.translate``'s table of ``json``'s escapes with ``ensure_ascii``."""
+
+    def __missing__(self, c: int) -> str:
+        high, low = divmod(c - 0x10000, 0x400)  # a surrogate pair above U+FFFF
+        return f"\\u{c:04x}" if c < 0x10000 else f"\\u{0xD800 + high:04x}\\u{0xDC00 + low:04x}"
+
+
+_ESCAPES = _Escapes({c: chr(c) for c in range(32, 127)})
+_ESCAPES.update({ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_text(value, indent=None, separators=(", ", ": ")) -> str:
+    """``json.dumps(value, indent=indent, separators=separators, sort_keys=True)``.
+
+    An indent drops the item separator's trailing space, as ``json`` does.  A
+    key not a str, or a value ``json`` cannot write, raises TypeError.
+    """
+    item_sep, key_sep = separators
+    out: List[str] = []
+    append = out.append
+
+    def write(v, level: int) -> None:
+        if isinstance(v, str):
+            append(f'"{v.translate(_ESCAPES)}"')
+        elif v is None or v is True or v is False:
+            append("null" if v is None else "true" if v else "false")
+        elif isinstance(v, int):
+            append(int.__repr__(v))
+        elif isinstance(v, float):
+            text = float.__repr__(v)
+            append(_NON_FINITE.get(text, text))
+        elif isinstance(v, (list, tuple, dict)):
+            is_dict = isinstance(v, dict)
+            pad = "" if indent is None or not v else "\n" + " " * (indent * level)
+            inner = pad and pad + " " * indent
+            sep = item_sep.rstrip() + inner if pad else item_sep
+            start = len(out)
+            for item in sorted(v.items()) if is_dict else v:
+                append(sep)
+                if is_dict:
+                    key, item = item  # str.translate raises TypeError on a key not a str
+                    append(f'"{str.translate(key, _ESCAPES)}"{key_sep}')
+                write(item, level + 1)
+            # The opening bracket takes the place of the first item's separator.
+            out[start : start + 1] = ["{" + inner if is_dict else "[" + inner]
+            append(pad + ("}" if is_dict else "]"))
+        else:
+            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+    write(value, 0)
+    return "".join(out)
 
 
 def read_json(path: str, what: str):
     """The JSON value in the named file; RelationError on invalid or too deeply nested text."""
+    import json
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)

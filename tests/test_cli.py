@@ -720,6 +720,11 @@ class TestExport:
         assert (code, text) == run(capsys, "--format", "json", "export", "--model", "full:1")[:2]
         assert code == 0 and text.startswith("{")
 
+    def test_full2_prints_the_json_dumps_bytes_in_both_formats(self, capsys):
+        want = json.dumps(relcore.model_to_dict(relcore.full_pra(2)), indent=2, sort_keys=True)
+        for argv in (["export"], ["--format", "json", "export"]):
+            assert run(capsys, *argv, "--model", "full:2")[:2] == (0, want + "\n")
+
 
 BASIC_TARGET = ["--star", "basic", "--S", "1"]
 

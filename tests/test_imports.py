@@ -50,6 +50,8 @@ def test_import_package_loads_no_submodule():
 # argparse imports gettext, and gettext's first lookup imports locale.  The
 # option table parses every command below without them.
 ARGPARSE = {"argparse", "gettext", "locale"}
+# relfork writes JSON with relcore.json_text; only reading a file loads json.
+JSON = {"json", "json.decoder", "json.scanner", "json.encoder", "_json"}
 
 
 def test_check_model_loads_no_pairing_code():
@@ -60,6 +62,7 @@ def test_check_model_loads_no_pairing_code():
     assert {"relfork.cli", "relfork.relcore", "relfork.terms"} <= loaded
     assert not loaded & {"relfork.forkmodel", "relfork.constructions", "dataclasses", "hashlib"}
     assert not loaded & ARGPARSE
+    assert not loaded & JSON
 
 
 def test_eval_model_loads_no_pairing_code():
@@ -71,6 +74,7 @@ def test_eval_model_loads_no_pairing_code():
     assert {"relfork.cli", "relfork.relcore", "relfork.terms"} <= loaded
     assert not loaded & {"relfork.forkmodel", "relfork.constructions", "dataclasses"}
     assert not loaded & ARGPARSE
+    assert not loaded & JSON
 
 
 STAR_COMMANDS = {
@@ -92,6 +96,22 @@ def test_star_command_loads_no_hashlib_dataclasses_or_inspect(argv):
     assert not loaded & {"hashlib", "_hashlib", "dataclasses", "inspect"}
     assert ("relfork.terms" in loaded) == (argv[0] == "eval")
     assert not loaded & ARGPARSE
+    assert not loaded & JSON
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--model", "model.json", "--suite", "cr_equational"],
+     ["build", "--config", "config.json"]],
+    ids=["check-model", "build-config"],
+)
+def test_reading_a_json_file_loads_json(tmp_path, argv):
+    # read_json imports json itself, so a --model or --config file reaches it.
+    relfork.save_model(relfork.full_pra(1), str(tmp_path / "model.json"))
+    (tmp_path / "config.json").write_text('{"kind": "basic", "S": [1, 2]}')
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    loaded = new_modules(f"from relfork.cli import main\nassert main({argv!r}) == 0")
+    assert {"json", "json.decoder"} <= loaded
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Finite relations against pair-set oracles; models, products, ideals."""
 
 import copy
+import json
+import pathlib
 import pickle
 import random
 
@@ -577,3 +579,64 @@ class TestSerialization:
         path.write_text("not json")
         with pytest.raises(RelationError):
             load_model(str(path))
+
+
+# Every control character, DEL, the two escaped printables, BMP and astral
+# characters and both lone surrogate halves, besides any code point at all.
+JSON_CHARS = st.sampled_from(
+    [chr(c) for c in range(32)] + ["\x7f", '"', "\\", "\u00e9", "\uffff", "\U0001f600",
+                                   "\U0010ffff", "\ud800", "\udfff"]
+) | st.characters(exclude_categories=())
+JSON_STRINGS = st.text(JSON_CHARS, max_size=8)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(1 << 100), max_value=1 << 100)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | JSON_STRINGS
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    max_leaves=24,
+)
+# The three forms relfork writes: model dumps and JSON output, the
+# counterexample line, and the canonical config under its digest.
+JSON_FORMS = [{"indent": 2}, {}, {"separators": (",", ":")}]
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    @example({"b": [True, 1, False, 0], "a": ({}, [], (), [[]], {"": {}})})
+    @example(["\x00\x1f\x7f\"\\\b\f\n\r\t", "\u00e9\uffff\U0001f600\ud800\udfff", -0.0])
+    @example([float("nan"), float("inf"), float("-inf"), 1e300, 1 << 64, -(1 << 70)])
+    def test_matches_json_dumps_in_every_form(self, value):
+        for form in JSON_FORMS:
+            assert relcore.json_text(value, **form) == json.dumps(value, sort_keys=True, **form)
+
+    @pytest.mark.parametrize(
+        "value", [{1, 2}, b"bytes", {1: "a"}, {"a": [{None: 1}]}, [object()]],
+        ids=["set", "bytes", "int-key", "nested-none-key", "object"],
+    )
+    def test_refuses_what_json_does_not_hold(self, value):
+        with pytest.raises(TypeError):
+            relcore.json_text(value)
+
+    @pytest.mark.parametrize("source", ["full:1", "product_1_1.json", "cyclic_8.json"])
+    def test_save_model_writes_json_dump_bytes(self, tmp_path, source):
+        model = full_pra(1) if source == "full:1" else load_model(str(GOLDEN / source))
+        want = tmp_path / "want.json"
+        with open(want, "w", encoding="utf-8") as handle:
+            json.dump(model_to_dict(model), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        got = tmp_path / "got.json"
+        save_model(model, str(got))
+        assert got.read_bytes() == want.read_bytes()
+        if source != "full:1":
+            assert got.read_bytes() == (GOLDEN / source).read_bytes()
